@@ -11,9 +11,7 @@ from typing import Dict, List, Optional
 from .corpus import builtin_corpus
 from .experiments import (CSV_HEADER, ExperimentError, build_instance,
                           default_f_r, run_experiment, run_suite)
-from .generators import (TightnessParams, gen_complete, gen_cycle, gen_path,
-                         gen_random_tree, gen_tightness, subdivide)
-from .graphs import GraphError, girth, read_graph, write_graph
+from .graphs import girth, read_graph, write_graph
 from .oracles import is_independent, is_r_dominating
 
 EXIT_OK = 0
@@ -45,7 +43,7 @@ def cmd_generate(args) -> int:
     spec = _spec_from_args(args)
     try:
         g, tight = build_instance(spec)
-    except (ExperimentError, GraphError, ValueError, KeyError) as exc:
+    except ValueError as exc:
         _emit({"error": "bad_spec", "detail": str(exc)})
         return EXIT_ERROR
     write_graph(g, args.output)
@@ -100,9 +98,19 @@ def cmd_suite(args) -> int:
     if args.builtin:
         specs = builtin_corpus()
     elif args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        specs = loaded["experiments"] if isinstance(loaded, dict) else loaded
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            _emit({"error": "bad_input", "detail": str(exc)})
+            return EXIT_ERROR
+        specs = loaded.get("experiments") if isinstance(loaded, dict) else loaded
+        if not (isinstance(specs, list)
+                and all(isinstance(spec, dict) for spec in specs)):
+            _emit({"error": "bad_spec",
+                   "detail": 'config must be a list of spec objects or '
+                             '{"experiments": [...]}'})
+            return EXIT_ERROR
     else:
         _emit({"error": "bad_spec", "detail": "pass a config path or --builtin"})
         return EXIT_ERROR
@@ -140,7 +148,7 @@ def cmd_verify(args) -> int:
         if args.check in ("independent", "both"):
             outcome["independent"] = is_independent(g, members)
             ok = ok and outcome["independent"]
-    except (GraphError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _emit({"error": "bad_input", "detail": str(exc)})
         return EXIT_ERROR
     outcome["pass"] = ok
@@ -148,7 +156,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _add_family_args(parser, require_family: bool = True) -> None:
+def _add_family_args(parser) -> None:
     parser.add_argument("--family",
                         choices=["cycle", "path", "tree", "subdivided_k4",
                                  "tightness"],

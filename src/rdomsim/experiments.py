@@ -65,22 +65,47 @@ class ExperimentResult:
         return d
 
 
+def _int_param(spec: Dict, key: str, default: Optional[int] = None) -> int:
+    value = spec.get(key, default)
+    if value is None:
+        raise ExperimentError(
+            "bad_spec", f"family {spec.get('family')!r} needs parameter {key!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ExperimentError(
+            "bad_spec", f"{key} must be an integer, got {value!r}") from None
+
+
 def build_instance(spec: Dict) -> Tuple[Graph, Optional[TightnessGraph]]:
+    """Build the spec's graph; a missing or invalid family parameter is a
+    ``bad_spec`` error and an unreadable graph file a ``bad_input`` one."""
     family = spec.get("family")
-    r = int(spec.get("r", 1))
-    if family == "cycle":
-        return gen_cycle(int(spec["n"])), None
-    if family == "path":
-        return gen_path(int(spec["n"])), None
-    if family == "tree":
-        return gen_random_tree(int(spec["n"]), int(spec["seed"])), None
-    if family == "subdivided_k4":
-        return subdivide(gen_complete(4), int(spec["k"])), None
-    if family == "tightness":
-        tg = gen_tightness(TightnessParams(r, int(spec["f"])))
-        return tg.graph, tg
     if family == "file":
-        return read_graph(spec["graph"]), None
+        if not spec.get("graph"):
+            raise ExperimentError("bad_spec", "family 'file' needs 'graph'")
+        try:
+            return read_graph(spec["graph"]), None
+        except (OSError, ValueError) as exc:
+            raise ExperimentError("bad_input", str(exc)) from None
+    try:
+        if family == "cycle":
+            return gen_cycle(_int_param(spec, "n")), None
+        if family == "path":
+            return gen_path(_int_param(spec, "n")), None
+        if family == "tree":
+            return gen_random_tree(_int_param(spec, "n"),
+                                   _int_param(spec, "seed")), None
+        if family == "subdivided_k4":
+            return subdivide(gen_complete(4), _int_param(spec, "k")), None
+        if family == "tightness":
+            tg = gen_tightness(TightnessParams(_int_param(spec, "r", 1),
+                                               _int_param(spec, "f")))
+            return tg.graph, tg
+    except ExperimentError:
+        raise
+    except ValueError as exc:
+        raise ExperimentError("bad_spec", str(exc)) from None
     raise ExperimentError("bad_family", f"unknown family {family!r}")
 
 
@@ -125,7 +150,7 @@ def _base_row(spec: Dict, g: Graph, r: int, f_r: int, girth_value) -> Dict[str, 
 def run_experiment(spec: Dict) -> ExperimentResult:
     """Run one spec end to end and judge every applicable check."""
     algo = spec.get("algo", "rmds")
-    r = int(spec.get("r", 1))
+    r = _int_param(spec, "r", 1)
     if r < 1:
         raise ExperimentError("bad_spec", f"r must be >= 1, got {r}")
     g, tight = build_instance(spec)

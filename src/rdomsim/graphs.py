@@ -147,18 +147,60 @@ def neighborhood_size_oracle(g: Graph, v: int, r: int) -> int:
 def girth(g: Graph):
     """Length of the shortest cycle, or INFINITE for acyclic graphs.
 
-    BFS from every vertex; for each non-tree edge {u, w} seen from root s
-    the closed walk through s has length dist(u) + dist(w) + 1, which never
-    undercuts the girth and achieves it for a root on a shortest cycle.
+    Every cycle lies in the 2-core, so leaves are peeled off repeatedly
+    first; a forest peels away entirely.  A core component whose vertices
+    all have core degree 2 is a bare cycle and contributes its size.  In
+    any other component every cycle passes through a vertex of core degree
+    >= 3, so a BFS inside the core runs from those vertices only.  For
+    each non-tree edge {u, w} seen from root s the closed walk through s
+    has length dist(u) + dist(w) + 1, which never undercuts the girth and
+    achieves it for a root on a shortest cycle.  Such a walk is at least
+    2·dist(u) long, so a BFS stops once 2·dist(u) >= best.
+
+    Cost: O(n + m) for the peel and the bare cycles, plus one truncated
+    BFS of the core per vertex of core degree >= 3; linear on trees,
+    cycles and forests of them.
     """
+    degree = {v: len(g.neighbors(v)) for v in g.vertices}
+    peeled = {v for v, d in degree.items() if d <= 1}
+    leaves = list(peeled)
+    while leaves:
+        for w in g.neighbors(leaves.pop()):
+            if w not in peeled:
+                degree[w] -= 1
+                if degree[w] <= 1:
+                    peeled.add(w)
+                    leaves.append(w)
+
     best = INFINITE
+    seen = set(peeled)
     for s in g.vertices:
+        if s in seen:
+            continue
+        seen.add(s)
+        component, branched = [s], False
+        for u in component:
+            branched = branched or degree[u] >= 3
+            for w in g.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    component.append(w)
+        if not branched and len(component) < best:
+            best = len(component)
+
+    for s in g.vertices:
+        if s in peeled or degree[s] < 3:
+            continue
         dist = {s: 0}
         parent = {s: None}
         queue = deque([s])
         while queue:
             u = queue.popleft()
+            if 2 * dist[u] >= best:
+                break
             for w in g.neighbors(u):
+                if w in peeled:
+                    continue
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .graphs import Graph, GraphError, bfs_distances, girth
+from .graphs import Graph, GraphError, girth
 from .oracles import OptimumUnknown, exact_min_rds, is_r_dominating
 from .programs import RmdsOutput, SelectionMap
 from .simulator import SimulationReport
@@ -74,6 +74,15 @@ def voronoi_decompose(g: Graph, centers: Iterable[int], r: int, *,
                       require_domination: bool = True) -> VoronoiDecomposition:
     """Assign every vertex to its nearest center.
 
+    One multi-source FIFO BFS seeded with the centers in ascending ID
+    order, so O(n + m) for any number of centers.  Level 0 of the queue is
+    sorted by center; a vertex at level d+1 is claimed by the first of its
+    level-d neighbors to be dequeued, which carries the smallest center
+    among them, and the level is appended in that order, so it is sorted
+    by center too.  Hence every vertex gets its nearest center, ties going
+    to the smaller center ID.  The cells are then built in one pass over
+    the assignment.
+
     With ``require_domination`` (the default) a vertex farther than r from
     every center is an error.  Disabling it supports negative controls on
     low-girth instances; vertices unreachable from all centers remain an
@@ -87,24 +96,30 @@ def voronoi_decompose(g: Graph, centers: Iterable[int], r: int, *,
     for m in center_set:
         if m not in g:
             raise GraphError(f"unknown center {m}")
-    label: Dict[int, Tuple[int, int]] = {}
-    for m in sorted(center_set):
-        for v, d in bfs_distances(g, m).items():
-            key = (d, m)
-            if v not in label or key < label[v]:
-                label[v] = key
-    missing = [v for v in g.vertices if v not in label]
+    ordered = sorted(center_set)
+    assignment = {m: m for m in ordered}
+    dist = dict.fromkeys(ordered, 0)
+    queue = deque(ordered)
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in assignment:
+                assignment[w] = assignment[u]
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    missing = g.vertex_count - len(assignment)
     if missing:
         raise NotDominatingError(
-            f"{len(missing)} vertex(es) unreachable from every center")
+            f"{missing} vertex(es) unreachable from every center")
     if require_domination:
-        far = [v for v, (d, _) in label.items() if d > r]
+        far = sum(1 for d in dist.values() if d > r)
         if far:
             raise NotDominatingError(
-                f"{len(far)} vertex(es) farther than r={r} from every center")
-    assignment = {v: m for v, (_, m) in label.items()}
-    cells = {m: frozenset(v for v, c in assignment.items() if c == m)
-             for m in sorted(center_set)}
+                f"{far} vertex(es) farther than r={r} from every center")
+    members: Dict[int, List[int]] = {m: [] for m in ordered}
+    for v, m in assignment.items():
+        members[m].append(v)
+    cells = {m: frozenset(vs) for m, vs in members.items()}
     intercell: List[InterCellEdge] = []
     pairs = set()
     for u, v in g.edges():
@@ -119,29 +134,29 @@ def voronoi_decompose(g: Graph, centers: Iterable[int], r: int, *,
                                 quotient_edge_count=len(pairs))
 
 
-def _cell_is_tree(g: Graph, cell: FrozenSet[int], root: int) -> bool:
-    edge_count = sum(1 for u in cell for w in g.neighbors(u)
-                     if w in cell and u < w)
-    reached = _cell_parents(g, cell, root)
-    return len(reached) == len(cell) and edge_count == len(cell) - 1
-
-
-def _cell_parents(g: Graph, cell: FrozenSet[int], root: int) -> Dict[int, Optional[int]]:
+def _cell_tree_parents(g: Graph, cell: FrozenSet[int],
+                       root: int) -> Optional[Dict[int, Optional[int]]]:
+    """BFS parents of the cell rooted at ``root``, or None when the cell
+    does not induce a tree (it is disconnected or an in-cell non-tree edge
+    closes a cycle)."""
     parents: Dict[int, Optional[int]] = {root: None}
     queue = deque([root])
     while queue:
         u = queue.popleft()
         for w in g.neighbors(u):
-            if w in cell and w not in parents:
-                parents[w] = u
-                queue.append(w)
-    return parents
+            if w not in cell or w == parents[u]:
+                continue
+            if w in parents:
+                return None
+            parents[w] = u
+            queue.append(w)
+    return parents if len(parents) == len(cell) else None
 
 
 def check_structural_lemmas(g: Graph, dec: VoronoiDecomposition,
                             f_r: int) -> LemmaFlags:
     """Check the three structural facts; the flags are the product."""
-    cells_are_trees = all(_cell_is_tree(g, cell, m)
+    cells_are_trees = all(_cell_tree_parents(g, cell, m) is not None
                           for m, cell in dec.cells.items())
     pair_counts: Dict[CellPair, int] = {}
     for _, pair in dec.intercell_edges:
@@ -160,9 +175,9 @@ def boundary_forest(g: Graph, dec: VoronoiDecomposition) -> BoundaryForest:
         boundary[dec.assignment[v]].add(v)
     trees: Dict[int, FrozenSet[int]] = {}
     for m, cell in dec.cells.items():
-        if not _cell_is_tree(g, cell, m):
+        parents = _cell_tree_parents(g, cell, m)
+        if parents is None:
             raise ValueError(f"cell of center {m} does not induce a tree")
-        parents = _cell_parents(g, cell, m)
         members = {m}
         for u in boundary[m]:
             while u is not None:

@@ -1,10 +1,14 @@
 """Shared test helpers: graph strategies and brute-force reference solvers."""
 
 import itertools
+import math
+from collections import deque
 
 from hypothesis import strategies as st
 
-from rdomsim import Graph, build_graph, is_r_dominating
+from rdomsim import (Graph, GraphError, NotDominatingError,
+                     VoronoiDecomposition, bfs_distances, build_graph,
+                     is_r_dominating)
 
 
 @st.composite
@@ -32,3 +36,70 @@ def enumerate_min_rds(g: Graph, r: int) -> frozenset:
             if is_r_dominating(g, combo, r):
                 return frozenset(combo)
     raise AssertionError("unreachable: V itself always dominates")
+
+
+def reference_girth(g: Graph):
+    """Slow girth oracle: an untruncated BFS from every vertex, O(n·m).
+
+    For each non-tree edge {u, w} seen from root s the closed walk through
+    s has length dist(u) + dist(w) + 1, which never undercuts the girth and
+    achieves it for a root on a shortest cycle.
+    """
+    best = math.inf
+    for s in g.vertices:
+        dist = {s: 0}
+        parent = {s: None}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best
+
+
+def reference_voronoi_decompose(g: Graph, centers, r: int, *,
+                                require_domination: bool = True
+                                ) -> VoronoiDecomposition:
+    """Slow Voronoi oracle: one full BFS per center, O(|centers|·n).
+
+    Each vertex keeps the smallest (distance, center) label seen.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    center_set = frozenset(centers)
+    if not center_set:
+        raise NotDominatingError("center set is empty")
+    for m in center_set:
+        if m not in g:
+            raise GraphError(f"unknown center {m}")
+    label = {}
+    for m in sorted(center_set):
+        for v, d in bfs_distances(g, m).items():
+            if v not in label or (d, m) < label[v]:
+                label[v] = (d, m)
+    missing = [v for v in g.vertices if v not in label]
+    if missing:
+        raise NotDominatingError(
+            f"{len(missing)} vertex(es) unreachable from every center")
+    if require_domination:
+        far = [v for v, (d, _) in label.items() if d > r]
+        if far:
+            raise NotDominatingError(
+                f"{len(far)} vertex(es) farther than r={r} from every center")
+    assignment = {v: m for v, (_, m) in label.items()}
+    cells = {m: frozenset(v for v, c in assignment.items() if c == m)
+             for m in sorted(center_set)}
+    intercell = []
+    for u, v in g.edges():
+        cu, cv = assignment[u], assignment[v]
+        if cu != cv:
+            intercell.append(((u, v), (min(cu, cv), max(cu, cv))))
+    return VoronoiDecomposition(
+        centers=center_set, radius=r, assignment=assignment, cells=cells,
+        intercell_edges=tuple(intercell),
+        quotient_edge_count=len({pair for _, pair in intercell}))

@@ -156,3 +156,53 @@ def test_run_on_graph_file(tmp_path, capsys):
                            "--f-r", "1")
     assert code == EXIT_OK
     assert json.loads(stdout)["passed"] is True
+
+
+def test_run_without_family_parameter_is_bad_spec(capsys):
+    code, stdout = run_cli(capsys, "run", "--family", "cycle")
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {"error": "bad_spec",
+                                  "detail": "family 'cycle' needs parameter 'n'"}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--family", "tree", "--n", "5"], "bad_spec"),
+    (["--family", "cycle", "--n", "2"], "bad_spec"),
+    (["--family", "tightness", "--f", "1"], "bad_spec"),
+    (["--graph", "missing.graph"], "bad_input"),
+])
+def test_run_invalid_instance_exits_2_with_json(tmp_path, monkeypatch,
+                                                capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    code, stdout = run_cli(capsys, "run", *argv)
+    assert code == EXIT_ERROR
+    assert json.loads(stdout)["error"] == error
+
+
+def test_suite_spec_without_family_parameter_is_bad_spec(tmp_path, capsys):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps([{"family": "cycle", "r": 1}]))
+    code, stdout = run_cli(capsys, "suite", str(config))
+    assert code == EXIT_ERROR
+    assert json.loads(stdout)["error"] == "bad_spec"
+
+
+def test_verify_missing_files_are_bad_input(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    code, stdout = run_cli(capsys, "verify", "--graph", missing,
+                           "--set", missing, "--r", "1")
+    assert code == EXIT_ERROR
+    assert json.loads(stdout)["error"] == "bad_input"
+
+
+@pytest.mark.parametrize("content, error", [(None, "bad_input"),
+                                            ("{not json", "bad_input"),
+                                            ('{"runs": []}', "bad_spec")])
+def test_suite_unreadable_or_malformed_config_exits_2(tmp_path, capsys,
+                                                      content, error):
+    config = tmp_path / "suite.json"
+    if content is not None:
+        config.write_text(content)
+    code, stdout = run_cli(capsys, "suite", str(config))
+    assert code == EXIT_ERROR
+    assert json.loads(stdout)["error"] == error

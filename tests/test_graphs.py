@@ -1,13 +1,17 @@
 import math
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdomsim import (INFINITE, GraphError, ball, bfs_distances, build_graph,
-                     connected_components, gen_cycle, gen_random_tree, girth,
-                     neighborhood_size_oracle, read_graph, write_graph)
+from rdomsim import (INFINITE, GraphError, TightnessParams, ball,
+                     bfs_distances, build_graph, connected_components,
+                     gen_complete, gen_cycle, gen_random_tree, gen_tightness,
+                     girth, neighborhood_size_oracle, read_graph, subdivide,
+                     write_graph)
 
-from _support import graphs
+from _support import graphs, reference_girth
 
 
 def test_build_path_on_three_vertices():
@@ -118,3 +122,81 @@ def test_neighborhood_oracle_matches_bfs(g):
 @given(graphs())
 def test_edges_roundtrip(g):
     assert build_graph(g.edges(), extra_vertices=g.vertices) == g
+
+
+def _chain(start, length, u, v):
+    """Edges of a u-v path of ``length`` edges through fresh IDs from ``start``."""
+    nodes = [u, *range(start, start + length - 1), v]
+    return list(zip(nodes, nodes[1:]))
+
+
+def _theta(a, b, c):
+    """Two hubs 0 and 1 joined by internally disjoint paths of a, b, c edges."""
+    edges, nxt = [], 2
+    for length in (a, b, c):
+        edges += _chain(nxt, length, 0, 1)
+        nxt += length - 1
+    return build_graph(edges)
+
+
+def _networkx_girth(g):
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(g.vertices)
+    return nx.girth(nxg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10))
+def test_girth_matches_reference_and_networkx(g):
+    assert girth(g) == reference_girth(g) == _networkx_girth(g)
+
+
+def test_girth_cycle_with_pendant_trees():
+    # C_7 on 0..6 with a path hanging off 0 and a star hanging off 3.
+    g = build_graph(gen_cycle(7).edges()
+                    + [(0, 7), (7, 8), (8, 9), (3, 10), (10, 11), (10, 12)])
+    assert girth(g) == 7 == reference_girth(g)
+
+
+@pytest.mark.parametrize("lengths", [(1, 2, 2), (2, 2, 2), (1, 5, 9),
+                                     (3, 4, 5), (6, 2, 7), (4, 4, 1)])
+def test_girth_theta_graphs(lengths):
+    g = _theta(*lengths)
+    a, b, _ = sorted(lengths)
+    assert girth(g) == a + b == reference_girth(g)
+
+
+@pytest.mark.parametrize("cycle_n, expected", [(5, 5), (9, 8)])
+def test_girth_bare_cycle_next_to_branched_component(cycle_n, expected):
+    # A theta graph of girth 8 on 0..13 and a bare cycle on fresh IDs: the
+    # minimum comes from whichever holds the smaller girth.
+    theta = _theta(4, 4, 6)
+    offset = 100
+    bare = [(u + offset, v + offset) for u, v in gen_cycle(cycle_n).edges()]
+    g = build_graph(theta.edges() + bare)
+    assert girth(g) == expected == reference_girth(g)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_girth_subdivided_k4(k):
+    g = subdivide(gen_complete(4), k)
+    assert girth(g) == 3 * (k + 1) == reference_girth(g)
+
+
+@pytest.mark.parametrize("r, f", [(1, 2), (2, 2), (1, 3)])
+def test_girth_tightness_family(r, f):
+    g = gen_tightness(TightnessParams(r, f)).graph
+    # Subdivided K_{2f,2f}: every 4-cycle becomes 4 paths of 2r+1 edges.
+    assert girth(g) == 4 * (2 * r + 1) == reference_girth(g)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 60), st.integers(1, 60), st.integers(0, 5))
+def test_girth_cycle_beside_a_tree(n, tree_n, seed):
+    offset = n
+    tree = [(u + offset, v + offset)
+            for u, v in gen_random_tree(tree_n, seed).edges()]
+    g = build_graph(gen_cycle(n).edges() + tree,
+                    extra_vertices=range(offset, offset + tree_n))
+    assert girth(g) == n
+    assert girth(build_graph(tree, extra_vertices=[offset])) == INFINITE

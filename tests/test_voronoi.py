@@ -10,7 +10,7 @@ from rdomsim import (NotDominatingError, SelectionMap, TightnessParams,
                      split_selection, tightness_dominating_set,
                      voronoi_decompose)
 
-from _support import graphs
+from _support import graphs, reference_voronoi_decompose
 
 
 def run_rmds(g, r):
@@ -177,3 +177,49 @@ def test_split_union_equals_selected_on_cycles(n, r):
     sel = selection_oracle(g, r)
     split = split_selection(dec, sel)
     assert split.inside | split.outside == sel.members
+
+
+def _outcome(decompose, g, centers, r, require_domination):
+    try:
+        return decompose(g, centers, r,
+                         require_domination=require_domination)
+    except NotDominatingError as exc:
+        return ("NotDominatingError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(min_n=1, max_n=10), st.data(), st.integers(1, 3), st.booleans())
+def test_decompose_matches_per_center_reference(g, data, r, require_domination):
+    centers = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
+    fast = _outcome(voronoi_decompose, g, centers, r, require_domination)
+    slow = _outcome(reference_voronoi_decompose, g, centers, r,
+                    require_domination)
+    assert fast == slow
+
+
+def test_decompose_ties_on_even_cycle_go_to_smaller_center():
+    # On C_12 with centers 0, 4, 8 vertices 2, 6 and 10 sit at distance 2
+    # from two centers each.
+    g = gen_cycle(12)
+    dec = voronoi_decompose(g, {8, 4, 0}, 2)
+    assert (dec.assignment[2], dec.assignment[6], dec.assignment[10]) == (0, 4, 0)
+    assert dec == reference_voronoi_decompose(g, {0, 4, 8}, 2)
+
+
+def test_decompose_error_branches_match_reference():
+    disconnected = build_graph([(0, 1), (2, 3)])
+    far = gen_cycle(9)
+    for g, centers, r, guard in [(disconnected, {0}, 1, True),
+                                 (disconnected, {0}, 1, False),
+                                 (far, {0}, 1, True),
+                                 (far, {0, 4}, 1, True)]:
+        fast = _outcome(voronoi_decompose, g, centers, r, guard)
+        assert fast == _outcome(reference_voronoi_decompose, g, centers, r,
+                                guard)
+        assert fast[0] == "NotDominatingError"
+    assert "unreachable" in _outcome(voronoi_decompose, disconnected, {0},
+                                     1, False)[1]
+    assert "farther than r=1" in _outcome(voronoi_decompose, far, {0},
+                                          1, True)[1]
+    assert voronoi_decompose(far, {0}, 1, require_domination=False) == \
+        reference_voronoi_decompose(far, {0}, 1, require_domination=False)
