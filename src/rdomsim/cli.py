@@ -74,7 +74,7 @@ def cmd_run(args) -> int:
         spec["allow_low_girth"] = True
     if args.m is not None:
         spec["m"] = args.m if args.m in ("exact", "family") else \
-            [int(v) for v in args.m.split(",")]
+            args.m.split(",")
     if args.d_source is not None:
         spec["d_source"] = args.d_source
     try:

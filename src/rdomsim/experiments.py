@@ -25,7 +25,7 @@ from .graphs import Graph, girth, neighborhood_size_oracle, read_graph
 from .oracles import is_independent, is_r_dominating
 from .programs import (count_neighborhood_program, cycle_is_program,
                        rmds_program, rmds_round_budget, selection_oracle)
-from .simulator import id_bits, run_simulation
+from .simulator import SimulationReport, id_bits, run_simulation
 from .voronoi import ApproxReport, approx_report
 
 CSV_HEADER = ("family,n,r,f_r,girth,opt,alg,ratio,bound,"
@@ -116,8 +116,9 @@ def default_f_r(spec: Dict) -> int:
     return _DEFAULT_F_R.get(family, 1)
 
 
-def _resolve_comparison_set(spec: Dict,
+def _resolve_comparison_set(spec: Dict, g: Graph,
                             tight: Optional[TightnessGraph]) -> Optional[frozenset]:
+    """The spec's ``m``; a malformed or unknown vertex list is ``bad_spec``."""
     source = spec.get("m", "exact")
     if source == "exact":
         return None  # approx_report falls back to the exact solver
@@ -126,7 +127,19 @@ def _resolve_comparison_set(spec: Dict,
             raise ExperimentError(
                 "bad_spec", 'm: "family" is only defined for the tightness family')
         return tightness_dominating_set(tight)
-    return frozenset(int(v) for v in source)
+    if not isinstance(source, list) or not source:
+        raise ExperimentError(
+            "bad_spec", f'm must be "exact", "family" or a non-empty list of '
+                        f"vertex IDs, got {source!r}")
+    try:
+        m = frozenset(int(v) for v in source)
+    except (TypeError, ValueError):
+        raise ExperimentError(
+            "bad_spec", f"m must list integer vertex IDs, got {source!r}") from None
+    unknown = sorted(m.difference(g.vertices))
+    if unknown:
+        raise ExperimentError("bad_spec", f"m names unknown vertices {unknown}")
+    return m
 
 
 def _fmt_flag(value: Optional[bool]) -> str:
@@ -137,14 +150,95 @@ def _fmt_girth(value) -> str:
     return "inf" if math.isinf(value) else str(int(value))
 
 
-def _base_row(spec: Dict, g: Graph, r: int, f_r: int, girth_value) -> Dict[str, str]:
-    return {name: "" for name in CSV_HEADER.split(",")} | {
-        "family": str(spec.get("family")),
-        "n": str(g.vertex_count),
-        "r": str(r),
-        "f_r": str(f_r),
-        "girth": _fmt_girth(girth_value),
+def _bits_ok(g: Graph, sim: SimulationReport) -> bool:
+    """The paper's message-size claim: at most 2*ceil(log2(n+1))+1 bits."""
+    return sim.max_message_bits <= 2 * id_bits(g.vertex_count) + 1
+
+
+def _simulate_rmds(g: Graph, r: int) -> SimulationReport:
+    return run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r))
+
+
+_LEMMA_CHECKS = ("cells_tree", "single_edge", "quotient_bound", "t_bound",
+                 "di_in_T", "di_bound", "do_bound", "ratio_bound")
+
+
+def _rmds(spec, g, tight, r, f_r, premise):
+    opt = _resolve_comparison_set(spec, g, tight)
+    sim = _simulate_rmds(g, r)
+    report = approx_report(g, r, f_r, sim, opt=opt)
+    checks = report.checks
+    verdicts = [("dominating", checks["dominating"])]
+    if premise:
+        oracle = selection_oracle(g, r)
+        members = frozenset(v for v, out in sim.outputs.items() if out.member)
+        sel = {v: out.selected for v, out in sim.outputs.items()}
+        verdicts += [("rounds", sim.rounds_executed == rmds_round_budget(r)),
+                     ("bits", _bits_ok(g, sim)),
+                     ("selection_equiv",
+                      sel == oracle.sel and members == oracle.members)]
+        # A supplied m that does not dominate voids the lemma checks.
+        judged = (("opt_dominating",) if checks["opt_dominating"] is False
+                  else _LEMMA_CHECKS)
+        verdicts += [(name, checks[name] is not False) for name in judged]
+    fields = {
+        "opt": "" if report.opt_size is None else str(report.opt_size),
+        "alg": str(report.alg_size),
+        "ratio": "" if report.ratio is None else f"{report.ratio:.4f}",
+        "bound": str(report.bound),
+        "cells_tree": _fmt_flag(checks["cells_tree"]),
+        "single_edge": _fmt_flag(checks["single_edge"]),
+        "quotient_bound": _fmt_flag(checks["quotient_bound"]),
+        "di_in_T": _fmt_flag(checks["di_in_T"]),
     }
+    return verdicts, fields, report, None
+
+
+def _count(spec, g, tight, r, f_r, premise):
+    sim = run_simulation(g, count_neighborhood_program(r), round_budget=r - 1)
+    exact = all(sim.outputs[v] == neighborhood_size_oracle(g, v, r)
+                for v in g.vertices)
+    verdicts = [("count_equiv", exact or not premise),
+                ("rounds", sim.rounds_executed == r - 1),
+                ("bits", _bits_ok(g, sim))]
+    return (verdicts, {"alg": str(g.vertex_count)}, None,
+            {"exact": exact, "rounds": sim.rounds_executed,
+             "max_message_bits": sim.max_message_bits})
+
+
+def _cycle_is(spec, g, tight, r, f_r, premise):
+    if spec.get("family") != "cycle":
+        raise ExperimentError("bad_spec",
+                              "algo cycle_is requires the cycle family")
+    n = g.vertex_count
+    source = spec.get("d_source", "rmds")
+    if source == "rmds":
+        d_set = frozenset(v for v, out in _simulate_rmds(g, r).outputs.items()
+                          if out.member)
+    elif source == "trivial":
+        d_set = frozenset(range(0, n, 2 * r + 1))
+    else:
+        raise ExperimentError("bad_spec", f"unknown d_source {source!r}")
+
+    sim = run_simulation(g, cycle_is_program(r), params={"d_member": d_set},
+                         round_budget=2 * r + 1)
+    i_set = frozenset(v for v, out in sim.outputs.items() if out)
+    verdicts = [("d_dominating", is_r_dominating(g, d_set, r)),
+                ("independent", is_independent(g, i_set)),
+                ("is_size", 2 * len(i_set) >= n - len(d_set)),
+                ("rounds", sim.rounds_executed <= 2 * r + 1),
+                ("bits", _bits_ok(g, sim)),
+                ("d_outputs_false", not any(sim.outputs[v] for v in d_set))]
+    return (verdicts, {"opt": str(len(d_set)), "alg": str(len(i_set))}, None,
+            {"d_size": len(d_set), "is_size": len(i_set), "d_source": source,
+             "rounds": sim.rounds_executed,
+             "max_message_bits": sim.max_message_bits})
+
+
+#: algo -> fn(spec, g, tight, r, f_r, premise) returning (verdicts, CSV
+#: fields, ApproxReport or None, detail or None).  ``verdicts`` lists
+#: (check name, passed) in the order failures are reported.
+_ALGOS = {"rmds": _rmds, "count": _count, "cycle_is": _cycle_is}
 
 
 def run_experiment(spec: Dict) -> ExperimentResult:
@@ -154,7 +248,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
     if r < 1:
         raise ExperimentError("bad_spec", f"r must be >= 1, got {r}")
     g, tight = build_instance(spec)
-    f_r = int(spec.get("f_r", default_f_r(spec)))
+    f_r = _int_param(spec, "f_r", default_f_r(spec))
     girth_value = girth(g)
     premise = girth_value >= 4 * r + 3
     if not premise and not spec.get("allow_low_girth", False):
@@ -162,129 +256,21 @@ def run_experiment(spec: Dict) -> ExperimentResult:
             "girth_premise",
             f"girth {_fmt_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
             f"set allow_low_girth for negative controls")
-    bit_cap = 2 * id_bits(g.vertex_count) + 1
-    if algo == "rmds":
-        return _run_rmds(spec, g, tight, r, f_r, girth_value, premise, bit_cap)
-    if algo == "count":
-        return _run_count(spec, g, r, f_r, girth_value, premise, bit_cap)
-    if algo == "cycle_is":
-        return _run_cycle_is(spec, g, r, f_r, girth_value, bit_cap)
-    raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
-
-
-def _run_rmds(spec, g, tight, r, f_r, girth_value, premise, bit_cap,
-              trace=None) -> ExperimentResult:
-    sim = run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r),
-                         trace=trace)
-    opt = _resolve_comparison_set(spec, tight)
-    report = approx_report(g, r, f_r, sim, opt=opt)
-
-    failures: List[str] = []
-
-    def expect(name: str, ok: bool):
-        if not ok:
-            failures.append(name)
-
-    expect("dominating", report.checks["dominating"])
-    if premise:
-        expect("rounds", sim.rounds_executed == rmds_round_budget(r))
-        expect("bits", sim.max_message_bits <= bit_cap)
-        oracle = selection_oracle(g, r)
-        sim_sel = {v: out.selected for v, out in sim.outputs.items()}
-        sim_members = frozenset(v for v, out in sim.outputs.items() if out.member)
-        expect("selection_equiv",
-               sim_sel == oracle.sel and sim_members == oracle.members)
-        if report.checks["opt_dominating"]:
-            for name in ("cells_tree", "single_edge", "quotient_bound",
-                         "t_bound", "di_in_T", "di_bound", "do_bound",
-                         "ratio_bound"):
-                if report.checks[name] is not None:
-                    expect(name, report.checks[name])
-
-    row = _base_row(spec, g, r, f_r, girth_value) | {
-        "opt": "" if report.opt_size is None else str(report.opt_size),
-        "alg": str(report.alg_size),
-        "ratio": "" if report.ratio is None else f"{report.ratio:.4f}",
-        "bound": str(report.bound),
-        "cells_tree": _fmt_flag(report.checks["cells_tree"]),
-        "single_edge": _fmt_flag(report.checks["single_edge"]),
-        "quotient_bound": _fmt_flag(report.checks["quotient_bound"]),
-        "di_in_T": _fmt_flag(report.checks["di_in_T"]),
-    }
+    if not isinstance(algo, str) or algo not in _ALGOS:
+        raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
+    verdicts, fields, report, detail = _ALGOS[algo](spec, g, tight, r, f_r,
+                                                    premise)
+    failures = [name for name, ok in verdicts if not ok]
     passed = not failures
-    row["pass"] = str(passed).lower()
+    row = {name: "" for name in CSV_HEADER.split(",")} | {
+        "family": str(spec.get("family")),
+        "n": str(g.vertex_count),
+        "r": str(r),
+        "f_r": str(f_r),
+        "girth": _fmt_girth(girth_value),
+    } | fields | {"pass": str(passed).lower()}
     return ExperimentResult(spec=spec, passed=passed, failures=failures,
-                            row=row, report=report)
-
-
-def _run_count(spec, g, r, f_r, girth_value, premise, bit_cap) -> ExperimentResult:
-    sim = run_simulation(g, count_neighborhood_program(r), round_budget=r - 1)
-    failures: List[str] = []
-    exact = all(sim.outputs[v] == neighborhood_size_oracle(g, v, r)
-                for v in g.vertices)
-    if premise and not exact:
-        failures.append("count_equiv")
-    if sim.rounds_executed != r - 1:
-        failures.append("rounds")
-    if sim.max_message_bits > bit_cap:
-        failures.append("bits")
-    row = _base_row(spec, g, r, f_r, girth_value) | {
-        "alg": str(len(g.vertices)),
-    }
-    passed = not failures
-    row["pass"] = str(passed).lower()
-    return ExperimentResult(spec=spec, passed=passed, failures=failures,
-                            row=row,
-                            detail={"exact": exact,
-                                    "rounds": sim.rounds_executed,
-                                    "max_message_bits": sim.max_message_bits})
-
-
-def _run_cycle_is(spec, g, r, f_r, girth_value, bit_cap) -> ExperimentResult:
-    if spec.get("family") != "cycle":
-        raise ExperimentError("bad_spec",
-                              "algo cycle_is requires the cycle family")
-    n = g.vertex_count
-    source = spec.get("d_source", "rmds")
-    if source == "rmds":
-        rmds_sim = run_simulation(g, rmds_program(r),
-                                  round_budget=rmds_round_budget(r))
-        d_set = frozenset(v for v, out in rmds_sim.outputs.items() if out.member)
-    elif source == "trivial":
-        d_set = frozenset(range(0, n, 2 * r + 1))
-    else:
-        raise ExperimentError("bad_spec", f"unknown d_source {source!r}")
-
-    sim = run_simulation(g, cycle_is_program(r), params={"d_member": d_set},
-                         round_budget=2 * r + 1)
-    i_set = frozenset(v for v, out in sim.outputs.items() if out)
-    failures: List[str] = []
-    if not is_r_dominating(g, d_set, r):
-        failures.append("d_dominating")
-    if not is_independent(g, i_set):
-        failures.append("independent")
-    if 2 * len(i_set) < n - len(d_set):
-        failures.append("is_size")
-    if sim.rounds_executed > 2 * r + 1:
-        failures.append("rounds")
-    if sim.max_message_bits > bit_cap:
-        failures.append("bits")
-    if any(sim.outputs[v] for v in d_set):
-        failures.append("d_outputs_false")
-
-    row = _base_row(spec, g, r, f_r, girth_value) | {
-        "opt": str(len(d_set)),
-        "alg": str(len(i_set)),
-    }
-    passed = not failures
-    row["pass"] = str(passed).lower()
-    return ExperimentResult(spec=spec, passed=passed, failures=failures,
-                            row=row,
-                            detail={"d_size": len(d_set),
-                                    "is_size": len(i_set),
-                                    "d_source": source,
-                                    "rounds": sim.rounds_executed,
-                                    "max_message_bits": sim.max_message_bits})
+                            row=row, report=report, detail=detail)
 
 
 def run_suite(specs: List[Dict]) -> Tuple[List[ExperimentResult], str]:

@@ -3,7 +3,7 @@
 * neighborhood counting: r-1 rounds of subtree-size exchange, exact whenever
   the girth is at least 4r+3 (the r-1 ball then looks like a tree);
 * distance-r dominating set: counting, then r rounds of lexicographic-max
-  candidate flooding, then r rounds of bitset back-propagation;
+  candidate flooding, then r rounds of one-bit back-propagation;
 * independent set on a cycle: given a dominating set, flood hop counters
   from its members and take odd distances to each gap's lower-ID endpoint.
 """
@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .graphs import Graph, ball, neighborhood_size_oracle
 from .simulator import (BackBitsetMsg, CandidateMsg, CountMsg, FloodMsg,
@@ -43,13 +43,20 @@ class _CountState:
         self.counts = [1] * ports
 
 
-def _absorb_counts(state, inbox) -> None:
-    for p, msg in enumerate(inbox):
-        state.counts[p] = msg.value
+def _counting(state, t: int, r: int, inbox) -> Optional[List[CountMsg]]:
+    """Counting phase: rounds 1..r of a node, sending in rounds 1..r-1.
 
-
-def _count_outbox(state) -> List[CountMsg]:
-    # Send each neighbor the size of our subtree excluding its own branch.
+    From round 2 on, ``state.counts[p]`` takes the subtree size last heard on
+    port p.  Before round r this returns the outbox, which tells each
+    neighbor the size of our subtree excluding its own branch.  At round r
+    it returns None: ``sum(state.counts)`` is then final, and equals
+    |N^r(v)| whenever the girth is at least 4r+3.
+    """
+    if t >= 2:
+        for p, msg in enumerate(inbox):
+            state.counts[p] = msg.value
+    if t == r:
+        return None
     total = sum(state.counts)
     return [CountMsg(1 + total - c) for c in state.counts]
 
@@ -66,38 +73,43 @@ class CountNeighborhoodProgram(NodeProgram):
         return _CountState(num_ports)
 
     def step(self, state, round_index, inbox):
-        ports = len(inbox)
-        if round_index <= self.r - 1:
-            if round_index >= 2:
-                _absorb_counts(state, inbox)
-            return StepResult(_count_outbox(state), state, False)
-        if self.r >= 2:
-            _absorb_counts(state, inbox)
-        return StepResult([None] * ports, state, True, sum(state.counts))
+        out = _counting(state, round_index, self.r, inbox)
+        if out is not None:
+            return StepResult(out, state, False)
+        return StepResult([None] * len(inbox), state, True, sum(state.counts))
 
 
 def count_neighborhood_program(r: int) -> NodeProgram:
     return CountNeighborhoodProgram(r)
 
 
-class _RmdsState:
-    __slots__ = ("own", "counts", "best", "sent", "recv", "chosen")
+class _RmdsState(_CountState):
+    __slots__ = ("own", "best", "sent", "recv", "chosen")
 
-    def __init__(self, own: int, ports: int, r: int):
+    def __init__(self, own: int, ports: int):
+        super().__init__(ports)
         self.own = own
-        self.counts = [1] * ports
         self.best: Optional[Tuple[int, int]] = None
-        self.sent: List[Tuple[int, int]] = []
-        self.recv: List[List[Optional[Tuple[int, int]]]] = [
-            [None] * r for _ in range(ports)]
+        self.sent: List[CandidateMsg] = []
+        self.recv: List[List[CandidateMsg]] = [[] for _ in range(ports)]
         self.chosen: Optional[set] = None
 
 
 class RmdsProgram(NodeProgram):
     """Distributed distance-r dominating set in exactly 3r-1 rounds.
 
-    Back-propagation runs r rounds so that a selector at distance exactly r
-    can still inform its selectee.
+    Rounds 1..r count (``_counting``).  Rounds r..2r-1 send the best
+    (count, ID) candidate seen so far; after absorbing the r-th such send a
+    node selects its best, the argmax over its r-ball.  Rounds 2r..3r-1
+    back-propagate one bit per port, so no message exceeds the two integer
+    fields of a candidate: round 2r+k-1 answers only selection send
+    r-k+1, saying whether the candidate received on that port in that send
+    is chosen.  The answer comes in time.  A node told in round 2r+k-2
+    that its send r-k+2 is chosen held that candidate after r-k+1 absorbs;
+    unless it is the candidate, a neighbor sent it the candidate in every
+    send from the first that carried it through send r-k+1, which is the
+    send it answers next.  The last round answers send 1, which carries
+    the sender's own ID, so every selected node learns it is chosen.
     """
 
     def __init__(self, r: int):
@@ -106,60 +118,33 @@ class RmdsProgram(NodeProgram):
         self.r = r
 
     def init(self, own_id, num_ports, params):
-        return _RmdsState(own_id, num_ports, self.r)
-
-    def _absorb_candidates(self, state, round_index, inbox) -> None:
-        j = round_index - self.r  # selection round whose messages just arrived
-        for p, msg in enumerate(inbox):
-            tup = (msg.prio, msg.id)
-            state.recv[p][j - 1] = tup
-            if tup > state.best:
-                state.best = tup
-
-    def _send_candidate(self, state, ports) -> StepResult:
-        state.sent.append(state.best)
-        out = [CandidateMsg(*state.best)] * ports
-        return StepResult(out, state, False)
-
-    def _send_bitsets(self, state, ports) -> StepResult:
-        out = []
-        for p in range(ports):
-            bits = tuple(state.recv[p][i][1] in state.chosen
-                         for i in range(self.r))
-            out.append(BackBitsetMsg(bits))
-        return StepResult(out, state, False)
-
-    def _absorb_bitsets(self, state, inbox) -> None:
-        for msg in inbox:
-            for i, bit in enumerate(msg.bits):
-                if bit:
-                    state.chosen.add(state.sent[i][1])
+        return _RmdsState(own_id, num_ports)
 
     def step(self, state, round_index, inbox):
-        r, t, ports = self.r, round_index, len(inbox)
-        if t <= r - 1:  # counting phase
-            if t >= 2:
-                _absorb_counts(state, inbox)
-            return StepResult(_count_outbox(state), state, False)
-        if t == r:  # counting done; first selection send
-            if r >= 2:
-                _absorb_counts(state, inbox)
+        r, t = self.r, round_index
+        if t <= r:
+            out = _counting(state, t, r, inbox)
+            if out is not None:
+                return StepResult(out, state, False)
             state.best = (sum(state.counts), state.own)
-            return self._send_candidate(state, ports)
-        if t <= 2 * r - 1:  # selection sends 2..r
-            self._absorb_candidates(state, t, inbox)
-            return self._send_candidate(state, ports)
-        if t == 2 * r:  # selection done; first back-propagation send
-            self._absorb_candidates(state, t, inbox)
+        elif t <= 2 * r:  # absorb selection send t - r
+            for recv, msg in zip(state.recv, inbox):
+                recv.append(msg)
+                state.best = max(state.best, (msg.prio, msg.id))
+        elif any(msg.bits[0] for msg in inbox):  # answers to send 3r - t + 1
+            state.chosen.add(state.sent[3 * r - t].id)
+        if t < 2 * r:
+            msg = CandidateMsg(*state.best)
+            state.sent.append(msg)
+            return StepResult([msg] * len(inbox), state, False)
+        if t == 2 * r:
             state.chosen = {state.best[1]}
-            return self._send_bitsets(state, ports)
-        if t <= 3 * r - 1:  # back-propagation sends 2..r
-            self._absorb_bitsets(state, inbox)
-            return self._send_bitsets(state, ports)
-        # t == 3r: final absorb and output
-        self._absorb_bitsets(state, inbox)
+        if t < 3 * r:  # answer selection send 3r - t on every port
+            out = [BackBitsetMsg((recv[3 * r - t - 1].id in state.chosen,))
+                   for recv in state.recv]
+            return StepResult(out, state, False)
         output = RmdsOutput(state.own in state.chosen, state.best[1])
-        return StepResult([None] * ports, state, True, output)
+        return StepResult([None] * len(inbox), state, True, output)
 
 
 def rmds_program(r: int) -> NodeProgram:

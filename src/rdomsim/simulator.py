@@ -50,7 +50,7 @@ class CandidateMsg:
 
 @dataclass(frozen=True)
 class BackBitsetMsg:
-    """Per-port back-propagation bitset; bit i refers to selection round i+1."""
+    """Per-port back-propagation bitset; ``RmdsProgram`` sends one bit."""
 
     bits: Tuple[bool, ...]
 
@@ -135,65 +135,61 @@ def run_simulation(g: Graph, program: NodeProgram, params: Any = None,
 
     Runs until all nodes halt; raises BudgetExceeded if some node is still
     live after ``round_budget`` communication rounds.  ``trace`` may be a
-    writable text stream receiving one JSON line per round.
+    writable text stream receiving one JSON line per round:
+    ``{"round", "live", "sent", "bits_max", "bits_total"}``, the number of
+    nodes stepped, the messages they sent, and the widest and summed bits
+    of those messages.
     """
     if round_budget < 0:
         raise ValueError("round_budget must be >= 0")
     n = g.vertex_count
-    # peer[(v, p)] = (u, q): port p of v faces port q of u.
-    peer = {}
-    for v in g.vertices:
-        for p, u in enumerate(g.neighbors(v)):
-            peer[(v, p)] = (u, g.neighbors(u).index(v))
-
-    states = {v: program.init(v, g.degree(v), params) for v in g.vertices}
-    inboxes: Dict[int, List[Optional[Message]]] = {
-        v: [None] * g.degree(v) for v in g.vertices}
-    active = set(g.vertices)
+    # peers[v][p] = (u, q): port p of v faces port q of u.
+    peers = {v: [(u, g.neighbors(u).index(v)) for u in g.neighbors(v)]
+             for v in g.vertices}
+    states = {v: program.init(v, len(peers[v]), params) for v in g.vertices}
+    inboxes = {v: [None] * len(peers[v]) for v in g.vertices}
+    live = list(g.vertices)
     outputs: Dict[int, Any] = {}
     messages_per_round: List[int] = []
     max_bits = 0
     t = 0
-    while active:
+    while live:
         t += 1
         if t > round_budget + 1:
             raise BudgetExceeded(
-                f"{len(active)} node(s) not halted after {round_budget} "
+                f"{len(live)} node(s) not halted after {round_budget} "
                 f"communication rounds")
-        next_inboxes: Dict[int, List[Optional[Message]]] = {
-            v: [None] * g.degree(v) for v in g.vertices}
-        sent = 0
-        sent_by: Dict[int, int] = {}
-        for v in sorted(active):
+        # Messages to nodes that halted earlier are discarded.
+        next_inboxes = {v: [None] * len(peers[v]) for v in live}
+        sent = bits_max = bits_total = 0
+        for v in live:
             result = program.step(states[v], t, inboxes[v])
-            if len(result.outbox) != g.degree(v):
+            if len(result.outbox) != len(peers[v]):
                 raise ProgramFault(
                     f"vertex {v} produced outbox of length {len(result.outbox)}, "
-                    f"expected {g.degree(v)}")
+                    f"expected {len(peers[v])}")
             states[v] = result.state
-            for p, msg in enumerate(result.outbox):
+            for (u, q), msg in zip(peers[v], result.outbox):
                 if msg is None:
                     continue
                 bits = message_bits(msg, n)
                 if bit_budget is not None and bits > bit_budget:
                     raise BitBudgetExceeded(
                         f"message of {bits} bits exceeds budget {bit_budget}")
-                max_bits = max(max_bits, bits)
+                bits_max = max(bits_max, bits)
+                bits_total += bits
                 sent += 1
-                sent_by[v] = sent_by.get(v, 0) + 1
-                u, q = peer[(v, p)]
-                next_inboxes[u][q] = msg
+                if u in next_inboxes:
+                    next_inboxes[u][q] = msg
             if result.halted:
                 outputs[v] = result.output
-                active.discard(v)
         messages_per_round.append(sent)
+        max_bits = max(max_bits, bits_max)
         if trace is not None:
-            received = {v: sum(m is not None for m in inboxes[v])
-                        for v in g.vertices if any(m is not None for m in inboxes[v])}
-            trace.write(json.dumps({"round": t, "sent": sent_by,
-                                    "received": received,
-                                    "max_bits": max_bits},
-                                   sort_keys=True) + "\n")
+            trace.write(json.dumps({"round": t, "live": len(live),
+                                    "sent": sent, "bits_max": bits_max,
+                                    "bits_total": bits_total}) + "\n")
+        live = [v for v in live if v not in outputs]
         inboxes = next_inboxes
     return SimulationReport(outputs=outputs,
                             rounds_executed=max(t - 1, 0),

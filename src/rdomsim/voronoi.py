@@ -218,7 +218,6 @@ class ApproxReport:
     opt_source: str
     ratio: Optional[float]
     bound: int
-    delta_prime: float
     quotient_edges: Optional[int]
     boundary_size: Optional[int]
     di_size: Optional[int]
@@ -226,10 +225,6 @@ class ApproxReport:
     rounds_executed: int
     max_message_bits: int
     checks: Dict[str, Optional[bool]] = field(default_factory=dict)
-
-    @property
-    def girth_ok(self) -> bool:
-        return self.girth_value >= 4 * self.r + 3
 
     def evaluated_checks(self) -> Dict[str, bool]:
         return {k: v for k, v in self.checks.items() if v is not None}
@@ -240,7 +235,7 @@ class ApproxReport:
             "girth": "inf" if math.isinf(self.girth_value) else int(self.girth_value),
             "alg_size": self.alg_size, "opt_size": self.opt_size,
             "opt_source": self.opt_source, "ratio": self.ratio,
-            "bound": self.bound, "delta_prime": self.delta_prime,
+            "bound": self.bound,
             "quotient_edges": self.quotient_edges,
             "boundary_size": self.boundary_size,
             "di_size": self.di_size, "do_size": self.do_size,
@@ -311,7 +306,7 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
     return ApproxReport(n=g.vertex_count, r=r, f_r=f_r,
                         girth_value=girth_value, alg_size=len(selected),
                         opt_size=opt_size, opt_source=opt_source, ratio=ratio,
-                        bound=bound, delta_prime=1.0 / (2 * r + 1),
+                        bound=bound,
                         quotient_edges=quotient_edges,
                         boundary_size=boundary_size,
                         di_size=di_size, do_size=do_size,

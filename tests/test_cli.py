@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdomsim import CSV_HEADER, read_graph
 from rdomsim.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
@@ -206,3 +210,64 @@ def test_suite_unreadable_or_malformed_config_exits_2(tmp_path, capsys,
     code, stdout = run_cli(capsys, "suite", str(config))
     assert code == EXIT_ERROR
     assert json.loads(stdout)["error"] == error
+
+
+@pytest.mark.parametrize("m", ["99", "a,b", ","])
+def test_run_bad_comparison_set_is_bad_spec(capsys, m):
+    code, stdout = run_cli(capsys, "run", "--family", "cycle", "--n", "11",
+                           "--r", "1", "--m", m)
+    assert code == EXIT_ERROR
+    assert json.loads(stdout)["error"] == "bad_spec"
+
+
+@pytest.mark.parametrize("extra", [{"m": "7"}, {"m": []},
+                                   {"m": [0.5, None]}, {"m": {"0": 1}},
+                                   {"f_r": "one"}])
+def test_suite_bad_m_or_f_r_is_bad_spec(tmp_path, capsys, extra):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps([{"family": "cycle", "n": 11, "r": 1}
+                                  | extra]))
+    code, stdout = run_cli(capsys, "suite", str(config))
+    assert code == EXIT_ERROR
+    assert json.loads(stdout)["error"] == "bad_spec"
+
+
+def test_run_non_dominating_comparison_set_fails(capsys):
+    code, stdout = run_cli(capsys, "run", "--family", "cycle", "--n", "11",
+                           "--r", "1", "--m", "0")
+    assert code == EXIT_CHECK_FAILED
+    payload = json.loads(stdout)
+    assert payload["failures"] == ["opt_dominating"]
+    assert payload["report"]["checks"]["opt_dominating"] is False
+
+
+_M_TOKENS = st.one_of(st.integers(-3, 45).map(str),
+                      st.sampled_from(["", "a", "1.5", " 2", "exact"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["cycle", "path", "tree", "subdivided_k4",
+                               "tightness"]),
+       n=st.integers(-2, 40), r=st.integers(-1, 6),
+       seed=st.none() | st.integers(0, 3),
+       algo=st.sampled_from(["rmds", "count", "cycle_is"]),
+       m=st.none() | st.sampled_from(["exact", "family"])
+       | st.lists(_M_TOKENS, min_size=1, max_size=4).map(",".join),
+       allow_low_girth=st.booleans())
+def test_run_fuzz_exits_cleanly_with_one_json_line(family, n, r, seed, algo,
+                                                   m, allow_low_girth):
+    argv = ["run", "--family", family, "--n", str(n), "--r", str(r),
+            "--algo", algo]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    if m is not None:
+        argv.append(f"--m={m}")
+    if allow_low_girth:
+        argv.append("--allow-low-girth")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_ERROR)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from rdomsim import (ProgramFault, build_graph, count_neighborhood_program,
                      cycle_is_program, gen_cycle, gen_random_tree, girth,
+                     id_bits,
                      is_independent, is_r_dominating,
                      neighborhood_size_oracle, rmds_program,
                      rmds_round_budget, run_simulation, selection_oracle)
@@ -71,6 +72,28 @@ def test_selection_oracle_star_with_max_id_center():
 
 def test_rmds_c7_r1():
     assert members_of(run_rmds(gen_cycle(7), 1)) == frozenset({2, 3, 4, 5, 6})
+
+
+@st.composite
+def admissible_instances(draw):
+    """A cycle or random tree on at most 64 vertices, with 4r+3 <= girth."""
+    if draw(st.booleans()):
+        n = draw(st.integers(7, 64))
+        return gen_cycle(n), draw(st.integers(1, (n - 3) // 4))
+    n = draw(st.integers(1, 64))
+    return (gen_random_tree(n, draw(st.integers(0, 2 ** 16))),
+            draw(st.integers(1, 64)))
+
+
+@given(admissible_instances())
+def test_rmds_claims_hold_for_every_admissible_r(instance):
+    g, r = instance
+    sim = run_rmds(g, r)
+    oracle = selection_oracle(g, r)
+    assert sim.rounds_executed == rmds_round_budget(r)
+    assert sim.max_message_bits <= 2 * id_bits(g.vertex_count) + 1
+    assert {v: out.selected for v, out in sim.outputs.items()} == oracle.sel
+    assert members_of(sim) == oracle.members
 
 
 def test_rmds_c11_r2():

@@ -99,6 +99,11 @@ def test_trace_emits_one_json_line_per_round():
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert [entry["round"] for entry in lines] == [1, 2, 3]
     assert lines[0]["sent"]
+    # One aggregate record per round: 6 nodes, 12 messages of 3 bits each.
+    assert lines[0] == {"round": 1, "live": 6, "sent": 12, "bits_max": 3,
+                        "bits_total": 36}
+    assert lines[2] == {"round": 3, "live": 6, "sent": 0, "bits_max": 0,
+                        "bits_total": 0}
 
 
 @settings(max_examples=25)

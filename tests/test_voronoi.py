@@ -122,7 +122,6 @@ def test_approx_report_c9():
     assert report.opt_size == 3 and report.opt_source == "exact"
     assert report.ratio <= report.bound == 5
     assert all(v for v in report.evaluated_checks().values())
-    assert report.delta_prime == pytest.approx(1 / 3)
 
 
 def test_approx_report_single_vertex():
