@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Dict, List, Optional
 
 from .corpus import builtin_corpus
 from .experiments import (CSV_HEADER, ExperimentError, build_instance,
                           default_f_r, run_experiment, run_suite)
-from .graphs import girth, read_graph, write_graph
+from .graphs import girth, render_girth, write_graph
 from .oracles import is_independent, is_r_dominating
 
 EXIT_OK = 0
@@ -21,10 +20,6 @@ EXIT_ERROR = 2
 
 def _emit(obj: Dict) -> None:
     print(json.dumps(obj, sort_keys=True))
-
-
-def _girth_json(value):
-    return "inf" if math.isinf(value) else int(value)
 
 
 def _spec_from_args(args) -> Dict:
@@ -41,11 +36,7 @@ def _spec_from_args(args) -> Dict:
 
 def cmd_generate(args) -> int:
     spec = _spec_from_args(args)
-    try:
-        g, tight = build_instance(spec)
-    except ValueError as exc:
-        _emit({"error": "bad_spec", "detail": str(exc)})
-        return EXIT_ERROR
+    g, _ = build_instance(spec)
     write_graph(g, args.output)
     sidecar = {
         "family": spec["family"],
@@ -54,7 +45,7 @@ def cmd_generate(args) -> int:
         "f": spec.get("f"),
         "k": spec.get("k"),
         "seed": spec.get("seed"),
-        "girth": _girth_json(girth(g)),
+        "girth": render_girth(girth(g)),
         "expansion_bound": default_f_r(spec),
     }
     with open(str(args.output) + ".json", "w", encoding="ascii") as fh:
@@ -77,11 +68,7 @@ def cmd_run(args) -> int:
             args.m.split(",")
     if args.d_source is not None:
         spec["d_source"] = args.d_source
-    try:
-        result = run_experiment(spec)
-    except ExperimentError as exc:
-        _emit({"error": exc.reason, "detail": exc.detail})
-        return EXIT_ERROR
+    result = run_experiment(spec)
     payload = result.to_dict()
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
@@ -98,27 +85,20 @@ def cmd_suite(args) -> int:
     if args.builtin:
         specs = builtin_corpus()
     elif args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
                 loaded = json.load(fh)
-        except (OSError, ValueError) as exc:
-            _emit({"error": "bad_input", "detail": str(exc)})
-            return EXIT_ERROR
+            except ValueError as exc:
+                raise ExperimentError("bad_input", str(exc)) from None
         specs = loaded.get("experiments") if isinstance(loaded, dict) else loaded
         if not (isinstance(specs, list)
                 and all(isinstance(spec, dict) for spec in specs)):
-            _emit({"error": "bad_spec",
-                   "detail": 'config must be a list of spec objects or '
-                             '{"experiments": [...]}'})
-            return EXIT_ERROR
+            raise ExperimentError(
+                "bad_spec", 'config must be a list of spec objects or '
+                            '{"experiments": [...]}')
     else:
-        _emit({"error": "bad_spec", "detail": "pass a config path or --builtin"})
-        return EXIT_ERROR
-    try:
-        results, csv_text = run_suite(specs)
-    except ExperimentError as exc:
-        _emit({"error": exc.reason, "detail": exc.detail})
-        return EXIT_ERROR
+        raise ExperimentError("bad_spec", "pass a config path or --builtin")
+    results, csv_text = run_suite(specs)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
             fh.write(csv_text)
@@ -132,25 +112,26 @@ def cmd_suite(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = read_graph(args.graph)
-        with open(args.set, "r", encoding="ascii") as fh:
+    g, _ = build_instance({"family": "file", "graph": args.graph})
+    with open(args.set, "r", encoding="ascii") as fh:
+        try:
             members = [int(tok) for tok in fh.read().split()]
-        ok = True
-        outcome: Dict = {"n": g.vertex_count, "set_size": len(members)}
-        if args.check in ("dominating", "both"):
-            if args.r is None:
-                _emit({"error": "bad_spec",
-                       "detail": "--r is required for the dominating check"})
-                return EXIT_ERROR
-            outcome["dominating"] = is_r_dominating(g, members, args.r)
-            ok = ok and outcome["dominating"]
-        if args.check in ("independent", "both"):
-            outcome["independent"] = is_independent(g, members)
-            ok = ok and outcome["independent"]
-    except (OSError, ValueError) as exc:
-        _emit({"error": "bad_input", "detail": str(exc)})
-        return EXIT_ERROR
+        except ValueError as exc:
+            raise ExperimentError("bad_input", str(exc)) from None
+    unknown = sorted(set(members).difference(g.vertices))
+    if unknown:
+        raise ExperimentError("bad_input", f"unknown vertex {unknown[0]}")
+    ok = True
+    outcome: Dict = {"n": g.vertex_count, "set_size": len(members)}
+    if args.check in ("dominating", "both"):
+        if args.r is None or args.r < 1:
+            raise ExperimentError(
+                "bad_spec", "--r >= 1 is required for the dominating check")
+        outcome["dominating"] = is_r_dominating(g, members, args.r)
+        ok = ok and outcome["dominating"]
+    if args.check in ("independent", "both"):
+        outcome["independent"] = is_independent(g, members)
+        ok = ok and outcome["independent"]
     outcome["pass"] = ok
     _emit(outcome)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -215,8 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command.  ``ExperimentError`` (its reason) and ``OSError``
+    (``bad_input``) become one JSON error line and exit 2; any other
+    exception is a bug and keeps its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ExperimentError as exc:
+        _emit({"error": exc.reason, "detail": exc.detail})
+    except OSError as exc:
+        _emit({"error": "bad_input", "detail": str(exc)})
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -14,14 +14,14 @@ An experiment spec is a plain dict (JSON-friendly):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .generators import (TightnessGraph, TightnessParams, gen_complete,
                          gen_cycle, gen_path, gen_random_tree, gen_tightness,
                          subdivide, tightness_dominating_set)
-from .graphs import Graph, girth, neighborhood_size_oracle, read_graph
+from .graphs import (Graph, girth, neighborhood_size_oracle, read_graph,
+                     render_girth)
 from .oracles import is_independent, is_r_dominating
 from .programs import (count_neighborhood_program, cycle_is_program,
                        rmds_program, rmds_round_budget, selection_oracle)
@@ -146,10 +146,6 @@ def _fmt_flag(value: Optional[bool]) -> str:
     return "" if value is None else str(value).lower()
 
 
-def _fmt_girth(value) -> str:
-    return "inf" if math.isinf(value) else str(int(value))
-
-
 def _bits_ok(g: Graph, sim: SimulationReport) -> bool:
     """The paper's message-size claim: at most 2*ceil(log2(n+1))+1 bits."""
     return sim.max_message_bits <= 2 * id_bits(g.vertex_count) + 1
@@ -254,7 +250,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
     if not premise and not spec.get("allow_low_girth", False):
         raise ExperimentError(
             "girth_premise",
-            f"girth {_fmt_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
+            f"girth {render_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
             f"set allow_low_girth for negative controls")
     if not isinstance(algo, str) or algo not in _ALGOS:
         raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
@@ -267,7 +263,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
         "n": str(g.vertex_count),
         "r": str(r),
         "f_r": str(f_r),
-        "girth": _fmt_girth(girth_value),
+        "girth": str(render_girth(girth_value)),
     } | fields | {"pass": str(passed).lower()}
     return ExperimentResult(spec=spec, passed=passed, failures=failures,
                             row=row, report=report, detail=detail)

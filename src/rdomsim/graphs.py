@@ -15,6 +15,11 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 INFINITE = math.inf
 
 
+def render_girth(value):
+    """A girth as JSON shows it: an int, or "inf" for an acyclic graph."""
+    return "inf" if math.isinf(value) else int(value)
+
+
 class GraphError(ValueError):
     """Malformed graph input: self-loop, duplicate edge, or unknown vertex."""
 

@@ -143,9 +143,16 @@ def run_simulation(g: Graph, program: NodeProgram, params: Any = None,
     if round_budget < 0:
         raise ValueError("round_budget must be >= 0")
     n = g.vertex_count
-    # peers[v][p] = (u, q): port p of v faces port q of u.
-    peers = {v: [(u, g.neighbors(u).index(v)) for u in g.neighbors(v)]
-             for v in g.vertices}
+    # peers[v][p] = (u, q): port p of v faces port q of u.  Visiting v in
+    # ascending ID order hands each neighbor u its next free port, which is
+    # v's index in u's sorted neighbor list.
+    next_port = dict.fromkeys(g.vertices, 0)
+    peers = {}
+    for v in g.vertices:
+        peers[v] = [(u, next_port[u]) for u in g.neighbors(v)]
+        for u in g.neighbors(v):
+            next_port[u] += 1
+    del next_port  # not needed in the rounds; free it before they start
     states = {v: program.init(v, len(peers[v]), params) for v in g.vertices}
     inboxes = {v: [None] * len(peers[v]) for v in g.vertices}
     live = list(g.vertices)

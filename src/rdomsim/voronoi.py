@@ -9,12 +9,11 @@ everything into a per-instance report.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .graphs import Graph, GraphError, girth
+from .graphs import Graph, GraphError, girth, render_girth
 from .oracles import OptimumUnknown, exact_min_rds, is_r_dominating
 from .programs import RmdsOutput, SelectionMap
 from .simulator import SimulationReport
@@ -134,57 +133,63 @@ def voronoi_decompose(g: Graph, centers: Iterable[int], r: int, *,
                                 quotient_edge_count=len(pairs))
 
 
-def _cell_tree_parents(g: Graph, cell: FrozenSet[int],
-                       root: int) -> Optional[Dict[int, Optional[int]]]:
-    """BFS parents of the cell rooted at ``root``, or None when the cell
-    does not induce a tree (it is disconnected or an in-cell non-tree edge
-    closes a cycle)."""
-    parents: Dict[int, Optional[int]] = {root: None}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in cell or w == parents[u]:
-                continue
-            if w in parents:
-                return None
-            parents[w] = u
-            queue.append(w)
-    return parents if len(parents) == len(cell) else None
+def _non_tree_cells(g: Graph, dec: VoronoiDecomposition) -> List[int]:
+    """Centers, ascending, whose cell does not induce a tree.
+
+    A cell is connected, since every vertex joins the cell of the vertex
+    that discovered it, so it induces a tree exactly when it holds
+    |cell| - 1 edges.  One pass over the edges counts them.
+    """
+    inner = dict.fromkeys(dec.cells, 0)
+    for u, v in g.edges():
+        m = dec.assignment[u]
+        if m == dec.assignment[v]:
+            inner[m] += 1
+    return [m for m in sorted(dec.cells) if inner[m] != len(dec.cells[m]) - 1]
 
 
 def check_structural_lemmas(g: Graph, dec: VoronoiDecomposition,
                             f_r: int) -> LemmaFlags:
-    """Check the three structural facts; the flags are the product."""
-    cells_are_trees = all(_cell_tree_parents(g, cell, m) is not None
-                          for m, cell in dec.cells.items())
-    pair_counts: Dict[CellPair, int] = {}
-    for _, pair in dec.intercell_edges:
-        pair_counts[pair] = pair_counts.get(pair, 0) + 1
-    single_edge = all(c <= 1 for c in pair_counts.values())
-    quotient_bound = dec.quotient_edge_count <= f_r * len(dec.centers)
-    return LemmaFlags(cells_are_trees, single_edge, quotient_bound)
+    """Check the three structural facts; the flags are the product.
+
+    Every cell pair in the quotient has at least one edge, so no pair has
+    two exactly when the inter-cell edges and the pairs are equally many.
+    """
+    return LemmaFlags(
+        cells_are_trees=not _non_tree_cells(g, dec),
+        single_edge_per_pair=len(dec.intercell_edges) == dec.quotient_edge_count,
+        quotient_bound=dec.quotient_edge_count <= f_r * len(dec.centers))
 
 
 def boundary_forest(g: Graph, dec: VoronoiDecomposition) -> BoundaryForest:
     """Union, per cell, of the unique in-cell paths from boundary vertices
-    to the center.  Requires every cell to induce a tree."""
-    boundary: Dict[int, set] = {m: set() for m in dec.cells}
-    for (u, v), _ in dec.intercell_edges:
-        boundary[dec.assignment[u]].add(u)
-        boundary[dec.assignment[v]].add(v)
-    trees: Dict[int, FrozenSet[int]] = {}
-    for m, cell in dec.cells.items():
-        parents = _cell_tree_parents(g, cell, m)
-        if parents is None:
-            raise ValueError(f"cell of center {m} does not induce a tree")
-        members = {m}
-        for u in boundary[m]:
-            while u is not None:
-                members.add(u)
+    to the center.  Requires every cell to induce a tree.
+
+    One multi-source BFS over in-cell edges gives every vertex its parent
+    toward its center; each boundary vertex then walks up only until it
+    meets a vertex already in its tree, so the whole forest is linear.
+    """
+    non_tree = _non_tree_cells(g, dec)
+    if non_tree:
+        raise ValueError(f"cell of center {non_tree[0]} does not induce a tree")
+    assignment = dec.assignment
+    parents: Dict[int, Optional[int]] = dict.fromkeys(dec.cells)
+    queue = deque(dec.cells)
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in parents and assignment[w] == assignment[u]:
+                parents[w] = u
+                queue.append(w)
+    members = {m: {m} for m in dec.cells}
+    for edge, _ in dec.intercell_edges:
+        for u in edge:
+            tree = members[assignment[u]]
+            while u not in tree:
+                tree.add(u)
                 u = parents[u]
-        trees[m] = frozenset(members)
-    total = frozenset().union(*trees.values()) if trees else frozenset()
+    trees = {m: frozenset(vs) for m, vs in members.items()}
+    total = frozenset().union(*trees.values())
     return BoundaryForest(trees=trees, total=total)
 
 
@@ -230,19 +235,8 @@ class ApproxReport:
         return {k: v for k, v in self.checks.items() if v is not None}
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n, "r": self.r, "f_r": self.f_r,
-            "girth": "inf" if math.isinf(self.girth_value) else int(self.girth_value),
-            "alg_size": self.alg_size, "opt_size": self.opt_size,
-            "opt_source": self.opt_source, "ratio": self.ratio,
-            "bound": self.bound,
-            "quotient_edges": self.quotient_edges,
-            "boundary_size": self.boundary_size,
-            "di_size": self.di_size, "do_size": self.do_size,
-            "rounds_executed": self.rounds_executed,
-            "max_message_bits": self.max_message_bits,
-            "checks": dict(self.checks),
-        }
+        d = asdict(self)
+        d["girth"] = render_girth(d.pop("girth_value"))
         return d
 
 
@@ -259,8 +253,11 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
     selection = SelectionMap(sel={v: out.selected for v, out in outputs.items()},
                              members=selected)
     girth_value = girth(g)
-    checks: Dict[str, Optional[bool]] = {
-        "dominating": is_r_dominating(g, selected, r)}
+    checks: Dict[str, Optional[bool]] = dict.fromkeys(
+        ("dominating", "opt_dominating", "cells_tree", "single_edge",
+         "quotient_bound", "t_bound", "di_in_T", "di_bound", "do_bound",
+         "ratio_bound"))
+    checks["dominating"] = is_r_dominating(g, selected, r)
     opt_set: Optional[FrozenSet[int]] = None
     opt_source = "unknown"
     if opt is not None:
@@ -276,30 +273,31 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
     bound = 1 + 4 * r * f_r
     ratio = None
     quotient_edges = boundary_size = di_size = do_size = None
-    for name in ("opt_dominating", "cells_tree", "single_edge",
-                 "quotient_bound", "t_bound", "di_in_T", "di_bound",
-                 "do_bound", "ratio_bound"):
-        checks[name] = None
     if opt_set is not None:
         opt_size = len(opt_set)
         ratio = len(selected) / opt_size
         checks["ratio_bound"] = len(selected) <= bound * opt_size
         checks["opt_dominating"] = is_r_dominating(g, opt_set, r)
-        dec = voronoi_decompose(g, opt_set, r, require_domination=False)
-        flags = check_structural_lemmas(g, dec, f_r)
-        checks["cells_tree"] = flags.cells_are_trees
-        checks["single_edge"] = flags.single_edge_per_pair
-        checks["quotient_bound"] = flags.quotient_bound
-        quotient_edges = dec.quotient_edge_count
-        split = split_selection(dec, selection)
-        di_size, do_size = len(split.inside), len(split.outside)
-        checks["di_bound"] = di_size <= (1 + 2 * r * f_r) * opt_size
-        checks["do_bound"] = do_size <= 2 * r * f_r * opt_size
-        if flags.cells_are_trees:
-            forest = boundary_forest(g, dec)
-            boundary_size = len(forest.total)
-            checks["t_bound"] = boundary_size <= (1 + 2 * r * f_r) * opt_size
-            checks["di_in_T"] = split.inside <= forest.total
+        try:
+            dec = voronoi_decompose(g, opt_set, r, require_domination=False)
+        except NotDominatingError:
+            pass  # m misses a whole component: no lemma is evaluable
+        else:
+            flags = check_structural_lemmas(g, dec, f_r)
+            checks["cells_tree"] = flags.cells_are_trees
+            checks["single_edge"] = flags.single_edge_per_pair
+            checks["quotient_bound"] = flags.quotient_bound
+            quotient_edges = dec.quotient_edge_count
+            split = split_selection(dec, selection)
+            di_size, do_size = len(split.inside), len(split.outside)
+            checks["di_bound"] = di_size <= (1 + 2 * r * f_r) * opt_size
+            checks["do_bound"] = do_size <= 2 * r * f_r * opt_size
+            if flags.cells_are_trees:
+                forest = boundary_forest(g, dec)
+                boundary_size = len(forest.total)
+                checks["t_bound"] = (boundary_size
+                                     <= (1 + 2 * r * f_r) * opt_size)
+                checks["di_in_T"] = split.inside <= forest.total
     else:
         opt_size = None
 

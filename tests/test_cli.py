@@ -271,3 +271,41 @@ def test_run_fuzz_exits_cleanly_with_one_json_line(family, n, r, seed, algo,
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
     json.loads(lines[0])
+
+
+def test_run_comparison_set_missing_a_component_fails_opt_dominating(
+        tmp_path, capsys):
+    # Two disjoint 11-cycles; m dominates only the first.
+    two = tmp_path / "two.graph"
+    edges = [(base + i, base + (i + 1) % 11) for base in (0, 11)
+             for i in range(11)]
+    two.write_text(f"22 {len(edges)}\n"
+                   + "".join(f"{u} {v}\n" for u, v in edges))
+    code, stdout = run_cli(capsys, "run", "--graph", str(two), "--r", "1",
+                           "--m", "0,3,6,9")
+    assert code == EXIT_CHECK_FAILED
+    lines = stdout.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["failures"] == ["opt_dominating"]
+    assert payload["report"]["checks"]["cells_tree"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--family", "cycle", "--n", "11", "--json", "{missing}/r.json"],
+    ["run", "--family", "cycle", "--n", "11", "--csv", "{missing}/r.csv"],
+    ["suite", "{config}", "--csv", "{missing}/s.csv"],
+    ["generate", "--family", "cycle", "--n", "11", "-o", "{missing}/c.graph"],
+    ["generate", "--graph", "{missing}/in.graph", "-o", "{tmp}/c.graph"],
+], ids=["run-json", "run-csv", "suite-csv", "generate-output",
+        "generate-graph"])
+def test_unreadable_or_unwritable_path_is_bad_input(tmp_path, capsys, argv):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps([{"family": "cycle", "n": 11, "r": 1}]))
+    paths = {"missing": tmp_path / "missing", "config": config,
+             "tmp": tmp_path}
+    code, stdout = run_cli(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == EXIT_ERROR
+    lines = stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "bad_input"

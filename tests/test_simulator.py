@@ -106,6 +106,32 @@ def test_trace_emits_one_json_line_per_round():
                         "bits_total": 0}
 
 
+class PortProbe(NodeProgram):
+    """Round 1: send (port, own ID) on every port; round 2: output the inbox."""
+
+    def init(self, own_id, num_ports, params):
+        return own_id, num_ports
+
+    def step(self, state, round_index, inbox):
+        own_id, num_ports = state
+        if round_index == 1:
+            return StepResult([CandidateMsg(q, own_id) for q in range(num_ports)],
+                              state, False)
+        return StepResult([None] * num_ports, state, True,
+                          [(msg.id, msg.prio) for msg in inbox])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=12))
+def test_port_wiring_matches_sorted_neighbor_lists(g):
+    # Port p of v must face neighbors(v)[p], on the port at which v sits
+    # in that neighbor's own sorted list.
+    report = run_simulation(g, PortProbe(), round_budget=1)
+    for v in g.vertices:
+        assert report.outputs[v] == [(u, g.neighbors(u).index(v))
+                                     for u in g.neighbors(v)]
+
+
 @settings(max_examples=25)
 @given(graphs(min_n=2), st.integers(1, 3))
 def test_locality_output_depends_only_on_local_ball(g, r):

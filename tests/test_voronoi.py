@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,3 +223,44 @@ def test_decompose_error_branches_match_reference():
                                           1, True)[1]
     assert voronoi_decompose(far, {0}, 1, require_domination=False) == \
         reference_voronoi_decompose(far, {0}, 1, require_domination=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10), st.data(), st.integers(1, 3))
+def test_lemmas_and_forest_match_networkx(g, data, r):
+    G = nx.Graph(g.edges())
+    G.add_nodes_from(g.vertices)
+    drawn = data.draw(st.sets(st.sampled_from(g.vertices)))
+    # One center in every component missed by the draw, so every vertex
+    # is reachable and the decomposition exists.
+    centers = drawn | {min(comp) for comp in nx.connected_components(G)
+                       if not comp & drawn}
+    dec = voronoi_decompose(g, centers, r, require_domination=False)
+    flags = check_structural_lemmas(g, dec, 1)
+
+    tree_cells = {m: nx.is_tree(G.subgraph(cell))
+                  for m, cell in dec.cells.items()}
+    assert flags.cells_are_trees == all(tree_cells.values())
+
+    pair_edges = {}
+    for u, v in G.edges():
+        cu, cv = sorted((dec.assignment[u], dec.assignment[v]))
+        if cu != cv:
+            pair_edges[cu, cv] = pair_edges.get((cu, cv), 0) + 1
+    assert flags.single_edge_per_pair == all(
+        count == 1 for count in pair_edges.values())
+
+    if not flags.cells_are_trees:
+        first = min(m for m, ok in tree_cells.items() if not ok)
+        with pytest.raises(ValueError, match=f"center {first} does not"):
+            boundary_forest(g, dec)
+        return
+    forest = boundary_forest(g, dec)
+    for m, cell in dec.cells.items():
+        inside = G.subgraph(cell)
+        boundary = {u for u in cell
+                    if any(w not in cell for w in G.neighbors(u))}
+        expected = {m}.union(*(nx.shortest_path(inside, b, m)
+                               for b in boundary))
+        assert forest.trees[m] == expected
+    assert forest.total == frozenset().union(*forest.trees.values())
