@@ -150,8 +150,16 @@ def _add_family_args(parser) -> None:
     parser.add_argument("--r", type=int, default=1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed arguments raise ``bad_spec`` instead of printing usage;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ExperimentError("bad_spec", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdomsim",
         description="Distributed distance-r dominating set: simulation, "
                     "oracles, and approximation analysis.")
@@ -196,11 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command.  ``ExperimentError`` (its reason) and ``OSError``
-    (``bad_input``) become one JSON error line and exit 2; any other
-    exception is a bug and keeps its traceback."""
-    args = build_parser().parse_args(argv)
+    """Run one command.  ``ExperimentError`` (its reason; ``bad_spec`` for
+    malformed arguments) and ``OSError`` (``bad_input``) become one JSON
+    error line and exit 2; any other exception is a bug and keeps its
+    traceback."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ExperimentError as exc:
         _emit({"error": exc.reason, "detail": exc.detail})

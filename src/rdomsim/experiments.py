@@ -244,6 +244,8 @@ def run_experiment(spec: Dict) -> ExperimentResult:
     if r < 1:
         raise ExperimentError("bad_spec", f"r must be >= 1, got {r}")
     g, tight = build_instance(spec)
+    if not g.vertex_count:
+        raise ExperimentError("bad_input", "graph has no vertices")
     f_r = _int_param(spec, "f_r", default_f_r(spec))
     girth_value = girth(g)
     premise = girth_value >= 4 * r + 3

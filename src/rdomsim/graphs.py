@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 #: Girth of an acyclic graph.
 INFINITE = math.inf
@@ -106,36 +106,42 @@ def build_graph(edges: Iterable[Sequence[int]],
     return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
 
 
+def distances(g: Graph, sources: Iterable[int],
+              limit: Optional[int] = None) -> Dict[int, int]:
+    """Hop distance from the nearest source, for every vertex within
+    ``limit`` hops (all reachable vertices when ``limit`` is None).
+
+    One level-synchronous multi-source BFS, O(n + m).  The dict is in BFS
+    order: sources first, in the order given, then each level in the order
+    it was discovered, so distances never decrease along it.
+    """
+    dist: Dict[int, int] = {}
+    for s in sources:
+        if s not in g:
+            raise GraphError(f"unknown vertex {s}")
+        dist[s] = 0
+    frontier = list(dist)
+    d = 0
+    while frontier and (limit is None or d < limit):
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def bfs_distances(g: Graph, source: int) -> Dict[int, int]:
     """Exact hop distances from ``source``; unreachable vertices are absent."""
-    if source not in g:
-        raise GraphError(f"unknown source vertex {source}")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    return distances(g, (source,))
 
 
 def ball(g: Graph, v: int, r: int) -> FrozenSet[int]:
     """Closed distance-r neighborhood of ``v`` (includes ``v`` itself)."""
-    if v not in g:
-        raise GraphError(f"unknown vertex {v}")
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == r:
-            continue
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return frozenset(dist)
+    return frozenset(distances(g, (v,), r))
 
 
 def neighborhood_size_oracle(g: Graph, v: int, r: int) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .graphs import Graph, GraphError, ball
+from .graphs import Graph, GraphError, ball, distances
 
 
 class OptimumUnknown(RuntimeError):
@@ -20,14 +20,11 @@ def _check_subset(g: Graph, vs: Iterable[int]) -> Set[int]:
 
 
 def is_r_dominating(g: Graph, dominators: Iterable[int], r: int) -> bool:
-    """True iff every vertex is within distance r of some member."""
+    """True iff every vertex is within distance r of some member: one
+    multi-source BFS truncated at depth r, O(n + m)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    members = _check_subset(g, dominators)
-    covered: Set[int] = set()
-    for m in members:
-        covered |= ball(g, m, r)
-    return len(covered) == g.vertex_count
+    return len(distances(g, dominators, r)) == g.vertex_count
 
 
 def is_independent(g: Graph, candidates: Iterable[int]) -> bool:

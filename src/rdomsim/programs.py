@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .graphs import Graph, ball, neighborhood_size_oracle
+from .graphs import Graph, distances
 from .simulator import (BackBitsetMsg, CandidateMsg, CountMsg, FloodMsg,
                         Message, NodeProgram, ProgramFault, StepResult)
 
@@ -218,7 +218,8 @@ def selection_oracle(g: Graph, r: int) -> SelectionMap:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    sizes = {v: neighborhood_size_oracle(g, v, r) for v in g.vertices}
-    sel = {v: max(ball(g, v, r), key=lambda u: (sizes[u], u))
+    # Each r-ball is built once, as a tuple: a fraction of a frozenset's size.
+    balls = {v: tuple(distances(g, (v,), r)) for v in g.vertices}
+    sel = {v: max(balls[v], key=lambda u: (len(balls[u]), u))
            for v in g.vertices}
     return SelectionMap(sel=sel, members=frozenset(sel.values()))

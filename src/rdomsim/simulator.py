@@ -25,10 +25,6 @@ class BudgetExceeded(SimulationError):
     """Some node had not halted when the round budget ran out."""
 
 
-class BitBudgetExceeded(SimulationError):
-    """A message exceeded the configured per-message bit budget."""
-
-
 class ProgramFault(SimulationError):
     """A node program signalled an internal contract violation."""
 
@@ -129,8 +125,7 @@ class SimulationReport:
 
 
 def run_simulation(g: Graph, program: NodeProgram, params: Any = None,
-                   round_budget: int = 0, bit_budget: Optional[int] = None,
-                   trace=None) -> SimulationReport:
+                   round_budget: int = 0, trace=None) -> SimulationReport:
     """Execute ``program`` on every vertex of ``g`` in lockstep.
 
     Runs until all nodes halt; raises BudgetExceeded if some node is still
@@ -180,9 +175,6 @@ def run_simulation(g: Graph, program: NodeProgram, params: Any = None,
                 if msg is None:
                     continue
                 bits = message_bits(msg, n)
-                if bit_budget is not None and bits > bit_budget:
-                    raise BitBudgetExceeded(
-                        f"message of {bits} bits exceeds budget {bit_budget}")
                 bits_max = max(bits_max, bits)
                 bits_total += bits
                 sent += 1

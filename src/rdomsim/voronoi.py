@@ -9,11 +9,10 @@ everything into a per-instance report.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .graphs import Graph, GraphError, girth, render_girth
+from .graphs import Graph, GraphError, distances, girth, render_girth
 from .oracles import OptimumUnknown, exact_min_rds, is_r_dominating
 from .programs import RmdsOutput, SelectionMap
 from .simulator import SimulationReport
@@ -23,21 +22,22 @@ InterCellEdge = Tuple[Tuple[int, int], CellPair]
 
 
 class NotDominatingError(ValueError):
-    """The supplied center set does not distance-r dominate the graph."""
+    """The center set is empty or misses a whole component."""
 
 
 @dataclass(frozen=True)
 class VoronoiDecomposition:
     """Partition of V into cells around centers.
 
-    ``assignment[v]`` is the nearest center (ties by distance, then smaller
-    center ID).  ``intercell_edges`` lists each edge whose endpoints lie in
+    ``dist[v]`` is the hop distance from ``v`` to its nearest center, in
+    BFS order; ``assignment[v]`` is that center, ties going to the smaller
+    center ID.  ``intercell_edges`` lists each edge whose endpoints lie in
     different cells, together with its sorted cell pair;
     ``quotient_edge_count`` deduplicates cell pairs.
     """
 
     centers: FrozenSet[int]
-    radius: int
+    dist: Dict[int, int]
     assignment: Dict[int, int]
     cells: Dict[int, FrozenSet[int]]
     intercell_edges: Tuple[InterCellEdge, ...]
@@ -69,26 +69,17 @@ class SelectionSplit:
     outside: FrozenSet[int]
 
 
-def voronoi_decompose(g: Graph, centers: Iterable[int], r: int, *,
-                      require_domination: bool = True) -> VoronoiDecomposition:
-    """Assign every vertex to its nearest center.
+def voronoi_decompose(g: Graph, centers: Iterable[int]) -> VoronoiDecomposition:
+    """Assign every vertex to its nearest center, ties to the smaller ID.
 
-    One multi-source FIFO BFS seeded with the centers in ascending ID
-    order, so O(n + m) for any number of centers.  Level 0 of the queue is
-    sorted by center; a vertex at level d+1 is claimed by the first of its
-    level-d neighbors to be dequeued, which carries the smallest center
-    among them, and the level is appended in that order, so it is sorted
-    by center too.  Hence every vertex gets its nearest center, ties going
-    to the smaller center ID.  The cells are then built in one pass over
-    the assignment.
-
-    With ``require_domination`` (the default) a vertex farther than r from
-    every center is an error.  Disabling it supports negative controls on
-    low-girth instances; vertices unreachable from all centers remain an
-    error either way.
+    One multi-source BFS from the centers gives ``dist``.  Walking it in
+    BFS order, each vertex takes the smallest center among its neighbors
+    one step nearer; those carry, by induction, the smallest center at
+    their own distance, and every center at distance d from the vertex is
+    at distance d - 1 from one of them, so this is the smallest center at
+    the vertex's distance.  O(n + m) for any number of centers.  A vertex
+    unreachable from every center is an error.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
     center_set = frozenset(centers)
     if not center_set:
         raise NotDominatingError("center set is empty")
@@ -96,25 +87,15 @@ def voronoi_decompose(g: Graph, centers: Iterable[int], r: int, *,
         if m not in g:
             raise GraphError(f"unknown center {m}")
     ordered = sorted(center_set)
-    assignment = {m: m for m in ordered}
-    dist = dict.fromkeys(ordered, 0)
-    queue = deque(ordered)
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in assignment:
-                assignment[w] = assignment[u]
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    missing = g.vertex_count - len(assignment)
+    dist = distances(g, ordered)
+    missing = g.vertex_count - len(dist)
     if missing:
         raise NotDominatingError(
             f"{missing} vertex(es) unreachable from every center")
-    if require_domination:
-        far = sum(1 for d in dist.values() if d > r)
-        if far:
-            raise NotDominatingError(
-                f"{far} vertex(es) farther than r={r} from every center")
+    assignment: Dict[int, int] = {}
+    for v, d in dist.items():
+        assignment[v] = v if d == 0 else min(
+            assignment[u] for u in g.neighbors(v) if dist[u] == d - 1)
     members: Dict[int, List[int]] = {m: [] for m in ordered}
     for v, m in assignment.items():
         members[m].append(v)
@@ -127,7 +108,7 @@ def voronoi_decompose(g: Graph, centers: Iterable[int], r: int, *,
             pair = (cu, cv) if cu < cv else (cv, cu)
             intercell.append(((u, v), pair))
             pairs.add(pair)
-    return VoronoiDecomposition(centers=center_set, radius=r,
+    return VoronoiDecomposition(centers=center_set, dist=dist,
                                 assignment=assignment, cells=cells,
                                 intercell_edges=tuple(intercell),
                                 quotient_edge_count=len(pairs))
@@ -136,8 +117,8 @@ def voronoi_decompose(g: Graph, centers: Iterable[int], r: int, *,
 def _non_tree_cells(g: Graph, dec: VoronoiDecomposition) -> List[int]:
     """Centers, ascending, whose cell does not induce a tree.
 
-    A cell is connected, since every vertex joins the cell of the vertex
-    that discovered it, so it induces a tree exactly when it holds
+    A cell is connected, since every vertex joins the cell of a neighbor
+    one step nearer, so it induces a tree exactly when it holds
     |cell| - 1 edges.  One pass over the edges counts them.
     """
     inner = dict.fromkeys(dec.cells, 0)
@@ -165,29 +146,25 @@ def boundary_forest(g: Graph, dec: VoronoiDecomposition) -> BoundaryForest:
     """Union, per cell, of the unique in-cell paths from boundary vertices
     to the center.  Requires every cell to induce a tree.
 
-    One multi-source BFS over in-cell edges gives every vertex its parent
-    toward its center; each boundary vertex then walks up only until it
-    meets a vertex already in its tree, so the whole forest is linear.
+    In a tree cell every vertex but the center has exactly one in-cell
+    neighbor one step nearer (two would close a cycle with their paths to
+    the center), so each boundary vertex walks to it until it meets a
+    vertex already in its tree, and the whole forest is linear.
     """
     non_tree = _non_tree_cells(g, dec)
     if non_tree:
         raise ValueError(f"cell of center {non_tree[0]} does not induce a tree")
-    assignment = dec.assignment
-    parents: Dict[int, Optional[int]] = dict.fromkeys(dec.cells)
-    queue = deque(dec.cells)
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in parents and assignment[w] == assignment[u]:
-                parents[w] = u
-                queue.append(w)
+    assignment, dist = dec.assignment, dec.dist
     members = {m: {m} for m in dec.cells}
     for edge, _ in dec.intercell_edges:
         for u in edge:
-            tree = members[assignment[u]]
+            m = assignment[u]
+            tree = members[m]
             while u not in tree:
                 tree.add(u)
-                u = parents[u]
+                nearer = dist[u] - 1
+                u = next(w for w in g.neighbors(u)
+                         if dist[w] == nearer and assignment[w] == m)
     trees = {m: frozenset(vs) for m, vs in members.items()}
     total = frozenset().union(*trees.values())
     return BoundaryForest(trees=trees, total=total)
@@ -277,12 +254,13 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
         opt_size = len(opt_set)
         ratio = len(selected) / opt_size
         checks["ratio_bound"] = len(selected) <= bound * opt_size
-        checks["opt_dominating"] = is_r_dominating(g, opt_set, r)
         try:
-            dec = voronoi_decompose(g, opt_set, r, require_domination=False)
+            dec = voronoi_decompose(g, opt_set)
         except NotDominatingError:
-            pass  # m misses a whole component: no lemma is evaluable
+            # m misses a whole component: no lemma is evaluable
+            checks["opt_dominating"] = False
         else:
+            checks["opt_dominating"] = max(dec.dist.values()) <= r
             flags = check_structural_lemmas(g, dec, f_r)
             checks["cells_tree"] = flags.cells_are_trees
             checks["single_edge"] = flags.single_edge_per_pair

@@ -7,8 +7,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from rdomsim import (Graph, GraphError, NotDominatingError,
-                     VoronoiDecomposition, bfs_distances, build_graph,
-                     is_r_dominating)
+                     VoronoiDecomposition, ball, bfs_distances, build_graph)
 
 
 @st.composite
@@ -33,7 +32,7 @@ def enumerate_min_rds(g: Graph, r: int) -> frozenset:
     verts = g.vertices
     for size in range(g.vertex_count + 1):
         for combo in itertools.combinations(verts, size):
-            if is_r_dominating(g, combo, r):
+            if reference_is_r_dominating(g, combo, r):
                 return frozenset(combo)
     raise AssertionError("unreachable: V itself always dominates")
 
@@ -62,15 +61,23 @@ def reference_girth(g: Graph):
     return best
 
 
-def reference_voronoi_decompose(g: Graph, centers, r: int, *,
-                                require_domination: bool = True
-                                ) -> VoronoiDecomposition:
+def reference_is_r_dominating(g: Graph, dominators, r: int) -> bool:
+    """Slow domination oracle: the union of one closed r-ball per member."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    covered = set()
+    for m in set(dominators):
+        if m not in g:
+            raise GraphError(f"unknown vertex {m}")
+        covered |= ball(g, m, r)
+    return len(covered) == g.vertex_count
+
+
+def reference_voronoi_decompose(g: Graph, centers) -> VoronoiDecomposition:
     """Slow Voronoi oracle: one full BFS per center, O(|centers|·n).
 
     Each vertex keeps the smallest (distance, center) label seen.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
     center_set = frozenset(centers)
     if not center_set:
         raise NotDominatingError("center set is empty")
@@ -86,11 +93,6 @@ def reference_voronoi_decompose(g: Graph, centers, r: int, *,
     if missing:
         raise NotDominatingError(
             f"{len(missing)} vertex(es) unreachable from every center")
-    if require_domination:
-        far = [v for v, (d, _) in label.items() if d > r]
-        if far:
-            raise NotDominatingError(
-                f"{len(far)} vertex(es) farther than r={r} from every center")
     assignment = {v: m for v, (_, m) in label.items()}
     cells = {m: frozenset(v for v, c in assignment.items() if c == m)
              for m in sorted(center_set)}
@@ -100,6 +102,6 @@ def reference_voronoi_decompose(g: Graph, centers, r: int, *,
         if cu != cv:
             intercell.append(((u, v), (min(cu, cv), max(cu, cv))))
     return VoronoiDecomposition(
-        centers=center_set, radius=r, assignment=assignment, cells=cells,
-        intercell_edges=tuple(intercell),
+        centers=center_set, dist={v: d for v, (d, _) in label.items()},
+        assignment=assignment, cells=cells, intercell_edges=tuple(intercell),
         quotient_edge_count=len({pair for _, pair in intercell}))

@@ -8,6 +8,7 @@ import itertools
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 from rdomsim import (TightnessParams, approx_report,
@@ -21,6 +22,10 @@ from rdomsim import (TightnessParams, approx_report,
 from rdomsim.cli import EXIT_OK, main
 
 from _support import enumerate_min_rds
+
+#: The committed suite CSV, read only: every change must reproduce it.
+REFERENCE_CSV = (Path(__file__).resolve().parents[1]
+                 / "bench" / "reference" / "corpus.csv")
 
 
 class Instance(NamedTuple):
@@ -202,7 +207,7 @@ def test_criterion_08_structural_lemmas():
             for name in ("cells_tree", "single_edge", "quotient_bound",
                          "t_bound", "di_in_T", "di_bound", "do_bound"):
                 assert report.checks[name] is True, (inst.label, name)
-        dec = voronoi_decompose(gen_cycle(4), {0}, 1, require_domination=False)
+        dec = voronoi_decompose(gen_cycle(4), {0})
         flags = check_structural_lemmas(gen_cycle(4), dec, 1)
         assert flags.cells_are_trees is False
 
@@ -232,3 +237,4 @@ def test_criterion_10_suite_determinism(tmp_path, capsys):
         first, second = (p.read_bytes() for p in paths)
         assert first == second
         assert first.splitlines()[0].startswith(b"family,n,r,f_r,girth,")
+        assert first == REFERENCE_CSV.read_bytes()

@@ -174,6 +174,9 @@ def test_run_without_family_parameter_is_bad_spec(capsys):
     (["--family", "cycle", "--n", "2"], "bad_spec"),
     (["--family", "tightness", "--f", "1"], "bad_spec"),
     (["--graph", "missing.graph"], "bad_input"),
+    (["--family", "cycle", "--n", "abc"], "bad_spec"),
+    (["--family", "nope", "--n", "5"], "bad_spec"),
+    (["--family", "cycle", "--n", "11", "--bogus"], "bad_spec"),
 ])
 def test_run_invalid_instance_exits_2_with_json(tmp_path, monkeypatch,
                                                 capsys, argv, error):
@@ -181,6 +184,30 @@ def test_run_invalid_instance_exits_2_with_json(tmp_path, monkeypatch,
     code, stdout = run_cli(capsys, "run", *argv)
     assert code == EXIT_ERROR
     assert json.loads(stdout)["error"] == error
+
+
+def test_missing_subcommand_is_bad_spec_and_help_exits_0(capsys):
+    code, stdout = run_cli(capsys)
+    assert code == EXIT_ERROR
+    assert json.loads(stdout)["error"] == "bad_spec"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "usage: rdomsim run" in capsys.readouterr().out
+
+
+def test_empty_graph_is_bad_input_for_run_and_verifies(tmp_path, capsys):
+    empty, members = tmp_path / "empty.graph", tmp_path / "empty.set"
+    empty.write_text("0 0\n")
+    members.write_text("")
+    code, stdout = run_cli(capsys, "run", "--graph", str(empty), "--r", "1")
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {"error": "bad_input",
+                                  "detail": "graph has no vertices"}
+    code, stdout = run_cli(capsys, "verify", "--graph", str(empty),
+                           "--set", str(members), "--r", "1")
+    assert code == EXIT_OK
+    assert json.loads(stdout)["pass"] is True
 
 
 def test_suite_spec_without_family_parameter_is_bad_spec(tmp_path, capsys):

@@ -1,12 +1,13 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (GraphError, OptimumUnknown, build_graph, exact_min_rds,
-                     gen_cycle, gen_path, gen_random_tree, greedy_rds,
-                     is_independent, is_r_dominating)
+from rdomsim import (GraphError, OptimumUnknown, build_graph, distances,
+                     exact_min_rds, gen_cycle, gen_path, gen_random_tree,
+                     greedy_rds, is_independent, is_r_dominating)
 
-from _support import enumerate_min_rds, graphs
+from _support import enumerate_min_rds, graphs, reference_is_r_dominating
 
 
 def test_is_r_dominating_examples():
@@ -14,11 +15,34 @@ def test_is_r_dominating_examples():
     assert is_r_dominating(c9, {0, 3, 6}, 1)
     assert not is_r_dominating(c9, {0}, 1)
     assert is_r_dominating(gen_path(5), {2}, 2)
+    with pytest.raises(ValueError):
+        is_r_dominating(c9, {0}, 0)
 
 
 def test_is_r_dominating_unknown_vertex():
     with pytest.raises(GraphError):
         is_r_dominating(gen_cycle(3), {7}, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10), st.data(), st.none() | st.integers(0, 4),
+       st.integers(1, 4))
+def test_distances_and_domination_match_networkx(g, data, limit, r):
+    G = nx.Graph(g.edges())
+    G.add_nodes_from(g.vertices)
+    sources = data.draw(st.sets(st.sampled_from(g.vertices)))
+
+    def nx_distances(cutoff):
+        if not sources:
+            return {}
+        return nx.multi_source_dijkstra_path_length(G, sources, cutoff=cutoff)
+
+    dist = distances(g, sources, limit)
+    assert dist == nx_distances(limit)
+    assert list(dist.values()) == sorted(dist.values())  # BFS order
+    dominating = is_r_dominating(g, sources, r)
+    assert dominating == (len(nx_distances(r)) == g.vertex_count)
+    assert dominating == reference_is_r_dominating(g, sources, r)
 
 
 def test_is_independent_examples():

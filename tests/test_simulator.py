@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (BackBitsetMsg, BitBudgetExceeded, BudgetExceeded,
-                     CandidateMsg, CountMsg, FloodMsg, NodeProgram,
-                     ProgramFault, StepResult, ball, build_graph,
-                     count_neighborhood_program, gen_cycle, gen_random_tree,
-                     id_bits, message_bits, rmds_program, rmds_round_budget,
-                     run_simulation)
+from rdomsim import (BackBitsetMsg, BudgetExceeded, CandidateMsg, CountMsg,
+                     FloodMsg, NodeProgram, ProgramFault, StepResult, ball,
+                     build_graph, count_neighborhood_program, gen_cycle,
+                     gen_random_tree, id_bits, message_bits, rmds_program,
+                     rmds_round_budget, run_simulation)
 
 from _support import graphs
 
@@ -58,19 +57,6 @@ def test_one_round_delivery_and_conservation():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         run_simulation(gen_cycle(4), NeverHalts(), round_budget=5)
-
-
-def test_bit_budget_exceeded():
-    # Any candidate message on C_7 is 6 bits; a 1-bit cap must trip.
-    with pytest.raises(BitBudgetExceeded):
-        run_simulation(gen_cycle(7), rmds_program(1), round_budget=2,
-                       bit_budget=1)
-
-
-def test_bit_budget_respected_when_loose():
-    report = run_simulation(gen_cycle(7), rmds_program(1), round_budget=2,
-                            bit_budget=2 * id_bits(7))
-    assert report.rounds_executed == 2
 
 
 def test_outbox_length_mismatch_is_a_program_fault():

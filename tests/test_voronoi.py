@@ -19,7 +19,7 @@ def run_rmds(g, r):
 
 
 def test_decompose_c9():
-    dec = voronoi_decompose(gen_cycle(9), {0, 3, 6}, 1)
+    dec = voronoi_decompose(gen_cycle(9), {0, 3, 6})
     assert dec.cells[0] == frozenset({0, 1, 8})
     assert dec.cells[3] == frozenset({2, 3, 4})
     assert dec.cells[6] == frozenset({5, 6, 7})
@@ -28,31 +28,39 @@ def test_decompose_c9():
 
 def test_decompose_tie_breaks_by_smaller_center_id():
     g = build_graph([(0, 1), (1, 2)])
-    dec = voronoi_decompose(g, {0, 2}, 1)
+    dec = voronoi_decompose(g, {0, 2})
     assert dec.assignment[1] == 0
 
 
 def test_decompose_single_center_tree():
     g = gen_random_tree(40, 2)
-    dec = voronoi_decompose(g, {0}, 40)
+    dec = voronoi_decompose(g, {0})
     assert dec.cells[0] == frozenset(g.vertices)
     assert dec.quotient_edge_count == 0
 
 
 def test_decompose_rejects_non_dominating_centers():
-    with pytest.raises(NotDominatingError):
-        voronoi_decompose(gen_cycle(9), {0}, 1)
+    # A center set that misses a component has no decomposition; one that
+    # reaches every vertex has one, and its distances show how far it
+    # falls short of r-domination.
+    with pytest.raises(NotDominatingError, match="unreachable"):
+        voronoi_decompose(build_graph([(0, 1), (2, 3)]), {0})
+    with pytest.raises(NotDominatingError, match="empty"):
+        voronoi_decompose(gen_cycle(9), set())
+    dec = voronoi_decompose(gen_cycle(9), {0})
+    assert max(dec.dist.values()) == 4
+    assert dec.dist == {v: min(v, 9 - v) for v in range(9)}
 
 
 def test_decompose_negative_control_without_domination_guard():
-    dec = voronoi_decompose(gen_cycle(4), {0}, 1, require_domination=False)
+    dec = voronoi_decompose(gen_cycle(4), {0})
     flags = check_structural_lemmas(gen_cycle(4), dec, 1)
     assert not flags.cells_are_trees  # the cell is the whole 4-cycle
 
 
 def test_structural_lemmas_c9():
     g = gen_cycle(9)
-    dec = voronoi_decompose(g, {0, 3, 6}, 1)
+    dec = voronoi_decompose(g, {0, 3, 6})
     flags = check_structural_lemmas(g, dec, 1)
     assert flags.cells_are_trees
     assert flags.single_edge_per_pair
@@ -61,7 +69,7 @@ def test_structural_lemmas_c9():
 
 def test_structural_lemmas_single_center_tree():
     g = gen_random_tree(40, 2)
-    dec = voronoi_decompose(g, {0}, 40)
+    dec = voronoi_decompose(g, {0})
     flags = check_structural_lemmas(g, dec, 1)
     assert flags.cells_are_trees and flags.single_edge_per_pair
     assert flags.quotient_bound
@@ -69,7 +77,7 @@ def test_structural_lemmas_single_center_tree():
 
 def test_boundary_forest_c9_meets_bound_with_equality():
     g = gen_cycle(9)
-    dec = voronoi_decompose(g, {0, 3, 6}, 1)
+    dec = voronoi_decompose(g, {0, 3, 6})
     forest = boundary_forest(g, dec)
     assert forest.trees[0] == frozenset({0, 1, 8})
     assert len(forest.total) == 9 == (1 + 2 * 1 * 1) * 3
@@ -77,31 +85,39 @@ def test_boundary_forest_c9_meets_bound_with_equality():
 
 def test_boundary_forest_single_center_no_boundary():
     g = gen_random_tree(40, 2)
-    dec = voronoi_decompose(g, {0}, 40)
+    dec = voronoi_decompose(g, {0})
     forest = boundary_forest(g, dec)
     assert forest.total == frozenset({0})
+
+
+def test_boundary_forest_walks_inside_its_cell_on_ties():
+    # Vertex 2 is two steps from both centers and joins cell 0 through 5;
+    # its smaller neighbor 1 is one step nearer too, but in cell 9.
+    g = build_graph([(0, 5), (5, 2), (2, 1), (1, 9)])
+    forest = boundary_forest(g, voronoi_decompose(g, {0, 9}))
+    assert forest.trees == {0: frozenset({0, 5, 2}), 9: frozenset({9, 1})}
 
 
 def test_boundary_forest_tightness_family():
     tg = gen_tightness(TightnessParams(1, 2))
     centers = frozenset(tg.x_side) | frozenset(tg.y_side)
     # X union Y misses the pendant vertices at r=1; the decomposition is
-    # still well-defined with the guard off and the bound still holds.
-    dec = voronoi_decompose(tg.graph, centers, 1, require_domination=False)
+    # still well-defined and the bound still holds.
+    dec = voronoi_decompose(tg.graph, centers)
     forest = boundary_forest(tg.graph, dec)
     assert len(forest.total) <= (1 + 2 * 1 * 2) * 8 == 40
 
 
 def test_boundary_forest_rejects_cyclic_cell():
     g = gen_cycle(4)
-    dec = voronoi_decompose(g, {0}, 1, require_domination=False)
+    dec = voronoi_decompose(g, {0})
     with pytest.raises(ValueError):
         boundary_forest(g, dec)
 
 
 def test_split_selection_c7():
     g = gen_cycle(7)
-    dec = voronoi_decompose(g, {0, 3, 5}, 1)
+    dec = voronoi_decompose(g, {0, 3, 5})
     split = split_selection(dec, selection_oracle(g, 1))
     assert split.inside == frozenset({3, 4, 6})
     assert split.outside == frozenset({2, 5, 6})
@@ -109,7 +125,7 @@ def test_split_selection_c7():
 
 def test_split_selection_identity():
     g = gen_cycle(5)
-    dec = voronoi_decompose(g, set(g.vertices), 1)
+    dec = voronoi_decompose(g, set(g.vertices))
     sel = SelectionMap(sel={v: v for v in g.vertices},
                        members=frozenset(g.vertices))
     split = split_selection(dec, sel)
@@ -159,7 +175,8 @@ def test_approx_report_unknown_optimum():
 @given(graphs(min_n=2), st.integers(1, 2))
 def test_decomposition_partitions_with_radius_bound(g, r):
     centers = greedy_rds(g, r)
-    dec = voronoi_decompose(g, centers, r)
+    dec = voronoi_decompose(g, centers)
+    assert max(dec.dist.values()) <= r
     seen = set()
     for m, cell in dec.cells.items():
         assert m in cell
@@ -173,61 +190,55 @@ def test_decomposition_partitions_with_radius_bound(g, r):
 def test_split_union_equals_selected_on_cycles(n, r):
     g = gen_cycle(n)
     centers = greedy_rds(g, r)
-    dec = voronoi_decompose(g, centers, r)
+    dec = voronoi_decompose(g, centers)
     sel = selection_oracle(g, r)
     split = split_selection(dec, sel)
     assert split.inside | split.outside == sel.members
 
 
-def _outcome(decompose, g, centers, r, require_domination):
+def _outcome(decompose, g, centers):
     try:
-        return decompose(g, centers, r,
-                         require_domination=require_domination)
+        return decompose(g, centers)
     except NotDominatingError as exc:
         return ("NotDominatingError", str(exc))
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs(min_n=1, max_n=10), st.data(), st.integers(1, 3), st.booleans())
-def test_decompose_matches_per_center_reference(g, data, r, require_domination):
+@given(graphs(min_n=1, max_n=10), st.data())
+def test_decompose_matches_per_center_reference(g, data):
     centers = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
-    fast = _outcome(voronoi_decompose, g, centers, r, require_domination)
-    slow = _outcome(reference_voronoi_decompose, g, centers, r,
-                    require_domination)
-    assert fast == slow
+    fast = _outcome(voronoi_decompose, g, centers)
+    slow = _outcome(reference_voronoi_decompose, g, centers)
+    assert fast == slow  # dataclass equality compares dist too
 
 
 def test_decompose_ties_on_even_cycle_go_to_smaller_center():
     # On C_12 with centers 0, 4, 8 vertices 2, 6 and 10 sit at distance 2
     # from two centers each.
     g = gen_cycle(12)
-    dec = voronoi_decompose(g, {8, 4, 0}, 2)
+    dec = voronoi_decompose(g, {8, 4, 0})
     assert (dec.assignment[2], dec.assignment[6], dec.assignment[10]) == (0, 4, 0)
-    assert dec == reference_voronoi_decompose(g, {0, 4, 8}, 2)
+    assert dec == reference_voronoi_decompose(g, {0, 4, 8})
 
 
 def test_decompose_error_branches_match_reference():
     disconnected = build_graph([(0, 1), (2, 3)])
     far = gen_cycle(9)
-    for g, centers, r, guard in [(disconnected, {0}, 1, True),
-                                 (disconnected, {0}, 1, False),
-                                 (far, {0}, 1, True),
-                                 (far, {0, 4}, 1, True)]:
-        fast = _outcome(voronoi_decompose, g, centers, r, guard)
-        assert fast == _outcome(reference_voronoi_decompose, g, centers, r,
-                                guard)
+    for g, centers in [(disconnected, {0}), (disconnected, {0, 1})]:
+        fast = _outcome(voronoi_decompose, g, centers)
+        assert fast == _outcome(reference_voronoi_decompose, g, centers)
         assert fast[0] == "NotDominatingError"
-    assert "unreachable" in _outcome(voronoi_decompose, disconnected, {0},
-                                     1, False)[1]
-    assert "farther than r=1" in _outcome(voronoi_decompose, far, {0},
-                                          1, True)[1]
-    assert voronoi_decompose(far, {0}, 1, require_domination=False) == \
-        reference_voronoi_decompose(far, {0}, 1, require_domination=False)
+    assert "unreachable" in _outcome(voronoi_decompose, disconnected, {0})[1]
+    # Centers farther than r from some vertex still decompose; dist shows it.
+    for centers, farthest in [({0}, 4), ({0, 4}, 2)]:
+        dec = voronoi_decompose(far, centers)
+        assert dec == reference_voronoi_decompose(far, centers)
+        assert max(dec.dist.values()) == farthest
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs(max_n=10), st.data(), st.integers(1, 3))
-def test_lemmas_and_forest_match_networkx(g, data, r):
+@given(graphs(max_n=10), st.data())
+def test_lemmas_and_forest_match_networkx(g, data):
     G = nx.Graph(g.edges())
     G.add_nodes_from(g.vertices)
     drawn = data.draw(st.sets(st.sampled_from(g.vertices)))
@@ -235,7 +246,7 @@ def test_lemmas_and_forest_match_networkx(g, data, r):
     # is reachable and the decomposition exists.
     centers = drawn | {min(comp) for comp in nx.connected_components(G)
                        if not comp & drawn}
-    dec = voronoi_decompose(g, centers, r, require_domination=False)
+    dec = voronoi_decompose(g, centers)
     flags = check_structural_lemmas(g, dec, 1)
 
     tree_cells = {m: nx.is_tree(G.subgraph(cell))
