@@ -12,19 +12,18 @@ from .experiments import (CSV_HEADER, ExperimentError, ExperimentResult,
 from .generators import (TightnessGraph, TightnessParams, gen_complete,
                          gen_cycle, gen_path, gen_random_tree, gen_tightness,
                          subdivide, tightness_dominating_set)
-from .graphs import (INFINITE, Graph, GraphError, ball, bfs_distances,
-                     build_graph, connected_components, distances, girth,
+from .graphs import (INFINITE, Graph, GraphError, ball, build_graph,
+                     connected_components, distances, girth,
                      neighborhood_size_oracle, read_graph, write_graph)
 from .oracles import (OptimumUnknown, exact_min_rds, greedy_rds,
                       is_independent, is_r_dominating)
 from .programs import (RmdsOutput, SelectionMap, count_neighborhood_program,
                        cycle_is_program, rmds_program, rmds_round_budget,
                        selection_oracle)
-from .simulator import (BackBitsetMsg, BudgetExceeded, CandidateMsg, CountMsg,
+from .simulator import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                         FloodMsg, NodeProgram, ProgramFault, SimulationReport,
-                        StepResult, id_bits, message_bits, run_simulation)
-from .voronoi import (ApproxReport, BoundaryForest, LemmaFlags,
-                      NotDominatingError, SelectionSplit,
+                        StepResult, id_bits, message_widths, run_simulation)
+from .voronoi import (ApproxReport, LemmaFlags, NotDominatingError,
                       VoronoiDecomposition, approx_report, boundary_forest,
                       check_structural_lemmas, split_selection,
                       voronoi_decompose)

@@ -59,9 +59,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"unknown vertex {v}") from None
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in self._vertices for v in self._adj[u] if u < v]
@@ -132,11 +129,6 @@ def distances(g: Graph, sources: Iterable[int],
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def bfs_distances(g: Graph, source: int) -> Dict[int, int]:
-    """Exact hop distances from ``source``; unreachable vertices are absent."""
-    return distances(g, (source,))
 
 
 def ball(g: Graph, v: int, r: int) -> FrozenSet[int]:
@@ -234,7 +226,7 @@ def connected_components(g: Graph) -> List[Tuple[int, ...]]:
     for s in g.vertices:
         if s in seen:
             continue
-        comp = sorted(bfs_distances(g, s))
+        comp = sorted(distances(g, (s,)))
         seen.update(comp)
         components.append(tuple(comp))
     return components

@@ -10,12 +10,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .graphs import Graph, distances
-from .simulator import (BackBitsetMsg, CandidateMsg, CountMsg, FloodMsg,
-                        Message, NodeProgram, ProgramFault, StepResult)
+from .simulator import (BackBitMsg, CandidateMsg, CountMsg, FloodMsg, Message,
+                        NodeProgram, ProgramFault, StepResult)
 
 
 class RmdsOutput(NamedTuple):
@@ -36,69 +37,53 @@ class SelectionMap:
     members: FrozenSet[int]
 
 
-class _CountState:
-    __slots__ = ("counts",)
-
-    def __init__(self, ports: int):
-        self.counts = [1] * ports
-
-
-def _counting(state, t: int, r: int, inbox) -> Optional[List[CountMsg]]:
-    """Counting phase: rounds 1..r of a node, sending in rounds 1..r-1.
-
-    From round 2 on, ``state.counts[p]`` takes the subtree size last heard on
-    port p.  Before round r this returns the outbox, which tells each
-    neighbor the size of our subtree excluding its own branch.  At round r
-    it returns None: ``sum(state.counts)`` is then final, and equals
-    |N^r(v)| whenever the girth is at least 4r+3.
-    """
-    if t >= 2:
-        for p, msg in enumerate(inbox):
-            state.counts[p] = msg.value
-    if t == r:
-        return None
-    total = sum(state.counts)
-    return [CountMsg(1 + total - c) for c in state.counts]
+def _bind_radius(cls, r: int):
+    """The program ``cls`` at radius ``r``, as ``run_simulation`` takes it."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    return functools.partial(cls, r)
 
 
 class CountNeighborhoodProgram(NodeProgram):
     """Computes |N^r(v)| at every vertex in r-1 communication rounds."""
 
-    def __init__(self, r: int):
-        if r < 1:
-            raise ValueError("r must be >= 1")
+    __slots__ = ("r", "counts")
+
+    def __init__(self, r: int, own_id: int, num_ports: int, params):
         self.r = r
+        self.counts = [1] * num_ports
 
-    def init(self, own_id, num_ports, params):
-        return _CountState(num_ports)
+    def _count(self, t: int, inbox) -> Optional[List[CountMsg]]:
+        """Counting phase: rounds 1..r of a node, sending in rounds 1..r-1.
 
-    def step(self, state, round_index, inbox):
-        out = _counting(state, round_index, self.r, inbox)
+        From round 2 on, ``counts[p]`` takes the subtree size last heard on
+        port p.  Before round r this returns the outbox, which tells each
+        neighbor the size of our subtree excluding its own branch.  At round
+        r it returns None: ``sum(counts)`` is then final, and equals
+        |N^r(v)| whenever the girth is at least 4r+3.
+        """
+        if t >= 2:
+            self.counts = [msg.value for msg in inbox]
+        if t == self.r:
+            return None
+        total = sum(self.counts)
+        return [CountMsg(1 + total - c) for c in self.counts]
+
+    def step(self, round_index, inbox):
+        out = self._count(round_index, inbox)
         if out is not None:
-            return StepResult(out, state, False)
-        return StepResult([None] * len(inbox), state, True, sum(state.counts))
+            return StepResult(out, False)
+        return StepResult([None] * len(inbox), True, sum(self.counts))
 
 
-def count_neighborhood_program(r: int) -> NodeProgram:
-    return CountNeighborhoodProgram(r)
+def count_neighborhood_program(r: int) -> Callable[..., NodeProgram]:
+    return _bind_radius(CountNeighborhoodProgram, r)
 
 
-class _RmdsState(_CountState):
-    __slots__ = ("own", "best", "sent", "recv", "chosen")
-
-    def __init__(self, own: int, ports: int):
-        super().__init__(ports)
-        self.own = own
-        self.best: Optional[Tuple[int, int]] = None
-        self.sent: List[CandidateMsg] = []
-        self.recv: List[List[CandidateMsg]] = [[] for _ in range(ports)]
-        self.chosen: Optional[set] = None
-
-
-class RmdsProgram(NodeProgram):
+class RmdsProgram(CountNeighborhoodProgram):
     """Distributed distance-r dominating set in exactly 3r-1 rounds.
 
-    Rounds 1..r count (``_counting``).  Rounds r..2r-1 send the best
+    Rounds 1..r count (``_count``).  Rounds r..2r-1 send the best
     (count, ID) candidate seen so far; after absorbing the r-th such send a
     node selects its best, the argmax over its r-ball.  Rounds 2r..3r-1
     back-propagate one bit per port, so no message exceeds the two integer
@@ -112,57 +97,50 @@ class RmdsProgram(NodeProgram):
     the sender's own ID, so every selected node learns it is chosen.
     """
 
-    def __init__(self, r: int):
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        self.r = r
+    __slots__ = ("own", "best", "sent", "recv", "chosen")
 
-    def init(self, own_id, num_ports, params):
-        return _RmdsState(own_id, num_ports)
+    def __init__(self, r: int, own_id: int, num_ports: int, params):
+        super().__init__(r, own_id, num_ports, params)
+        self.own = own_id
+        self.best: Optional[Tuple[int, int]] = None
+        self.sent: List[CandidateMsg] = []
+        self.recv: List[List[CandidateMsg]] = [[] for _ in range(num_ports)]
+        self.chosen: Optional[set] = None
 
-    def step(self, state, round_index, inbox):
+    def step(self, round_index, inbox):
         r, t = self.r, round_index
         if t <= r:
-            out = _counting(state, t, r, inbox)
+            out = self._count(t, inbox)
             if out is not None:
-                return StepResult(out, state, False)
-            state.best = (sum(state.counts), state.own)
+                return StepResult(out, False)
+            self.best = (sum(self.counts), self.own)
         elif t <= 2 * r:  # absorb selection send t - r
-            for recv, msg in zip(state.recv, inbox):
+            for recv, msg in zip(self.recv, inbox):
                 recv.append(msg)
-                state.best = max(state.best, (msg.prio, msg.id))
-        elif any(msg.bits[0] for msg in inbox):  # answers to send 3r - t + 1
-            state.chosen.add(state.sent[3 * r - t].id)
+                self.best = max(self.best, (msg.prio, msg.id))
+        elif any(msg.chosen for msg in inbox):  # answers to send 3r - t + 1
+            self.chosen.add(self.sent[3 * r - t].id)
         if t < 2 * r:
-            msg = CandidateMsg(*state.best)
-            state.sent.append(msg)
-            return StepResult([msg] * len(inbox), state, False)
+            msg = CandidateMsg(*self.best)
+            self.sent.append(msg)
+            return StepResult([msg] * len(inbox), False)
         if t == 2 * r:
-            state.chosen = {state.best[1]}
+            self.chosen = {self.best[1]}
         if t < 3 * r:  # answer selection send 3r - t on every port
-            out = [BackBitsetMsg((recv[3 * r - t - 1].id in state.chosen,))
-                   for recv in state.recv]
-            return StepResult(out, state, False)
-        output = RmdsOutput(state.own in state.chosen, state.best[1])
-        return StepResult([None] * len(inbox), state, True, output)
+            k = 3 * r - t - 1
+            return StepResult([BackBitMsg(recv[k].id in self.chosen)
+                               for recv in self.recv], False)
+        output = RmdsOutput(self.own in self.chosen, self.best[1])
+        return StepResult([None] * len(inbox), True, output)
 
 
-def rmds_program(r: int) -> NodeProgram:
-    return RmdsProgram(r)
+def rmds_program(r: int) -> Callable[..., NodeProgram]:
+    return _bind_radius(RmdsProgram, r)
 
 
 def rmds_round_budget(r: int) -> int:
     """Exact number of communication rounds the program uses."""
     return 3 * r - 1
-
-
-class _CycleIsState:
-    __slots__ = ("own", "is_d", "got")
-
-    def __init__(self, own: int, is_d: bool):
-        self.own = own
-        self.is_d = is_d
-        self.got: List[Optional[Tuple[int, int]]] = [None, None]
 
 
 class CycleIsProgram(NodeProgram):
@@ -175,39 +153,39 @@ class CycleIsProgram(NodeProgram):
     the independent set iff its distance to the representor is odd.
     """
 
-    def __init__(self, r: int):
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        self.r = r
+    __slots__ = ("r", "own", "is_d", "got")
 
-    def init(self, own_id, num_ports, params):
+    def __init__(self, r: int, own_id: int, num_ports: int, params):
         if num_ports != 2:
             raise ProgramFault("cycle_is_program requires a cycle (degree 2)")
-        return _CycleIsState(own_id, own_id in params["d_member"])
+        self.r = r
+        self.own = own_id
+        self.is_d = own_id in params["d_member"]
+        self.got: List[Optional[Tuple[int, int]]] = [None, None]
 
-    def step(self, state, round_index, inbox):
-        if state.is_d:
-            out = [FloodMsg(1, state.own, True), FloodMsg(1, state.own, True)]
-            return StepResult(out, state, True, False)
+    def step(self, round_index, inbox):
+        if self.is_d:
+            out = [FloodMsg(1, self.own, True), FloodMsg(1, self.own, True)]
+            return StepResult(out, True, False)
         out: List[Optional[Message]] = [None, None]
         for p, msg in enumerate(inbox):
             if msg is not None:
-                if state.got[p] is None:
-                    state.got[p] = (msg.id, msg.hops)
+                if self.got[p] is None:
+                    self.got[p] = (msg.id, msg.hops)
                 out[1 - p] = FloodMsg(msg.hops + 1, msg.id, msg.flag)
-        if state.got[0] is not None and state.got[1] is not None:
-            representor = min(state.got[0][0], state.got[1][0])
-            dist = min(h for i, h in state.got if i == representor)
-            return StepResult(out, state, True, dist % 2 == 1)
+        if self.got[0] is not None and self.got[1] is not None:
+            representor = min(self.got[0][0], self.got[1][0])
+            dist = min(h for i, h in self.got if i == representor)
+            return StepResult(out, True, dist % 2 == 1)
         if round_index > 2 * self.r + 1:
             raise ProgramFault(
                 "flood incomplete after 2r+1 rounds; the supplied set is not "
                 "a valid distance-r dominating set")
-        return StepResult(out, state, False)
+        return StepResult(out, False)
 
 
-def cycle_is_program(r: int) -> NodeProgram:
-    return CycleIsProgram(r)
+def cycle_is_program(r: int) -> Callable[..., NodeProgram]:
+    return _bind_radius(CycleIsProgram, r)
 
 
 def selection_oracle(g: Graph, r: int) -> SelectionMap:

@@ -4,15 +4,16 @@ Port-numbered model: a vertex addresses its incident edges by port index
 (ports sorted by neighbor ID) and never sees neighbor IDs except through
 message contents.  A message sent on port p of v in round t is delivered to
 the matching port of the neighbor at the start of round t+1.  Per-message
-bit accounting follows a fixed encoding schema so CONGEST budgets can be
-asserted exactly.
+bit accounting follows a fixed width per message type, so CONGEST budgets
+can be asserted exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Union)
 
 from .graphs import Graph
 
@@ -45,10 +46,10 @@ class CandidateMsg:
 
 
 @dataclass(frozen=True)
-class BackBitsetMsg:
-    """Per-port back-propagation bitset; ``RmdsProgram`` sends one bit."""
+class BackBitMsg:
+    """Back-propagation answer: whether the candidate on this port is chosen."""
 
-    bits: Tuple[bool, ...]
+    chosen: bool
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class FloodMsg:
     flag: bool
 
 
-Message = Union[CountMsg, CandidateMsg, BackBitsetMsg, FloodMsg]
+Message = Union[CountMsg, CandidateMsg, BackBitMsg, FloodMsg]
 
 
 def id_bits(n: int) -> int:
@@ -68,42 +69,35 @@ def id_bits(n: int) -> int:
     return max(1, n.bit_length())
 
 
-def message_bits(msg: Message, n: int) -> int:
-    """Encoded length of a message under the fixed schema.
+def message_widths(n: int) -> Dict[type, int]:
+    """Encoded length of each message type on an n-vertex instance.
 
-    Integer fields cost ceil(log2(n+1)) bits each, booleans 1 bit, and a
-    bitset exactly its length.
+    Integer fields cost ``id_bits(n)`` bits each and booleans 1 bit, so
+    every type has a fixed width.
     """
     width = id_bits(n)
-    if isinstance(msg, CountMsg):
-        return width
-    if isinstance(msg, CandidateMsg):
-        return 2 * width
-    if isinstance(msg, BackBitsetMsg):
-        return len(msg.bits)
-    if isinstance(msg, FloodMsg):
-        return 2 * width + 1
-    raise ProgramFault(f"unknown message type {type(msg).__name__}")
+    return {CountMsg: width, CandidateMsg: 2 * width, BackBitMsg: 1,
+            FloodMsg: 2 * width + 1}
 
 
 class StepResult(NamedTuple):
     outbox: Sequence[Optional[Message]]
-    state: Any
     halted: bool
     output: Any = None
 
 
 class NodeProgram:
-    """Behavioral contract for a per-vertex state machine.
+    """Behavioral contract for one vertex's state machine.
 
-    ``step`` must be a pure function of its arguments: no hidden global
-    state, no randomness.  The simulator owns all per-node state.
+    A program is a callable ``program(own_id, num_ports, params)`` that
+    builds the node; the node keeps its own state, and ``step`` advances it
+    by one round.  Steps must be deterministic: no hidden global state, no
+    randomness.
     """
 
-    def init(self, own_id: int, num_ports: int, params: Any):
-        raise NotImplementedError
+    __slots__ = ()
 
-    def step(self, state: Any, round_index: int,
+    def step(self, round_index: int,
              inbox: Sequence[Optional[Message]]) -> StepResult:
         raise NotImplementedError
 
@@ -124,9 +118,11 @@ class SimulationReport:
     messages_per_round: List[int] = field(default_factory=list)
 
 
-def run_simulation(g: Graph, program: NodeProgram, params: Any = None,
-                   round_budget: int = 0, trace=None) -> SimulationReport:
-    """Execute ``program`` on every vertex of ``g`` in lockstep.
+def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
+                   params: Any = None, round_budget: int = 0,
+                   trace=None) -> SimulationReport:
+    """Build one ``program(v, ports, params)`` node per vertex of ``g`` and
+    step them in lockstep.
 
     Runs until all nodes halt; raises BudgetExceeded if some node is still
     live after ``round_budget`` communication rounds.  ``trace`` may be a
@@ -148,7 +144,8 @@ def run_simulation(g: Graph, program: NodeProgram, params: Any = None,
         for u in g.neighbors(v):
             next_port[u] += 1
     del next_port  # not needed in the rounds; free it before they start
-    states = {v: program.init(v, len(peers[v]), params) for v in g.vertices}
+    nodes = {v: program(v, len(peers[v]), params) for v in g.vertices}
+    widths = message_widths(n)
     inboxes = {v: [None] * len(peers[v]) for v in g.vertices}
     live = list(g.vertices)
     outputs: Dict[int, Any] = {}
@@ -165,16 +162,18 @@ def run_simulation(g: Graph, program: NodeProgram, params: Any = None,
         next_inboxes = {v: [None] * len(peers[v]) for v in live}
         sent = bits_max = bits_total = 0
         for v in live:
-            result = program.step(states[v], t, inboxes[v])
+            result = nodes[v].step(t, inboxes[v])
             if len(result.outbox) != len(peers[v]):
                 raise ProgramFault(
                     f"vertex {v} produced outbox of length {len(result.outbox)}, "
                     f"expected {len(peers[v])}")
-            states[v] = result.state
             for (u, q), msg in zip(peers[v], result.outbox):
                 if msg is None:
                     continue
-                bits = message_bits(msg, n)
+                bits = widths.get(type(msg))
+                if bits is None:
+                    raise ProgramFault(
+                        f"unknown message type {type(msg).__name__}")
                 bits_max = max(bits_max, bits)
                 bits_total += bits
                 sent += 1

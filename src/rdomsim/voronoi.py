@@ -275,7 +275,15 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
                 boundary_size = len(forest.total)
                 checks["t_bound"] = (boundary_size
                                      <= (1 + 2 * r * f_r) * opt_size)
-                checks["di_in_T"] = split.inside <= forest.total
+                # T is built from boundary paths, so a cell with no
+                # inter-cell edge is a whole component with T = {center},
+                # where rmds may break a tie in ball size towards another
+                # vertex.  D_I ⊆ T is judged only in cells with a boundary;
+                # the rest still count in di_bound and ratio_bound.
+                bounded = {m for _, pair in dec.intercell_edges for m in pair}
+                checks["di_in_T"] = all(
+                    d in forest.total for d in split.inside
+                    if dec.assignment[d] in bounded)
     else:
         opt_size = None
 

@@ -7,7 +7,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from rdomsim import (Graph, GraphError, NotDominatingError,
-                     VoronoiDecomposition, ball, bfs_distances, build_graph)
+                     VoronoiDecomposition, ball, build_graph, distances)
 
 
 @st.composite
@@ -86,7 +86,7 @@ def reference_voronoi_decompose(g: Graph, centers) -> VoronoiDecomposition:
             raise GraphError(f"unknown center {m}")
     label = {}
     for m in sorted(center_set):
-        for v, d in bfs_distances(g, m).items():
+        for v, d in distances(g, (m,)).items():
             if v not in label or (d, m) < label[v]:
                 label[v] = (d, m)
     missing = [v for v in g.vertices if v not in label]

@@ -11,6 +11,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import rdomsim
 import rdomsim.cli  # noqa: F401  (reached as rd.cli by the benchmark)
 
@@ -39,6 +41,37 @@ def test_every_step_class_defines_its_own_step():
         assert "step" in vars(getattr(programs, name)), name
 
 
+def _factory_names():
+    """Factories the workloads look up by name: _simulate(g, "name", ...)."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    return sorted({node.args[1].value for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "_simulate"})
+
+
+@pytest.mark.parametrize("name", _factory_names())
+def test_workload_factories_build_only_traced_nodes(name):
+    # Called as Simulate._simulate calls it.  Every node must be exactly of
+    # a class whose ``step`` the tracer wraps, or its steps go uncounted.
+    programs = importlib.import_module("rdomsim.programs")
+    step_classes = {getattr(programs, cls) for cls in _spans().STEP_CLASSES}
+    r, g = 2, rdomsim.gen_cycle(11)
+    factory = getattr(programs, name)(r)
+    built = []
+
+    def recording(*args):
+        built.append(factory(*args))
+        return built[-1]
+
+    report = rdomsim.run_simulation(
+        g, recording, params={"d_member": frozenset(range(0, 11, 2 * r + 1))},
+        round_budget=3 * r - 1)
+    assert set(report.outputs) == set(g.vertices)
+    assert len(built) == g.vertex_count
+    assert {type(node) for node in built} <= step_classes
+
+
 def _chain(node):
     names = []
     while isinstance(node, ast.Attribute):
@@ -59,10 +92,7 @@ def test_names_the_workloads_call_still_exist():
                 paths.add(tuple(chain[1:]))
             elif chain[:2] == ["self", "rd"]:
                 paths.add(tuple(chain[2:]))
-        # Program factories are looked up by name: _simulate(g, "name", ...).
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_simulate"):
-            paths.add(("programs", node.args[1].value))
+    paths.update(("programs", name) for name in _factory_names())
     assert ("programs", "rmds_program") in paths
     assert ("experiments", "run_experiment") in paths
     for path in paths:

@@ -57,6 +57,16 @@ def test_run_rmds_cycle_passes(tmp_path, capsys):
     assert json.loads(json_out.read_text())["passed"] is True
 
 
+@pytest.mark.parametrize("n,r", [(2, 1), (4, 2)])
+def test_run_rmds_on_one_cell_path_passes(capsys, n, r):
+    # The whole path is one Voronoi cell, and rmds selects a vertex other
+    # than the optimum's center; D_I ⊆ T is not judged in such a cell.
+    code, stdout = run_cli(capsys, "run", "--family", "path", "--n", str(n),
+                           "--r", str(r), "--algo", "rmds")
+    assert code == EXIT_OK
+    assert json.loads(stdout)["failures"] == []
+
+
 def test_run_refuses_low_girth_without_override(capsys):
     code, stdout = run_cli(capsys, "run", "--family", "cycle", "--n", "5",
                            "--r", "2", "--algo", "rmds")

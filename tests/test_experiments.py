@@ -1,13 +1,13 @@
 import pytest
 
-from rdomsim import bfs_distances, gen_random_tree, run_experiment
+from rdomsim import distances, gen_random_tree, run_experiment
 
 R = 2
 
 
 def _tree_levels_spec():
     # Vertices whose depth from 0 is a multiple of r+1 dominate at radius r.
-    depth = bfs_distances(gen_random_tree(1000, 1), 0)
+    depth = distances(gen_random_tree(1000, 1), (0,))
     return {"family": "tree", "n": 1000, "seed": 1, "r": R, "algo": "rmds",
             "m": [v for v in sorted(depth) if depth[v] % (R + 1) == 0]}
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (INFINITE, GraphError, TightnessParams, ball,
-                     bfs_distances, build_graph, connected_components,
-                     gen_complete, gen_cycle, gen_random_tree, gen_tightness,
-                     girth, neighborhood_size_oracle, read_graph, subdivide,
+from rdomsim import (INFINITE, GraphError, TightnessParams, ball, build_graph,
+                     connected_components, distances, gen_complete, gen_cycle,
+                     gen_random_tree, gen_tightness, girth,
+                     neighborhood_size_oracle, read_graph, subdivide,
                      write_graph)
 
 from _support import graphs, reference_girth
@@ -35,22 +35,22 @@ def test_build_rejects_duplicate_edge_either_orientation():
 
 def test_bfs_distances_on_cycle():
     g = gen_cycle(6)
-    assert bfs_distances(g, 0) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 2, 5: 1}
+    assert distances(g, (0,)) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 2, 5: 1}
 
 
 def test_bfs_distances_restricted_to_component():
     g = build_graph([(0, 1), (2, 3)])
-    assert bfs_distances(g, 0) == {0: 0, 1: 1}
+    assert distances(g, (0,)) == {0: 0, 1: 1}
 
 
 def test_bfs_distances_path():
     g = build_graph([(0, 1), (1, 2), (2, 3)])
-    assert bfs_distances(g, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert distances(g, (0,)) == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_bfs_unknown_source():
     with pytest.raises(GraphError):
-        bfs_distances(gen_cycle(3), 99)
+        distances(gen_cycle(3), (99,))
 
 
 def test_neighborhood_size_on_long_cycle():
@@ -103,15 +103,15 @@ def test_read_graph_rejects_out_of_range(tmp_path):
 @given(graphs())
 def test_bfs_distance_symmetry(g):
     for u in g.vertices:
-        du = bfs_distances(g, u)
+        du = distances(g, (u,))
         for v, d in du.items():
-            assert bfs_distances(g, v)[u] == d
+            assert distances(g, (v,))[u] == d
 
 
 @given(graphs())
 def test_neighborhood_oracle_matches_bfs(g):
     for v in g.vertices:
-        dist = bfs_distances(g, v)
+        dist = distances(g, (v,))
         for r in (1, 2, 3):
             expected = sum(1 for u, d in dist.items() if u != v and d <= r)
             assert neighborhood_size_oracle(g, v, r) == expected

@@ -5,49 +5,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (BackBitsetMsg, BudgetExceeded, CandidateMsg, CountMsg,
+from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      FloodMsg, NodeProgram, ProgramFault, StepResult, ball,
                      build_graph, count_neighborhood_program, gen_cycle,
-                     gen_random_tree, id_bits, message_bits, rmds_program,
+                     gen_random_tree, id_bits, message_widths, rmds_program,
                      rmds_round_budget, run_simulation)
 
 from _support import graphs
 
 
 class NeverHalts(NodeProgram):
-    def init(self, own_id, num_ports, params):
-        return None
+    def __init__(self, own_id, num_ports, params):
+        pass
 
-    def step(self, state, round_index, inbox):
-        return StepResult([CountMsg(1)] * len(inbox), state, False)
+    def step(self, round_index, inbox):
+        return StepResult([CountMsg(1)] * len(inbox), False)
 
 
 class EchoDegreeSum(NodeProgram):
     """Round 1: send own degree everywhere; round 2: output the inbox sum."""
 
-    def init(self, own_id, num_ports, params):
-        return num_ports
+    def __init__(self, own_id, num_ports, params):
+        self.ports = num_ports
 
-    def step(self, state, round_index, inbox):
+    def step(self, round_index, inbox):
         if round_index == 1:
-            return StepResult([CountMsg(state)] * state, state, False)
+            return StepResult([CountMsg(self.ports)] * self.ports, False)
         total = sum(m.value for m in inbox if m is not None)
-        return StepResult([None] * state, state, True, total)
+        return StepResult([None] * self.ports, True, total)
 
 
 def test_message_bit_schema():
     n = 11
     width = id_bits(n)
     assert width == 4
-    assert message_bits(CountMsg(5), n) == width
-    assert message_bits(CandidateMsg(4, 7), n) == 2 * width
-    assert message_bits(BackBitsetMsg((True, False, True)), n) == 3
-    assert message_bits(FloodMsg(2, 9, True), n) == 2 * width + 1
+    assert message_widths(n) == {CountMsg: width, CandidateMsg: 2 * width,
+                                 BackBitMsg: 1, FloodMsg: 2 * width + 1}
 
 
 def test_one_round_delivery_and_conservation():
     g = gen_cycle(5)
-    report = run_simulation(g, EchoDegreeSum(), round_budget=1)
+    report = run_simulation(g, EchoDegreeSum, round_budget=1)
     assert report.outputs == {v: 4 for v in g.vertices}
     assert report.rounds_executed == 1
     assert sum(report.messages_per_round) == 10
@@ -56,19 +54,31 @@ def test_one_round_delivery_and_conservation():
 
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        run_simulation(gen_cycle(4), NeverHalts(), round_budget=5)
+        run_simulation(gen_cycle(4), NeverHalts, round_budget=5)
 
 
 def test_outbox_length_mismatch_is_a_program_fault():
     class Bad(NodeProgram):
-        def init(self, own_id, num_ports, params):
-            return None
+        def __init__(self, own_id, num_ports, params):
+            pass
 
-        def step(self, state, round_index, inbox):
-            return StepResult([], state, True, None)
+        def step(self, round_index, inbox):
+            return StepResult([], True, None)
 
     with pytest.raises(ProgramFault):
-        run_simulation(gen_cycle(3), Bad(), round_budget=0)
+        run_simulation(gen_cycle(3), Bad, round_budget=0)
+
+
+def test_unknown_message_type_is_a_program_fault():
+    class SendsInt(NodeProgram):
+        def __init__(self, own_id, num_ports, params):
+            pass
+
+        def step(self, round_index, inbox):
+            return StepResult([7] * len(inbox), True)
+
+    with pytest.raises(ProgramFault, match="unknown message type int"):
+        run_simulation(gen_cycle(3), SendsInt, round_budget=0)
 
 
 def test_determinism_identical_reports():
@@ -95,15 +105,14 @@ def test_trace_emits_one_json_line_per_round():
 class PortProbe(NodeProgram):
     """Round 1: send (port, own ID) on every port; round 2: output the inbox."""
 
-    def init(self, own_id, num_ports, params):
-        return own_id, num_ports
+    def __init__(self, own_id, num_ports, params):
+        self.own_id, self.num_ports = own_id, num_ports
 
-    def step(self, state, round_index, inbox):
-        own_id, num_ports = state
+    def step(self, round_index, inbox):
         if round_index == 1:
-            return StepResult([CandidateMsg(q, own_id) for q in range(num_ports)],
-                              state, False)
-        return StepResult([None] * num_ports, state, True,
+            return StepResult([CandidateMsg(q, self.own_id)
+                               for q in range(self.num_ports)], False)
+        return StepResult([None] * self.num_ports, True,
                           [(msg.id, msg.prio) for msg in inbox])
 
 
@@ -112,7 +121,7 @@ class PortProbe(NodeProgram):
 def test_port_wiring_matches_sorted_neighbor_lists(g):
     # Port p of v must face neighbors(v)[p], on the port at which v sits
     # in that neighbor's own sorted list.
-    report = run_simulation(g, PortProbe(), round_budget=1)
+    report = run_simulation(g, PortProbe, round_budget=1)
     for v in g.vertices:
         assert report.outputs[v] == [(u, g.neighbors(u).index(v))
                                      for u in g.neighbors(v)]

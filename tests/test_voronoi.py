@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (NotDominatingError, SelectionMap, TightnessParams,
-                     approx_report, boundary_forest, build_graph,
-                     check_structural_lemmas, gen_cycle, gen_random_tree,
-                     gen_tightness, greedy_rds, rmds_program,
-                     rmds_round_budget, run_simulation, selection_oracle,
-                     split_selection, tightness_dominating_set,
-                     voronoi_decompose)
+from rdomsim import (NotDominatingError, RmdsOutput, SelectionMap,
+                     SimulationReport, TightnessParams, approx_report,
+                     boundary_forest, build_graph, check_structural_lemmas,
+                     gen_cycle, gen_path, gen_random_tree, gen_tightness,
+                     greedy_rds, rmds_program, rmds_round_budget,
+                     run_simulation, selection_oracle, split_selection,
+                     tightness_dominating_set, voronoi_decompose)
 
 from _support import graphs, reference_voronoi_decompose
 
@@ -169,6 +169,30 @@ def test_approx_report_unknown_optimum():
     assert unknown.ratio is None and unknown.opt_size is None
     assert unknown.checks["dominating"] is True
     assert unknown.checks["cells_tree"] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.integers(1, 40), st.integers(0, 5),
+       st.integers(1, 5))
+def test_approx_report_passes_on_small_trees_and_paths(path, n, seed, r):
+    g = gen_path(n) if path else gen_random_tree(n, seed)
+    report = approx_report(g, r, 1, run_rmds(g, r))
+    assert report.opt_source == "exact"
+    assert [k for k, v in report.checks.items() if v is False] == []
+
+
+def test_di_in_T_fails_off_the_boundary_forest_of_a_bounded_cell():
+    # Path 1-0-2-3-4 with M = {0, 3} at r = 1: cell {0, 1, 2} meets cell
+    # {3, 4} at edge (2, 3), so its T is {0, 2}.  Vertex 0 selecting 1
+    # puts 1 in D_I but off T.
+    g = build_graph([(0, 1), (0, 2), (2, 3), (3, 4)])
+    sel = {0: 1, 1: 1, 2: 0, 3: 3, 4: 3}
+    sim = SimulationReport(
+        outputs={v: RmdsOutput(v in sel.values(), d) for v, d in sel.items()},
+        rounds_executed=2, max_message_bits=6)
+    report = approx_report(g, 1, 1, sim, opt={0, 3})
+    assert report.checks["dominating"] is True
+    assert report.checks["di_in_T"] is False
 
 
 @settings(max_examples=25, deadline=None)
