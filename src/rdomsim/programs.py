@@ -37,6 +37,11 @@ class SelectionMap:
     members: FrozenSet[int]
 
 
+#: The two back-propagation answers, indexed by ``chosen``.  Messages are
+#: frozen, so every port can share them.
+_BACK_BITS = (BackBitMsg(False), BackBitMsg(True))
+
+
 def _bind_radius(cls, r: int):
     """The program ``cls`` at radius ``r``, as ``run_simulation`` takes it."""
     if r < 1:
@@ -128,7 +133,7 @@ class RmdsProgram(CountNeighborhoodProgram):
             self.chosen = {self.best[1]}
         if t < 3 * r:  # answer selection send 3r - t on every port
             k = 3 * r - t - 1
-            return StepResult([BackBitMsg(recv[k].id in self.chosen)
+            return StepResult([_BACK_BITS[recv[k].id in self.chosen]
                                for recv in self.recv], False)
         output = RmdsOutput(self.own in self.chosen, self.best[1])
         return StepResult([None] * len(inbox), True, output)
@@ -160,7 +165,13 @@ class CycleIsProgram(NodeProgram):
             raise ProgramFault("cycle_is_program requires a cycle (degree 2)")
         self.r = r
         self.own = own_id
-        self.is_d = own_id in params["d_member"]
+        try:
+            d_member = params["d_member"]
+        except (KeyError, TypeError):
+            raise ProgramFault(
+                "cycle_is_program requires params['d_member'], the "
+                "dominating set") from None
+        self.is_d = own_id in d_member
         self.got: List[Optional[Tuple[int, int]]] = [None, None]
 
     def step(self, round_index, inbox):

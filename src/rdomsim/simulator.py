@@ -11,6 +11,7 @@ can be asserted exactly.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Union)
@@ -133,21 +134,29 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
     """
     if round_budget < 0:
         raise ValueError("round_budget must be >= 0")
-    n = g.vertex_count
-    # peers[v][p] = (u, q): port p of v faces port q of u.  Visiting v in
-    # ascending ID order hands each neighbor u its next free port, which is
-    # v's index in u's sorted neighbor list.
-    next_port = dict.fromkeys(g.vertices, 0)
-    peers = {}
-    for v in g.vertices:
-        peers[v] = [(u, next_port[u]) for u in g.neighbors(v)]
-        for u in g.neighbors(v):
-            next_port[u] += 1
-    del next_port  # not needed in the rounds; free it before they start
-    nodes = {v: program(v, len(peers[v]), params) for v in g.vertices}
+    verts = g.vertices
+    n = len(verts)
+    # Every port of every vertex is one slot of a flat buffer: vertex i (in
+    # ascending ID order) owns slots lo[i]..lo[i+1]-1, one per port.
+    lo = [0]
+    for v in verts:
+        lo.append(lo[-1] + len(g.neighbors(v)))
+    # mate[s] is the slot facing slot s.  Visiting v in ascending ID order
+    # hands each neighbor its next free port, which is v's index in the
+    # neighbor's sorted list.
+    index = {v: i for i, v in enumerate(verts)}
+    free = lo[:-1]
+    mate = [0] * lo[-1]
+    for i, v in enumerate(verts):
+        for s, u in enumerate(g.neighbors(v), lo[i]):
+            j = index[u]
+            mate[s] = free[j]
+            free[j] += 1
+    del index, free  # not needed in the rounds; free them before they start
+    live = [(v, program(v, hi - a, params), a, hi)
+            for v, a, hi in zip(verts, lo, lo[1:])]
     widths = message_widths(n)
-    inboxes = {v: [None] * len(peers[v]) for v in g.vertices}
-    live = list(g.vertices)
+    inbox: List[Optional[Message]] = [None] * len(mate)
     outputs: Dict[int, Any] = {}
     messages_per_round: List[int] = []
     max_bits = 0
@@ -158,37 +167,41 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
             raise BudgetExceeded(
                 f"{len(live)} node(s) not halted after {round_budget} "
                 f"communication rounds")
-        # Messages to nodes that halted earlier are discarded.
-        next_inboxes = {v: [None] * len(peers[v]) for v in live}
-        sent = bits_max = bits_total = 0
-        for v in live:
-            result = nodes[v].step(t, inboxes[v])
-            if len(result.outbox) != len(peers[v]):
+        out: List[Optional[Message]] = [None] * len(mate)
+        still = []
+        for entry in live:
+            v, node, a, hi = entry
+            outbox, halted, output = node.step(t, inbox[a:hi])
+            if len(outbox) != hi - a:
                 raise ProgramFault(
-                    f"vertex {v} produced outbox of length {len(result.outbox)}, "
-                    f"expected {len(peers[v])}")
-            for (u, q), msg in zip(peers[v], result.outbox):
-                if msg is None:
-                    continue
-                bits = widths.get(type(msg))
-                if bits is None:
-                    raise ProgramFault(
-                        f"unknown message type {type(msg).__name__}")
-                bits_max = max(bits_max, bits)
-                bits_total += bits
-                sent += 1
-                if u in next_inboxes:
-                    next_inboxes[u][q] = msg
-            if result.halted:
-                outputs[v] = result.output
+                    f"vertex {v} produced outbox of length {len(outbox)}, "
+                    f"expected {hi - a}")
+            out[a:hi] = outbox
+            if halted:
+                outputs[v] = output
+            else:
+                still.append(entry)
+        # Charge every message sent this round, those to halted nodes too.
+        kinds = Counter(map(type, out))
+        kinds.pop(type(None), None)
+        sent = bits_max = bits_total = 0
+        for kind, count in kinds.items():
+            bits = widths.get(kind)
+            if bits is None:
+                raise ProgramFault(f"unknown message type {kind.__name__}")
+            sent += count
+            bits_total += count * bits
+            bits_max = max(bits_max, bits)
         messages_per_round.append(sent)
         max_bits = max(max_bits, bits_max)
         if trace is not None:
             trace.write(json.dumps({"round": t, "live": len(live),
                                     "sent": sent, "bits_max": bits_max,
                                     "bits_total": bits_total}) + "\n")
-        live = [v for v in live if v not in outputs]
-        inboxes = next_inboxes
+        live = still
+        # Slot s receives what the facing slot sent.  Halted nodes are never
+        # stepped again, so what reaches their slots is discarded.
+        inbox = list(map(out.__getitem__, mate))
     return SimulationReport(outputs=outputs,
                             rounds_executed=max(t - 1, 0),
                             max_message_bits=max_bits,

@@ -1,13 +1,16 @@
 """Shared test helpers: graph strategies and brute-force reference solvers."""
 
 import itertools
+import json
 import math
 from collections import deque
+from typing import Any, Dict, List
 
 from hypothesis import strategies as st
 
-from rdomsim import (Graph, GraphError, NotDominatingError,
-                     VoronoiDecomposition, ball, build_graph, distances)
+from rdomsim import (BudgetExceeded, Graph, GraphError, NotDominatingError,
+                     ProgramFault, SimulationReport, VoronoiDecomposition,
+                     ball, build_graph, distances, message_widths)
 
 
 @st.composite
@@ -21,6 +24,18 @@ def graphs(draw, min_n=1, max_n=8):
     else:
         edges = []
     return build_graph(edges, extra_vertices=range(n))
+
+
+@st.composite
+def relabelled(draw, graph_strategy, max_id=1000):
+    """Graphs from ``graph_strategy`` with their IDs replaced by distinct,
+    shuffled and generally non-contiguous ones drawn from 0..max_id."""
+    g = draw(graph_strategy)
+    ids = draw(st.lists(st.integers(0, max_id), unique=True,
+                        min_size=g.vertex_count, max_size=g.vertex_count))
+    new = dict(zip(g.vertices, ids))
+    return build_graph([(new[u], new[v]) for u, v in g.edges()],
+                       extra_vertices=ids)
 
 
 def enumerate_min_rds(g: Graph, r: int) -> frozenset:
@@ -105,3 +120,78 @@ def reference_voronoi_decompose(g: Graph, centers) -> VoronoiDecomposition:
         centers=center_set, dist={v: d for v, (d, _) in label.items()},
         assignment=assignment, cells=cells, intercell_edges=tuple(intercell),
         quotient_edge_count=len({pair for _, pair in intercell}))
+
+
+def reference_run_simulation(g: Graph, program, params: Any = None,
+                             round_budget: int = 0,
+                             trace=None) -> SimulationReport:
+    """Slow simulator oracle: a dict of per-vertex inboxes, rebuilt every
+    round, and each message routed and charged one at a time.
+
+    The round loop is the simulator as it was before the flat port buffer.
+    It checks each node's outbox as soon as that node steps, so in a round
+    where two nodes break the contract in different ways it may report a
+    different fault than ``run_simulation``; any other difference is a bug.
+    """
+    if round_budget < 0:
+        raise ValueError("round_budget must be >= 0")
+    n = g.vertex_count
+    # peers[v][p] = (u, q): port p of v faces port q of u.  Visiting v in
+    # ascending ID order hands each neighbor u its next free port, which is
+    # v's index in u's sorted neighbor list.
+    next_port = dict.fromkeys(g.vertices, 0)
+    peers = {}
+    for v in g.vertices:
+        peers[v] = [(u, next_port[u]) for u in g.neighbors(v)]
+        for u in g.neighbors(v):
+            next_port[u] += 1
+    del next_port  # not needed in the rounds; free it before they start
+    nodes = {v: program(v, len(peers[v]), params) for v in g.vertices}
+    widths = message_widths(n)
+    inboxes = {v: [None] * len(peers[v]) for v in g.vertices}
+    live = list(g.vertices)
+    outputs: Dict[int, Any] = {}
+    messages_per_round: List[int] = []
+    max_bits = 0
+    t = 0
+    while live:
+        t += 1
+        if t > round_budget + 1:
+            raise BudgetExceeded(
+                f"{len(live)} node(s) not halted after {round_budget} "
+                f"communication rounds")
+        # Messages to nodes that halted earlier are discarded.
+        next_inboxes = {v: [None] * len(peers[v]) for v in live}
+        sent = bits_max = bits_total = 0
+        for v in live:
+            result = nodes[v].step(t, inboxes[v])
+            if len(result.outbox) != len(peers[v]):
+                raise ProgramFault(
+                    f"vertex {v} produced outbox of length {len(result.outbox)}, "
+                    f"expected {len(peers[v])}")
+            for (u, q), msg in zip(peers[v], result.outbox):
+                if msg is None:
+                    continue
+                bits = widths.get(type(msg))
+                if bits is None:
+                    raise ProgramFault(
+                        f"unknown message type {type(msg).__name__}")
+                bits_max = max(bits_max, bits)
+                bits_total += bits
+                sent += 1
+                if u in next_inboxes:
+                    next_inboxes[u][q] = msg
+            if result.halted:
+                outputs[v] = result.output
+        messages_per_round.append(sent)
+        max_bits = max(max_bits, bits_max)
+        if trace is not None:
+            trace.write(json.dumps({"round": t, "live": len(live),
+                                    "sent": sent, "bits_max": bits_max,
+                                    "bits_total": bits_total}) + "\n")
+        live = [v for v in live if v not in outputs]
+        inboxes = next_inboxes
+    return SimulationReport(outputs=outputs,
+                            rounds_executed=max(t - 1, 0),
+                            max_message_bits=max_bits,
+                            messages_per_round=messages_per_round)

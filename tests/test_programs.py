@@ -189,6 +189,13 @@ def test_cycle_is_rejects_invalid_dominating_set():
         run_cycle_is(gen_cycle(12), 1, {0})
 
 
+@pytest.mark.parametrize("params", [None, {}])
+def test_cycle_is_without_d_member_is_a_program_fault(params):
+    with pytest.raises(ProgramFault, match="d_member"):
+        run_simulation(gen_cycle(5), cycle_is_program(1), params=params,
+                       round_budget=3)
+
+
 def test_cycle_is_rejects_non_cycle():
     g = build_graph([(0, 1), (1, 2)])
     with pytest.raises(ProgramFault):

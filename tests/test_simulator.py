@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      FloodMsg, NodeProgram, ProgramFault, StepResult, ball,
-                     build_graph, count_neighborhood_program, gen_cycle,
-                     gen_random_tree, id_bits, message_widths, rmds_program,
-                     rmds_round_budget, run_simulation)
+                     build_graph, count_neighborhood_program,
+                     cycle_is_program, gen_cycle, gen_random_tree, id_bits,
+                     message_widths, rmds_program, rmds_round_budget,
+                     run_simulation)
 
-from _support import graphs
+from _support import graphs, reference_run_simulation, relabelled
 
 
 class NeverHalts(NodeProgram):
@@ -149,3 +150,82 @@ def test_conservation_no_message_lost(g, r):
     # Counting sends one message per port per communication round.
     expected = (r - 1) * 2 * g.edge_count
     assert sum(report.messages_per_round) == expected
+
+
+class Staggered(NodeProgram):
+    """Sends CountMsg(round) on every port and halts in round 1 + ID mod 3,
+    outputting the values that reached its ports in that round.
+
+    With ``params`` "int" or "short", nodes whose ID is a multiple of 4
+    break the contract in their last round: they send an ``int``, or an
+    outbox one port short.
+    """
+
+    def __init__(self, own_id, num_ports, params):
+        self.own, self.ports, self.fault = own_id, num_ports, params
+        self.last = 1 + own_id % 3
+
+    def step(self, round_index, inbox):
+        out = [CountMsg(round_index)] * self.ports
+        halted = round_index == self.last
+        if halted and self.own % 4 == 0:
+            if self.fault == "int":
+                out = [7] * self.ports
+            elif self.fault == "short":
+                out = out[1:]
+        return StepResult(out, halted, [m and m.value for m in inbox])
+
+
+@st.composite
+def simulation_cases(draw):
+    """(graph, program, params, round_budget), with shuffled non-contiguous
+    IDs and, about half the time, a round budget one short."""
+    kind = draw(st.sampled_from(["rmds", "count", "cycle_is", "staggered"]))
+    r = draw(st.integers(1, 3))
+    short = draw(st.booleans())
+    if kind == "cycle_is":
+        g = draw(relabelled(st.integers(3, 12).map(gen_cycle)))
+        d_set = draw(st.sets(st.sampled_from(g.vertices)))
+        return g, cycle_is_program(r), {"d_member": d_set}, 2 * r + 1 - short
+    g = draw(relabelled(graphs(max_n=10)))
+    if kind == "rmds":
+        return g, rmds_program(r), None, rmds_round_budget(r) - short
+    if kind == "count":
+        return g, count_neighborhood_program(r), None, r - 1 - short
+    return g, Staggered, draw(st.sampled_from([None, "int", "short"])), 2 - short
+
+
+def _outcome(simulate, g, program, params, budget):
+    """The report or the exception (type and text), plus the trace."""
+    trace = io.StringIO()
+    try:
+        result = simulate(g, program, params, budget, trace)
+    except Exception as exc:  # compared with the reference's, not handled
+        result = (type(exc), str(exc))
+    return result, trace.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(simulation_cases())
+def test_flat_port_buffer_matches_reference_loop(case):
+    # Report, trace lines and any exception must match the dict-of-inboxes
+    # loop.  No case has two nodes break the contract in different ways in
+    # one round, where the two may name different faults.
+    assert _outcome(run_simulation, *case) == \
+        _outcome(reference_run_simulation, *case)
+
+
+def test_staggered_halting():
+    # On the path 0-1-2, vertex v halts after round v + 1, so 0 halts a
+    # round before 1 and 1 a round before 2.  A halted node is not stepped
+    # again, yet what its neighbor sends it is still charged, and the
+    # neighbor still hears what it sent before halting.
+    buf = io.StringIO()
+    report = run_simulation(build_graph([(0, 1), (1, 2)]), Staggered,
+                            round_budget=2, trace=buf)
+    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert [entry["live"] for entry in lines] == [3, 2, 1]
+    assert report.messages_per_round == [4, 3, 1]
+    assert [entry["bits_total"] for entry in lines] == \
+        [n * id_bits(3) for n in (4, 3, 1)]
+    assert report.outputs == {0: [None], 1: [1, 1], 2: [2]}
