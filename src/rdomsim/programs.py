@@ -16,7 +16,7 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .graphs import Graph, distances
 from .simulator import (BackBitMsg, CandidateMsg, CountMsg, FloodMsg, Message,
-                        NodeProgram, ProgramFault, StepResult)
+                        NodeProgram, ProgramFault)
 
 
 class RmdsOutput(NamedTuple):
@@ -38,7 +38,7 @@ class SelectionMap:
 
 
 #: The two back-propagation answers, indexed by ``chosen``.  Messages are
-#: frozen, so every port can share them.
+#: immutable, so every port can share them.
 _BACK_BITS = (BackBitMsg(False), BackBitMsg(True))
 
 
@@ -77,8 +77,8 @@ class CountNeighborhoodProgram(NodeProgram):
     def step(self, round_index, inbox):
         out = self._count(round_index, inbox)
         if out is not None:
-            return StepResult(out, False)
-        return StepResult([None] * len(inbox), True, sum(self.counts))
+            return out, False, None
+        return [None] * len(inbox), True, sum(self.counts)
 
 
 def count_neighborhood_program(r: int) -> Callable[..., NodeProgram]:
@@ -100,6 +100,10 @@ class RmdsProgram(CountNeighborhoodProgram):
     send from the first that carried it through send r-k+1, which is the
     send it answers next.  The last round answers send 1, which carries
     the sender's own ID, so every selected node learns it is chosen.
+
+    ``best`` is a ``CandidateMsg``, whose tuple order is the (count, ID)
+    ranking, and each selection send re-sends that one object.  ``recv``
+    keeps each absorbed inbox whole, one list per send.
     """
 
     __slots__ = ("own", "best", "sent", "recv", "chosen")
@@ -107,9 +111,9 @@ class RmdsProgram(CountNeighborhoodProgram):
     def __init__(self, r: int, own_id: int, num_ports: int, params):
         super().__init__(r, own_id, num_ports, params)
         self.own = own_id
-        self.best: Optional[Tuple[int, int]] = None
+        self.best: Optional[CandidateMsg] = None
         self.sent: List[CandidateMsg] = []
-        self.recv: List[List[CandidateMsg]] = [[] for _ in range(num_ports)]
+        self.recv: List[List[CandidateMsg]] = []
         self.chosen: Optional[set] = None
 
     def step(self, round_index, inbox):
@@ -117,26 +121,24 @@ class RmdsProgram(CountNeighborhoodProgram):
         if t <= r:
             out = self._count(t, inbox)
             if out is not None:
-                return StepResult(out, False)
-            self.best = (sum(self.counts), self.own)
+                return out, False, None
+            self.best = CandidateMsg(sum(self.counts), self.own)
         elif t <= 2 * r:  # absorb selection send t - r
-            for recv, msg in zip(self.recv, inbox):
-                recv.append(msg)
-                self.best = max(self.best, (msg.prio, msg.id))
-        elif any(msg.chosen for msg in inbox):  # answers to send 3r - t + 1
+            self.recv.append(inbox)
+            if inbox:
+                self.best = max(self.best, max(inbox))
+        elif _BACK_BITS[True] in inbox:  # answers to send 3r - t + 1
             self.chosen.add(self.sent[3 * r - t].id)
         if t < 2 * r:
-            msg = CandidateMsg(*self.best)
-            self.sent.append(msg)
-            return StepResult([msg] * len(inbox), False)
+            self.sent.append(self.best)
+            return [self.best] * len(inbox), False, None
         if t == 2 * r:
-            self.chosen = {self.best[1]}
+            self.chosen = {self.best.id}
         if t < 3 * r:  # answer selection send 3r - t on every port
-            k = 3 * r - t - 1
-            return StepResult([_BACK_BITS[recv[k].id in self.chosen]
-                               for recv in self.recv], False)
-        output = RmdsOutput(self.own in self.chosen, self.best[1])
-        return StepResult([None] * len(inbox), True, output)
+            return ([_BACK_BITS[msg.id in self.chosen]
+                     for msg in self.recv[3 * r - t - 1]], False, None)
+        output = RmdsOutput(self.own in self.chosen, self.best.id)
+        return [None] * len(inbox), True, output
 
 
 def rmds_program(r: int) -> Callable[..., NodeProgram]:
@@ -176,8 +178,8 @@ class CycleIsProgram(NodeProgram):
 
     def step(self, round_index, inbox):
         if self.is_d:
-            out = [FloodMsg(1, self.own, True), FloodMsg(1, self.own, True)]
-            return StepResult(out, True, False)
+            msg = FloodMsg(1, self.own, True)
+            return [msg, msg], True, False
         out: List[Optional[Message]] = [None, None]
         for p, msg in enumerate(inbox):
             if msg is not None:
@@ -187,12 +189,12 @@ class CycleIsProgram(NodeProgram):
         if self.got[0] is not None and self.got[1] is not None:
             representor = min(self.got[0][0], self.got[1][0])
             dist = min(h for i, h in self.got if i == representor)
-            return StepResult(out, True, dist % 2 == 1)
+            return out, True, dist % 2 == 1
         if round_index > 2 * self.r + 1:
             raise ProgramFault(
                 "flood incomplete after 2r+1 rounds; the supplied set is not "
                 "a valid distance-r dominating set")
-        return StepResult(out, False)
+        return out, False, None
 
 
 def cycle_is_program(r: int) -> Callable[..., NodeProgram]:

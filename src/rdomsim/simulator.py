@@ -5,7 +5,8 @@ Port-numbered model: a vertex addresses its incident edges by port index
 message contents.  A message sent on port p of v in round t is delivered to
 the matching port of the neighbor at the start of round t+1.  Per-message
 bit accounting follows a fixed width per message type, so CONGEST budgets
-can be asserted exactly.
+can be asserted exactly.  Messages are immutable ``NamedTuple`` values, each
+of its own type.
 """
 
 from __future__ import annotations
@@ -31,30 +32,26 @@ class ProgramFault(SimulationError):
     """A node program signalled an internal contract violation."""
 
 
-@dataclass(frozen=True)
-class CountMsg:
+class CountMsg(NamedTuple):
     """Subtree size announcement (one integer field)."""
 
     value: int
 
 
-@dataclass(frozen=True)
-class CandidateMsg:
+class CandidateMsg(NamedTuple):
     """Selection candidate: (priority, vertex ID), compared lexicographically."""
 
     prio: int
     id: int
 
 
-@dataclass(frozen=True)
-class BackBitMsg:
+class BackBitMsg(NamedTuple):
     """Back-propagation answer: whether the candidate on this port is chosen."""
 
     chosen: bool
 
 
-@dataclass(frozen=True)
-class FloodMsg:
+class FloodMsg(NamedTuple):
     """Hop-counted flood: distance from the originator, its ID, and a flag."""
 
     hops: int
@@ -82,6 +79,12 @@ def message_widths(n: int) -> Dict[type, int]:
 
 
 class StepResult(NamedTuple):
+    """The ``(outbox, halted, output)`` triple a ``step`` returns.
+
+    The built-in programs return a plain tuple, which is cheaper to build;
+    the simulator reads the triple by position, so either will do.
+    """
+
     outbox: Sequence[Optional[Message]]
     halted: bool
     output: Any = None
@@ -92,8 +95,13 @@ class NodeProgram:
 
     A program is a callable ``program(own_id, num_ports, params)`` that
     builds the node; the node keeps its own state, and ``step`` advances it
-    by one round.  Steps must be deterministic: no hidden global state, no
-    randomness.
+    by one round.  ``inbox`` holds one message (or None) per port; it is a
+    fresh list each round, so the node may keep it.  ``step`` returns the
+    triple ``(outbox, halted, output)``: one message (or None) per port,
+    whether the node halts, and its output if it does.  Messages are the
+    ``NamedTuple`` types above; any other type, a bare tuple included, is a
+    ``ProgramFault``.  Steps must be deterministic: no hidden global state,
+    no randomness.
     """
 
     __slots__ = ()
@@ -171,6 +179,7 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
         still = []
         for entry in live:
             v, node, a, hi = entry
+            # The slice is a fresh list, so the node may keep it.
             outbox, halted, output = node.step(t, inbox[a:hi])
             if len(outbox) != hi - a:
                 raise ProgramFault(

@@ -1,16 +1,19 @@
 """Shared test helpers: graph strategies and brute-force reference solvers."""
 
+import functools
 import itertools
 import json
 import math
 from collections import deque
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
-from rdomsim import (BudgetExceeded, Graph, GraphError, NotDominatingError,
-                     ProgramFault, SimulationReport, VoronoiDecomposition,
-                     ball, build_graph, distances, message_widths)
+from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg, Graph,
+                     GraphError, NodeProgram, NotDominatingError, ProgramFault,
+                     RmdsOutput, SimulationReport, StepResult,
+                     VoronoiDecomposition, ball, build_graph, distances,
+                     message_widths)
 
 
 @st.composite
@@ -164,12 +167,12 @@ def reference_run_simulation(g: Graph, program, params: Any = None,
         next_inboxes = {v: [None] * len(peers[v]) for v in live}
         sent = bits_max = bits_total = 0
         for v in live:
-            result = nodes[v].step(t, inboxes[v])
-            if len(result.outbox) != len(peers[v]):
+            outbox, halted, output = nodes[v].step(t, inboxes[v])
+            if len(outbox) != len(peers[v]):
                 raise ProgramFault(
-                    f"vertex {v} produced outbox of length {len(result.outbox)}, "
+                    f"vertex {v} produced outbox of length {len(outbox)}, "
                     f"expected {len(peers[v])}")
-            for (u, q), msg in zip(peers[v], result.outbox):
+            for (u, q), msg in zip(peers[v], outbox):
                 if msg is None:
                     continue
                 bits = widths.get(type(msg))
@@ -181,8 +184,8 @@ def reference_run_simulation(g: Graph, program, params: Any = None,
                 sent += 1
                 if u in next_inboxes:
                     next_inboxes[u][q] = msg
-            if result.halted:
-                outputs[v] = result.output
+            if halted:
+                outputs[v] = output
         messages_per_round.append(sent)
         max_bits = max(max_bits, bits_max)
         if trace is not None:
@@ -195,3 +198,66 @@ def reference_run_simulation(g: Graph, program, params: Any = None,
                             rounds_executed=max(t - 1, 0),
                             max_message_bits=max_bits,
                             messages_per_round=messages_per_round)
+
+
+_BACK_BITS = (BackBitMsg(False), BackBitMsg(True))
+
+
+class ReferenceRmdsProgram(NodeProgram):
+    """Slow rmds oracle: the node program as it was before whole inboxes.
+
+    It keeps one list of received candidates per port, builds a new
+    candidate for every send and returns ``StepResult``s.  The step logic
+    and its counting are the earlier ``RmdsProgram`` and
+    ``CountNeighborhoodProgram._count``, unchanged.
+    """
+
+    __slots__ = ("r", "counts", "own", "best", "sent", "recv", "chosen")
+
+    def __init__(self, r: int, own_id: int, num_ports: int, params):
+        self.r = r
+        self.counts = [1] * num_ports
+        self.own = own_id
+        self.best: Optional[Tuple[int, int]] = None
+        self.sent: List[CandidateMsg] = []
+        self.recv: List[List[CandidateMsg]] = [[] for _ in range(num_ports)]
+        self.chosen: Optional[set] = None
+
+    def _count(self, t: int, inbox) -> Optional[List[CountMsg]]:
+        if t >= 2:
+            self.counts = [msg.value for msg in inbox]
+        if t == self.r:
+            return None
+        total = sum(self.counts)
+        return [CountMsg(1 + total - c) for c in self.counts]
+
+    def step(self, round_index, inbox):
+        r, t = self.r, round_index
+        if t <= r:
+            out = self._count(t, inbox)
+            if out is not None:
+                return StepResult(out, False)
+            self.best = (sum(self.counts), self.own)
+        elif t <= 2 * r:  # absorb selection send t - r
+            for recv, msg in zip(self.recv, inbox):
+                recv.append(msg)
+                self.best = max(self.best, (msg.prio, msg.id))
+        elif any(msg.chosen for msg in inbox):  # answers to send 3r - t + 1
+            self.chosen.add(self.sent[3 * r - t].id)
+        if t < 2 * r:
+            msg = CandidateMsg(*self.best)
+            self.sent.append(msg)
+            return StepResult([msg] * len(inbox), False)
+        if t == 2 * r:
+            self.chosen = {self.best[1]}
+        if t < 3 * r:  # answer selection send 3r - t on every port
+            k = 3 * r - t - 1
+            return StepResult([_BACK_BITS[recv[k].id in self.chosen]
+                               for recv in self.recv], False)
+        output = RmdsOutput(self.own in self.chosen, self.best[1])
+        return StepResult([None] * len(inbox), True, output)
+
+
+def reference_rmds_program(r: int):
+    """``ReferenceRmdsProgram`` at radius ``r``, as a simulator takes it."""
+    return functools.partial(ReferenceRmdsProgram, r)

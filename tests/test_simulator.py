@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      message_widths, rmds_program, rmds_round_budget,
                      run_simulation)
 
-from _support import graphs, reference_run_simulation, relabelled
+from _support import (graphs, reference_rmds_program, reference_run_simulation,
+                      relabelled)
 
 
 class NeverHalts(NodeProgram):
@@ -229,3 +232,128 @@ def test_staggered_halting():
     assert [entry["bits_total"] for entry in lines] == \
         [n * id_bits(3) for n in (4, 3, 1)]
     assert report.outputs == {0: [None], 1: [1, 1], 2: [2]}
+
+
+@st.composite
+def gnp_graphs(draw, max_n=14):
+    """G(n, p): each pair of the n vertices is an edge with probability p."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.8]))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [e for e in itertools.combinations(range(n), 2)
+             if rnd.random() < p]
+    return build_graph(edges, extra_vertices=range(n))
+
+
+@st.composite
+def trees_with_chords(draw, max_n=24):
+    """A random tree plus up to four chords, each closing a cycle."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    ends = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(ends, ends), max_size=4)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return build_graph(sorted(edges), extra_vertices=range(n))
+
+
+@st.composite
+def low_girth_rmds_cases(draw):
+    """(graph, r, round_budget) off the girth premise, with shuffled IDs and,
+    about half the time, a round budget one short."""
+    g = draw(relabelled(st.one_of(gnp_graphs(), trees_with_chords())))
+    r = draw(st.integers(1, 5))
+    return g, r, rmds_round_budget(r) - draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_girth_rmds_cases())
+def test_rmds_matches_reference_program_off_the_girth_premise(case):
+    # Off the premise only domination is judged elsewhere, so a changed
+    # selection would go unseen but for this comparison with the earlier
+    # per-port program, run by the dict-of-inboxes loop.
+    g, r, budget = case
+    assert _outcome(run_simulation, g, rmds_program(r), None, budget) == \
+        _outcome(reference_run_simulation, g, reference_rmds_program(r),
+                 None, budget)
+
+
+class LookAlike(NamedTuple):
+    """Has the fields of ``CandidateMsg``, but is not a message type."""
+
+    prio: int
+    id: int
+
+
+@pytest.mark.parametrize("simulate", [run_simulation, reference_run_simulation])
+@pytest.mark.parametrize("msg, name", [((1, 2), "tuple"),
+                                       (LookAlike(1, 2), "LookAlike")])
+def test_tuples_are_not_messages(simulate, msg, name):
+    # Equal as tuples to a candidate, yet charged by type, so refused.
+    assert msg == CandidateMsg(1, 2)
+
+    class Sends(NodeProgram):
+        def __init__(self, own_id, num_ports, params):
+            pass
+
+        def step(self, round_index, inbox):
+            return [msg] * len(inbox), True, None
+
+    with pytest.raises(ProgramFault, match=f"^unknown message type {name}$"):
+        simulate(gen_cycle(3), Sends, round_budget=0)
+
+
+@given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99))))
+def test_candidates_order_by_prio_then_id(pairs):
+    candidates = [CandidateMsg(prio, vid) for prio, vid in pairs]
+    assert sorted(candidates) == sorted(candidates,
+                                        key=lambda c: (c.prio, c.id))
+    assert CandidateMsg(3, 0) > CandidateMsg(2, 9) > CandidateMsg(2, 8)
+
+
+@pytest.mark.parametrize("msg, name", [
+    (CountMsg(1), "value"), (CandidateMsg(1, 2), "id"),
+    (BackBitMsg(True), "chosen"), (FloodMsg(1, 2, False), "hops")])
+def test_messages_are_immutable_values(msg, name):
+    with pytest.raises(AttributeError):
+        setattr(msg, name, 0)
+    assert hash(msg) == hash(type(msg)(*msg))
+
+
+@pytest.mark.parametrize("n, width", [(1, 1), (255, 8), (256, 9),
+                                      (32768, 16)])
+def test_message_widths_per_type(n, width):
+    assert message_widths(n) == {CountMsg: width, CandidateMsg: 2 * width,
+                                 BackBitMsg: 1, FloodMsg: 2 * width + 1}
+
+
+class Hoarder(NodeProgram):
+    """Keeps every inbox it is given and outputs them all when it halts, in
+    round 1 + ID mod 3; sends CountMsg(10 * ID + round) on every port."""
+
+    def __init__(self, own_id, num_ports, params):
+        self.own, self.ports = own_id, num_ports
+        self.kept = []
+
+    def step(self, round_index, inbox):
+        self.kept.append(inbox)
+        halted = round_index == 1 + self.own % 3
+        out = [CountMsg(10 * self.own + round_index)] * self.ports
+        return out, halted, self.kept if halted else None
+
+
+def test_a_node_may_keep_its_inbox():
+    # On the path 0-1-2-3, vertices 0 and 3 halt in round 1, 1 in round 2
+    # and 2 in round 3.  Every list a node kept must still hold what reached
+    # it in that round, after the rounds that followed.
+    path = build_graph([(0, 1), (1, 2), (2, 3)])
+    report = run_simulation(path, Hoarder, round_budget=2)
+    c = CountMsg
+    assert report.outputs == {
+        0: [[None]],
+        1: [[None, None], [c(1), c(21)]],
+        2: [[None, None], [c(11), c(31)], [c(12), None]],
+        3: [[None]],
+    }
+    assert _outcome(run_simulation, path, Hoarder, None, 2) == \
+        _outcome(reference_run_simulation, path, Hoarder, None, 2)
