@@ -41,6 +41,12 @@ class SelectionMap:
 #: immutable, so every port can share them.
 _BACK_BITS = (BackBitMsg(False), BackBitMsg(True))
 
+#: C-level constructors, for messages built once per port per round: a
+#: ``NamedTuple``'s own ``__new__`` is a Python function.  Each takes the
+#: fields as one tuple and builds the same message.
+_new_count = functools.partial(tuple.__new__, CountMsg)
+_new_flood = functools.partial(tuple.__new__, FloodMsg)
+
 
 def _bind_radius(cls, r: int):
     """The program ``cls`` at radius ``r``, as ``run_simulation`` takes it."""
@@ -72,7 +78,7 @@ class CountNeighborhoodProgram(NodeProgram):
         if t == self.r:
             return None
         total = sum(self.counts)
-        return [CountMsg(1 + total - c) for c in self.counts]
+        return [_new_count((1 + total - c,)) for c in self.counts]
 
     def step(self, round_index, inbox):
         out = self._count(round_index, inbox)
@@ -178,14 +184,14 @@ class CycleIsProgram(NodeProgram):
 
     def step(self, round_index, inbox):
         if self.is_d:
-            msg = FloodMsg(1, self.own, True)
+            msg = _new_flood((1, self.own, True))
             return [msg, msg], True, False
         out: List[Optional[Message]] = [None, None]
         for p, msg in enumerate(inbox):
             if msg is not None:
                 if self.got[p] is None:
                     self.got[p] = (msg.id, msg.hops)
-                out[1 - p] = FloodMsg(msg.hops + 1, msg.id, msg.flag)
+                out[1 - p] = _new_flood((msg.hops + 1, msg.id, msg.flag))
         if self.got[0] is not None and self.got[1] is not None:
             representor = min(self.got[0][0], self.got[1][0])
             dist = min(h for i, h in self.got if i == representor)

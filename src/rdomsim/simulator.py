@@ -11,6 +11,7 @@ of its own type.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -101,7 +102,10 @@ class NodeProgram:
     whether the node halts, and its output if it does.  Messages are the
     ``NamedTuple`` types above; any other type, a bare tuple included, is a
     ``ProgramFault``.  Steps must be deterministic: no hidden global state,
-    no randomness.
+    no randomness.  ``run_simulation`` pauses the cyclic garbage collector,
+    so a program that builds reference cycles keeps them alive until the
+    run ends; the collector's state is process-global, and the runtime is
+    single-threaded.
     """
 
     __slots__ = ()
@@ -142,76 +146,88 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
     """
     if round_budget < 0:
         raise ValueError("round_budget must be >= 0")
-    verts = g.vertices
-    n = len(verts)
-    # Every port of every vertex is one slot of a flat buffer: vertex i (in
-    # ascending ID order) owns slots lo[i]..lo[i+1]-1, one per port.
-    lo = [0]
-    for v in verts:
-        lo.append(lo[-1] + len(g.neighbors(v)))
-    # mate[s] is the slot facing slot s.  Visiting v in ascending ID order
-    # hands each neighbor its next free port, which is v's index in the
-    # neighbor's sorted list.
-    index = {v: i for i, v in enumerate(verts)}
-    free = lo[:-1]
-    mate = [0] * lo[-1]
-    for i, v in enumerate(verts):
-        for s, u in enumerate(g.neighbors(v), lo[i]):
-            j = index[u]
-            mate[s] = free[j]
-            free[j] += 1
-    del index, free  # not needed in the rounds; free them before they start
-    live = [(v, program(v, hi - a, params), a, hi)
-            for v, a, hi in zip(verts, lo, lo[1:])]
-    widths = message_widths(n)
-    inbox: List[Optional[Message]] = [None] * len(mate)
-    outputs: Dict[int, Any] = {}
-    messages_per_round: List[int] = []
-    max_bits = 0
-    t = 0
-    while live:
-        t += 1
-        if t > round_budget + 1:
-            raise BudgetExceeded(
-                f"{len(live)} node(s) not halted after {round_budget} "
-                f"communication rounds")
-        out: List[Optional[Message]] = [None] * len(mate)
-        still = []
-        for entry in live:
-            v, node, a, hi = entry
-            # The slice is a fresh list, so the node may keep it.
-            outbox, halted, output = node.step(t, inbox[a:hi])
-            if len(outbox) != hi - a:
-                raise ProgramFault(
-                    f"vertex {v} produced outbox of length {len(outbox)}, "
-                    f"expected {hi - a}")
-            out[a:hi] = outbox
-            if halted:
-                outputs[v] = output
-            else:
-                still.append(entry)
-        # Charge every message sent this round, those to halted nodes too.
-        kinds = Counter(map(type, out))
-        kinds.pop(type(None), None)
-        sent = bits_max = bits_total = 0
-        for kind, count in kinds.items():
-            bits = widths.get(kind)
-            if bits is None:
-                raise ProgramFault(f"unknown message type {kind.__name__}")
-            sent += count
-            bits_total += count * bits
-            bits_max = max(bits_max, bits)
-        messages_per_round.append(sent)
-        max_bits = max(max_bits, bits_max)
-        if trace is not None:
-            trace.write(json.dumps({"round": t, "live": len(live),
-                                    "sent": sent, "bits_max": bits_max,
-                                    "bits_total": bits_total}) + "\n")
-        live = still
-        # Slot s receives what the facing slot sent.  Halted nodes are never
-        # stepped again, so what reaches their slots is discarded.
-        inbox = list(map(out.__getitem__, mate))
-    return SimulationReport(outputs=outputs,
-                            rounds_executed=max(t - 1, 0),
-                            max_message_bits=max_bits,
-                            messages_per_round=messages_per_round)
+    # The cyclic collector is paused for the run.  Nothing the simulator or
+    # the built-in programs allocate forms a reference cycle, so reference
+    # counting frees all of it, and each collection would rescan every live
+    # node and list only to free nothing.  A cycle that a program builds is
+    # held until the collector next runs.  A caller who had already turned
+    # the collector off keeps it off.
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        verts = g.vertices
+        n = len(verts)
+        # Every port of every vertex is one slot of a flat buffer: vertex i
+        # (in ascending ID order) owns slots lo[i]..lo[i+1]-1, one per port.
+        lo = [0]
+        for v in verts:
+            lo.append(lo[-1] + len(g.neighbors(v)))
+        # mate[s] is the slot facing slot s.  Visiting v in ascending ID
+        # order hands each neighbor its next free port, which is v's index
+        # in the neighbor's sorted list.
+        index = {v: i for i, v in enumerate(verts)}
+        free = lo[:-1]
+        mate = [0] * lo[-1]
+        for i, v in enumerate(verts):
+            for s, u in enumerate(g.neighbors(v), lo[i]):
+                j = index[u]
+                mate[s] = free[j]
+                free[j] += 1
+        del index, free  # the rounds need neither; free them first
+        live = [(v, program(v, hi - a, params), a, hi)
+                for v, a, hi in zip(verts, lo, lo[1:])]
+        widths = message_widths(n)
+        inbox: List[Optional[Message]] = [None] * len(mate)
+        outputs: Dict[int, Any] = {}
+        messages_per_round: List[int] = []
+        max_bits = 0
+        t = 0
+        while live:
+            t += 1
+            if t > round_budget + 1:
+                raise BudgetExceeded(
+                    f"{len(live)} node(s) not halted after {round_budget} "
+                    f"communication rounds")
+            out: List[Optional[Message]] = [None] * len(mate)
+            still = []
+            for entry in live:
+                v, node, a, hi = entry
+                # The slice is a fresh list, so the node may keep it.
+                outbox, halted, output = node.step(t, inbox[a:hi])
+                if len(outbox) != hi - a:
+                    raise ProgramFault(
+                        f"vertex {v} produced outbox of length {len(outbox)}, "
+                        f"expected {hi - a}")
+                out[a:hi] = outbox
+                if halted:
+                    outputs[v] = output
+                else:
+                    still.append(entry)
+            # Charge every message sent this round, those to halted nodes too.
+            kinds = Counter(map(type, out))
+            kinds.pop(type(None), None)
+            sent = bits_max = bits_total = 0
+            for kind, count in kinds.items():
+                bits = widths.get(kind)
+                if bits is None:
+                    raise ProgramFault(f"unknown message type {kind.__name__}")
+                sent += count
+                bits_total += count * bits
+                bits_max = max(bits_max, bits)
+            messages_per_round.append(sent)
+            max_bits = max(max_bits, bits_max)
+            if trace is not None:
+                trace.write(json.dumps({"round": t, "live": len(live),
+                                        "sent": sent, "bits_max": bits_max,
+                                        "bits_total": bits_total}) + "\n")
+            live = still
+            # Slot s receives what the facing slot sent.  Halted nodes are
+            # never stepped again, so what reaches their slots is discarded.
+            inbox = list(map(out.__getitem__, mate))
+        return SimulationReport(outputs=outputs,
+                                rounds_executed=max(t - 1, 0),
+                                max_message_bits=max_bits,
+                                messages_per_round=messages_per_round)
+    finally:
+        if collect:
+            gc.enable()

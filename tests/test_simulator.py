@@ -1,6 +1,8 @@
+import gc
 import io
 import itertools
 import json
+import weakref
 from typing import NamedTuple
 
 import pytest
@@ -12,7 +14,7 @@ from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      build_graph, count_neighborhood_program,
                      cycle_is_program, gen_cycle, gen_random_tree, id_bits,
                      message_widths, rmds_program, rmds_round_budget,
-                     run_simulation)
+                     run_simulation, selection_oracle)
 
 from _support import (graphs, reference_rmds_program, reference_run_simulation,
                       relabelled)
@@ -357,3 +359,99 @@ def test_a_node_may_keep_its_inbox():
     }
     assert _outcome(run_simulation, path, Hoarder, None, 2) == \
         _outcome(reference_run_simulation, path, Hoarder, None, 2)
+
+
+class Raises(NodeProgram):
+    """Raises an exception of its own from ``step``, not a simulator one."""
+
+    def __init__(self, own_id, num_ports, params):
+        pass
+
+    def step(self, round_index, inbox):
+        raise LookupError("raised inside step")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("program, params, budget, raises, match", [
+    (EchoDegreeSum, None, 1, None, None),
+    (NeverHalts, None, 5, BudgetExceeded, "not halted"),
+    (Staggered, "short", 2, ProgramFault, "outbox of length"),
+    (Staggered, "int", 2, ProgramFault, "unknown message type int"),
+    (cycle_is_program(1), None, 3, ProgramFault, "d_member"),
+    (Raises, None, 1, LookupError, "inside step"),
+], ids=["returns", "budget", "short-outbox", "unknown-type", "constructor",
+        "step-raises"])
+def test_run_restores_the_collector_state(enabled, program, params, budget,
+                                          raises, match):
+    # The run pauses the cyclic collector; however it ends, the collector
+    # is left as the caller had it, off included.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises is None:
+            run_simulation(gen_cycle(8), program, params, budget)
+        else:
+            with pytest.raises(raises, match=match):
+                run_simulation(gen_cycle(8), program, params, budget)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@st.composite
+def builtin_runs(draw):
+    """(graph, program, params, round_budget) for a built-in program that
+    halts within its budget, on shuffled non-contiguous IDs."""
+    kind = draw(st.sampled_from(["rmds", "count", "cycle_is"]))
+    r = draw(st.integers(1, 3))
+    if kind == "cycle_is":
+        g = draw(relabelled(st.integers(3, 30).map(gen_cycle)))
+        d_set = selection_oracle(g, r).members
+        return g, cycle_is_program(r), {"d_member": d_set}, 2 * r + 1
+    g = draw(relabelled(graphs(max_n=12)))
+    if kind == "rmds":
+        return g, rmds_program(r), None, rmds_round_budget(r)
+    return g, count_neighborhood_program(r), None, r - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(builtin_runs())
+def test_builtin_runs_leave_no_cyclic_garbage(case):
+    # The collector pause is safe only because a run builds no reference
+    # cycle: reference counting alone must free all that it allocates.
+    gc.collect()
+    gc.disable()
+    try:
+        run_simulation(*case)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class Knot:
+    """Refers to itself, so only the cyclic collector can free it."""
+
+    def __init__(self):
+        self.me = self
+
+
+class TiesKnots(NodeProgram):
+    """Builds a ``Knot`` in its one step and keeps only a weak reference to
+    it, in the list passed as ``params``."""
+
+    def __init__(self, own_id, num_ports, params):
+        self.refs = params
+
+    def step(self, round_index, inbox):
+        self.refs.append(weakref.ref(Knot()))
+        return [None] * len(inbox), True, None
+
+
+def test_cycles_a_program_builds_are_reclaimed_after_the_run():
+    # The pause only delays a program's cycles: one collection after the
+    # run frees them all.
+    refs = []
+    run_simulation(gen_cycle(5), TiesKnots, refs)
+    assert len(refs) == 5
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 5
