@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+import heapq
+import math
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from .graphs import Graph, GraphError, ball, distances
+from .graphs import Graph, GraphError, ball, connected_components, distances
 
 
 class OptimumUnknown(RuntimeError):
@@ -33,29 +35,98 @@ def is_independent(g: Graph, candidates: Iterable[int]) -> bool:
     return not any(u in members and v in members for u, v in g.edges())
 
 
+def _greedy(balls: Dict[int, FrozenSet[int]]) -> List[int]:
+    """Greedy cover from closed balls keyed by vertex, in ascending vertex
+    order: repeatedly take the vertex covering the most uncovered vertices,
+    ties broken by smaller ID.
+
+    Lazy: the heap holds (-gain, v) keys that may be stale.  Gains only
+    shrink, so a stale key is an upper bound, and a vertex whose fresh key
+    still heads the heap is the greedy choice.
+    """
+    heap = [(-len(b), v) for v, b in balls.items()]
+    heapq.heapify(heap)
+    uncovered = set(balls)
+    chosen: List[int] = []
+    while uncovered:
+        _, v = heapq.heappop(heap)
+        key = (-len(balls[v] & uncovered), v)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        chosen.append(v)
+        uncovered -= balls[v]
+    return chosen
+
+
 def greedy_rds(g: Graph, r: int) -> FrozenSet[int]:
     """Greedy baseline: repeatedly add the vertex covering the most uncovered
     vertices, ties broken by smaller ID."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    balls = {v: ball(g, v, r) for v in g.vertices}
-    uncovered = set(g.vertices)
-    chosen: List[int] = []
-    while uncovered:
-        best = max(g.vertices, key=lambda v: (len(balls[v] & uncovered), -v))
-        chosen.append(best)
-        uncovered -= balls[best]
-    return frozenset(chosen)
+    return frozenset(_greedy({v: ball(g, v, r) for v in g.vertices}))
+
+
+def _tree_optimum(g: Graph, root: int, r: int) -> int:
+    """Size of a minimum distance-r dominating set of the tree holding
+    ``root``: Slater's leaf-up rule in reverse BFS order.
+
+    ``far[v]`` is the distance to the farthest undominated vertex below v
+    (v itself counts), ``near[v]`` to the nearest chosen one.  A vertex is
+    chosen when its farthest undominated vertex is exactly r away, and the
+    root when it still needs cover.
+    """
+    parent = {root: None}
+    order = [root]
+    for u in order:
+        for w in g.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    far = dict.fromkeys(order, 0)
+    near = dict.fromkeys(order, r + 1)  # r + 1: nothing chosen in reach
+    count = 0
+    for v in reversed(order):
+        needs_cover = far[v] + near[v] > r
+        if needs_cover and far[v] == r:
+            count += 1
+            near[v] = 0
+            needs_cover = False
+        p = parent[v]
+        if p is not None:
+            if needs_cover:
+                far[p] = max(far[p], far[v] + 1)
+            near[p] = min(near[p], near[v] + 1)
+    return count + needs_cover  # the root comes last
+
+
+def _known_optimum(g: Graph, r: int) -> Optional[int]:
+    """Minimum distance-r dominating set size when every component is a
+    tree or a cycle: Slater's rule per tree, ceil(|C| / (2r+1)) per cycle.
+    None when some component is neither."""
+    total = 0
+    for comp in connected_components(g):
+        degrees = [len(g.neighbors(v)) for v in comp]
+        edges = sum(degrees) // 2
+        if edges == len(comp) - 1:
+            total += _tree_optimum(g, comp[0], r)
+        elif edges == len(comp) and all(d == 2 for d in degrees):
+            total += -(-len(comp) // (2 * r + 1))
+        else:
+            return None
+    return total
 
 
 def _packing_lower_bound(uncovered: FrozenSet[int],
-                         balls: Dict[int, FrozenSet[int]]) -> int:
+                         balls: Dict[int, FrozenSet[int]],
+                         order: List[int]) -> int:
     """Greedy set of uncovered vertices with pairwise disjoint candidate
-    coverers; any cover needs one distinct vertex per member."""
+    coverers; any cover needs one distinct vertex per member.  ``order``
+    holds every vertex sorted by (ball size, ID)."""
     blocked: Set[int] = set()
     count = 0
-    for v in sorted(uncovered, key=lambda u: (len(balls[u]), u)):
-        if balls[v].isdisjoint(blocked):
+    for v in order:
+        if v in uncovered and balls[v].isdisjoint(blocked):
             count += 1
             blocked |= balls[v]
     return count
@@ -71,6 +142,14 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
     ceil(uncovered / max ball size).  Which optimum is returned is
     unspecified; only the cardinality is canonical.  Raises OptimumUnknown
     when the node budget is exhausted, never a wrong answer.
+
+    When every component is a tree or a cycle the optimum size k is known
+    beforehand (see ``_known_optimum``).  The greedy set is then returned
+    if it has k vertices; otherwise the search prunes every node that
+    cannot reach k and stops at its first leaf.  That is the set the full
+    search would settle on too, since no node on the way to its first
+    k-vertex leaf can be pruned; only the proof that nothing smaller
+    exists is skipped.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -80,12 +159,18 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
     if g.vertex_count == 0:
         return frozenset()
     balls = {v: ball(g, v, r) for v in g.vertices}
+    best = sorted(_greedy(balls))
+    k = _known_optimum(g, r)
+    if len(best) == k:
+        return frozenset(best)
+    prune_at = math.inf if k is None else k + 1
     max_ball = max(len(b) for b in balls.values())
-    best = sorted(greedy_rds(g, r))
+    order = sorted(g.vertices, key=lambda u: (len(balls[u]), u))
     nodes = 0
 
     def search(chosen: List[int], uncovered: FrozenSet[int],
-               excluded: FrozenSet[int]) -> None:
+               excluded: FrozenSet[int]) -> bool:
+        """True once ``best`` has k vertices, which ends the search."""
         nonlocal best, nodes
         nodes += 1
         if nodes > node_budget:
@@ -93,11 +178,11 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
         if not uncovered:
             if len(chosen) < len(best):
                 best = sorted(chosen)
-            return
-        bound = max(_packing_lower_bound(uncovered, balls),
+            return len(best) == k
+        bound = max(_packing_lower_bound(uncovered, balls, order),
                     -(-len(uncovered) // max_ball))
-        if len(chosen) + bound >= len(best):
-            return
+        if len(chosen) + bound >= min(len(best), prune_at):
+            return False
         target = min(uncovered,
                      key=lambda v: (len(balls[v] - excluded), v))
         candidates = sorted(balls[target] - excluded,
@@ -105,9 +190,11 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
         banned = set(excluded)
         for c in candidates:
             chosen.append(c)
-            search(chosen, uncovered - balls[c], frozenset(banned))
+            if search(chosen, uncovered - balls[c], frozenset(banned)):
+                return True
             chosen.pop()
             banned.add(c)
+        return False
 
     search([], frozenset(g.vertices), frozenset())
     return frozenset(best)

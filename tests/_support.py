@@ -5,13 +5,13 @@ import itertools
 import json
 import math
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from hypothesis import strategies as st
 
 from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg, Graph,
-                     GraphError, NodeProgram, NotDominatingError, ProgramFault,
-                     RmdsOutput, SimulationReport, StepResult,
+                     GraphError, NodeProgram, NotDominatingError,
+                     OptimumUnknown, ProgramFault, RmdsOutput, SimulationReport, StepResult,
                      VoronoiDecomposition, ball, build_graph, distances,
                      message_widths)
 
@@ -53,6 +53,92 @@ def enumerate_min_rds(g: Graph, r: int) -> frozenset:
             if reference_is_r_dominating(g, combo, r):
                 return frozenset(combo)
     raise AssertionError("unreachable: V itself always dominates")
+
+
+def reference_greedy_rds(g: Graph, r: int) -> FrozenSet[int]:
+    """Slow greedy oracle: every gain recomputed at every step, O(n²)
+    ball intersections.
+
+    Repeatedly add the vertex covering the most uncovered vertices, ties
+    broken by smaller ID.  This is ``greedy_rds`` as it was before the lazy
+    heap.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    balls = {v: ball(g, v, r) for v in g.vertices}
+    uncovered = set(g.vertices)
+    chosen: List[int] = []
+    while uncovered:
+        best = max(g.vertices, key=lambda v: (len(balls[v] & uncovered), -v))
+        chosen.append(best)
+        uncovered -= balls[best]
+    return frozenset(chosen)
+
+
+def _reference_packing_lower_bound(uncovered: FrozenSet[int],
+                                   balls: Dict[int, FrozenSet[int]]) -> int:
+    """Greedy set of uncovered vertices with pairwise disjoint candidate
+    coverers; any cover needs one distinct vertex per member."""
+    blocked: Set[int] = set()
+    count = 0
+    for v in sorted(uncovered, key=lambda u: (len(balls[u]), u)):
+        if balls[v].isdisjoint(blocked):
+            count += 1
+            blocked |= balls[v]
+    return count
+
+
+def reference_exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
+                            node_budget: int = 10_000_000) -> FrozenSet[int]:
+    """Slow exact oracle: the branch and bound as it was before the known
+    optimum size, searching on until nothing smaller can exist.
+
+    Set cover over closed r-balls: branch on an uncovered vertex with the
+    fewest remaining candidate coverers, prune with the greedy upper bound
+    and the larger of a disjoint-ball packing bound and
+    ceil(uncovered / max ball size).  Raises OptimumUnknown when the node
+    budget is exhausted.  ``exact_min_rds`` must return the same set
+    whenever this returns one.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if g.vertex_count > vertex_cap:
+        raise OptimumUnknown(
+            f"instance has {g.vertex_count} vertices, above cap {vertex_cap}")
+    if g.vertex_count == 0:
+        return frozenset()
+    balls = {v: ball(g, v, r) for v in g.vertices}
+    max_ball = max(len(b) for b in balls.values())
+    best = sorted(reference_greedy_rds(g, r))
+    nodes = 0
+
+    def search(chosen: List[int], uncovered: FrozenSet[int],
+               excluded: FrozenSet[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise OptimumUnknown(f"search node budget {node_budget} exhausted")
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = sorted(chosen)
+            return
+        bound = max(_reference_packing_lower_bound(uncovered, balls),
+                    -(-len(uncovered) // max_ball))
+        if len(chosen) + bound >= len(best):
+            return
+        target = min(uncovered,
+                     key=lambda v: (len(balls[v] - excluded), v))
+        candidates = sorted(balls[target] - excluded,
+                            key=lambda c: (-len(balls[c] & uncovered), c))
+        banned = set(excluded)
+        for c in candidates:
+            chosen.append(c)
+            search(chosen, uncovered - balls[c], frozenset(banned))
+            chosen.pop()
+            banned.add(c)
+
+    search([], frozenset(g.vertices), frozenset())
+    return frozenset(best)
 
 
 def reference_girth(g: Graph):

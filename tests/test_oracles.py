@@ -4,10 +4,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdomsim import (GraphError, OptimumUnknown, build_graph, distances,
-                     exact_min_rds, gen_cycle, gen_path, gen_random_tree,
-                     greedy_rds, is_independent, is_r_dominating)
+                     exact_min_rds, gen_complete, gen_cycle, gen_path,
+                     gen_random_tree, greedy_rds, is_independent,
+                     is_r_dominating, subdivide)
+from rdomsim.oracles import _known_optimum
 
-from _support import enumerate_min_rds, graphs, reference_is_r_dominating
+from _support import (enumerate_min_rds, graphs, reference_exact_min_rds,
+                      reference_greedy_rds, reference_is_r_dominating,
+                      relabelled)
+
+
+@st.composite
+def forests(draw, max_n=40, isolated=False):
+    """Random trees on 0..n-1, each vertex hanging from an earlier one; with
+    ``isolated``, a vertex may also hang from nothing, which splits off a
+    new component."""
+    n = draw(st.integers(1, max_n))
+    edges = []
+    for v in range(1, n):
+        p = draw(st.integers(-1 if isolated else 0, v - 1))
+        if p >= 0:
+            edges.append((p, v))
+    return build_graph(edges, extra_vertices=range(n))
+
+
+@st.composite
+def gnp_graphs(draw, max_n=40):
+    """G(n, p) with an average degree of about 1 to 5: sparse, but with
+    short cycles."""
+    n = draw(st.integers(3, max_n))
+    degree = draw(st.sampled_from([1, 2, 3, 5]))
+    rnd = draw(st.randoms(use_true_random=False))
+    p = degree / (n - 1)
+    return build_graph([(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rnd.random() < p], extra_vertices=range(n))
+
+
+def _paths(max_n):
+    return st.integers(1, max_n).map(gen_path)
+
+
+def _cycles(max_n):
+    return st.integers(3, max_n).map(gen_cycle)
+
+
+def _disjoint_union(g, h):
+    shift = max(g.vertices) + 1
+    return build_graph(g.edges() + [(u + shift, v + shift) for u, v in h.edges()],
+                       extra_vertices=list(g.vertices)
+                       + [v + shift for v in h.vertices])
+
+
+#: Every family the exact solver meets, with and without a known optimum.
+_ORACLE_GRAPHS = st.one_of(
+    forests(), forests(isolated=True), _paths(40), _cycles(40),
+    st.integers(0, 6).map(lambda k: subdivide(gen_complete(4), k)),
+    gnp_graphs())
+
+#: Forests, paths and cycles small enough to enumerate.
+_KNOWN_GRAPHS = st.one_of(forests(max_n=14), forests(max_n=14, isolated=True),
+                          _paths(14), _cycles(14))
 
 
 def test_is_r_dominating_examples():
@@ -105,3 +161,49 @@ def test_greedy_never_beats_exact(g, r):
     greedy = greedy_rds(g, r)
     assert is_r_dominating(g, greedy, r) or g.vertex_count == 0
     assert len(greedy) >= len(exact_min_rds(g, r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ORACLE_GRAPHS, relabelled(_ORACLE_GRAPHS)),
+       st.integers(1, 5))
+def test_solvers_return_the_reference_sets(g, r):
+    assert greedy_rds(g, r) == reference_greedy_rds(g, r)
+    try:
+        expected = reference_exact_min_rds(g, r, node_budget=20_000)
+    except OptimumUnknown:
+        return
+    assert exact_min_rds(g, r, node_budget=20_000) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_KNOWN_GRAPHS, relabelled(_KNOWN_GRAPHS)), st.integers(1, 5))
+def test_known_optimum_matches_enumeration(g, r):
+    k = _known_optimum(g, r)
+    assert k == len(enumerate_min_rds(g, r))
+    greedy = greedy_rds(g, r)
+    if len(greedy) == k:  # nothing to search: the greedy set is optimal
+        assert exact_min_rds(g, r, node_budget=0) == greedy
+
+
+@pytest.mark.parametrize("g, r, k", [
+    (gen_path(1), 1, 1),
+    (gen_path(2), 1, 1),
+    (gen_path(2), 3, 1),
+    (build_graph([], extra_vertices=[3, 7, 9]), 1, 3),
+    (build_graph([(0, 1)], extra_vertices=[5]), 2, 2),
+    (gen_cycle(3), 1, 1),
+    (gen_cycle(5), 2, 1),
+    (gen_cycle(7), 4, 1),
+    (gen_cycle(8), 3, 2),
+])
+def test_known_optimum_small_cases(g, r, k):
+    assert _known_optimum(g, r) == k == len(enumerate_min_rds(g, r))
+
+
+@pytest.mark.parametrize("g", [
+    _disjoint_union(gen_random_tree(10, 1), subdivide(gen_complete(4), 1)),
+    _disjoint_union(gen_cycle(5), build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])),
+    gen_complete(4),
+])
+def test_known_optimum_is_none_beyond_trees_and_cycles(g):
+    assert _known_optimum(g, 1) is None
