@@ -5,11 +5,14 @@ An experiment spec is a plain dict (JSON-friendly):
     family:  cycle | path | tree | subdivided_k4 | tightness | file
     algo:    rmds | count | cycle_is
     r:       radius (>= 1)
-    f_r:     expansion bound used in the analysis (defaults per family)
+    f_r:     expansion bound used in the analysis, >= 1 (defaults per family)
     n, seed, k, f, graph:  family parameters
     m:       "exact" (default) | "family" | explicit vertex list
     d_source: for cycle_is, "rmds" (default) | "trivial"
-    allow_low_girth:  opt out of the girth >= 4r+3 guard (negative controls)
+    allow_low_girth:  true to opt out of the girth >= 4r+3 guard (negative
+                      controls)
+
+Integer fields take integers or integer strings, never booleans or floats.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from .generators import (TightnessGraph, TightnessParams, gen_complete,
 from .graphs import (Graph, girth, neighborhood_size_oracle, read_graph,
                      render_girth)
 from .oracles import is_independent, is_r_dominating
-from .programs import (count_neighborhood_program, cycle_is_program,
-                       rmds_program, rmds_round_budget, selection_oracle)
+from .programs import (RmdsOutput, count_neighborhood_program,
+                       cycle_is_program, rmds_program, rmds_round_budget,
+                       selection_oracle)
 from .simulator import SimulationReport, id_bits, run_simulation
 from .voronoi import ApproxReport, approx_report
 
 CSV_HEADER = ("family,n,r,f_r,girth,opt,alg,ratio,bound,"
               "cells_tree,single_edge,quotient_bound,di_in_T,pass")
+_COLUMNS = CSV_HEADER.split(",")
 
 _DEFAULT_F_R = {"cycle": 1, "path": 1, "tree": 1, "subdivided_k4": 3}
 
@@ -53,7 +58,7 @@ class ExperimentResult:
     detail: Optional[Dict] = None
 
     def csv_line(self) -> str:
-        return ",".join(self.row[name] for name in CSV_HEADER.split(","))
+        return ",".join(self.row[name] for name in _COLUMNS)
 
     def to_dict(self) -> Dict:
         d = {"spec": self.spec, "passed": self.passed,
@@ -65,16 +70,23 @@ class ExperimentResult:
         return d
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int: ints and integer strings only, never a boolean
+    or a float."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ExperimentError("bad_spec", f"{what} must be an integer, got {value!r}")
+
+
 def _int_param(spec: Dict, key: str, default: Optional[int] = None) -> int:
     value = spec.get(key, default)
     if value is None:
         raise ExperimentError(
             "bad_spec", f"family {spec.get('family')!r} needs parameter {key!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ExperimentError(
-            "bad_spec", f"{key} must be an integer, got {value!r}") from None
+    return _as_int(value, key)
 
 
 def build_instance(spec: Dict) -> Tuple[Graph, Optional[TightnessGraph]]:
@@ -131,19 +143,11 @@ def _resolve_comparison_set(spec: Dict, g: Graph,
         raise ExperimentError(
             "bad_spec", f'm must be "exact", "family" or a non-empty list of '
                         f"vertex IDs, got {source!r}")
-    try:
-        m = frozenset(int(v) for v in source)
-    except (TypeError, ValueError):
-        raise ExperimentError(
-            "bad_spec", f"m must list integer vertex IDs, got {source!r}") from None
+    m = frozenset(_as_int(v, "each vertex ID in m") for v in source)
     unknown = sorted(m.difference(g.vertices))
     if unknown:
         raise ExperimentError("bad_spec", f"m names unknown vertices {unknown}")
     return m
-
-
-def _fmt_flag(value: Optional[bool]) -> str:
-    return "" if value is None else str(value).lower()
 
 
 def _bits_ok(g: Graph, sim: SimulationReport) -> bool:
@@ -155,10 +159,6 @@ def _simulate_rmds(g: Graph, r: int) -> SimulationReport:
     return run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r))
 
 
-_LEMMA_CHECKS = ("cells_tree", "single_edge", "quotient_bound", "t_bound",
-                 "di_in_T", "di_bound", "do_bound", "ratio_bound")
-
-
 def _rmds(spec, g, tight, r, f_r, premise):
     opt = _resolve_comparison_set(spec, g, tight)
     sim = _simulate_rmds(g, r)
@@ -167,26 +167,22 @@ def _rmds(spec, g, tight, r, f_r, premise):
     verdicts = [("dominating", checks["dominating"])]
     if premise:
         oracle = selection_oracle(g, r)
-        members = frozenset(v for v, out in sim.outputs.items() if out.member)
-        sel = {v: out.selected for v, out in sim.outputs.items()}
+        expected = {v: RmdsOutput(v in oracle.members, s)
+                    for v, s in oracle.sel.items()}
         verdicts += [("rounds", sim.rounds_executed == rmds_round_budget(r)),
                      ("bits", _bits_ok(g, sim)),
-                     ("selection_equiv",
-                      sel == oracle.sel and members == oracle.members)]
+                     ("selection_equiv", sim.outputs == expected)]
         # A supplied m that does not dominate voids the lemma checks.
-        judged = (("opt_dominating",) if checks["opt_dominating"] is False
-                  else _LEMMA_CHECKS)
+        judged = (["opt_dominating"] if checks["opt_dominating"] is False
+                  else [name for name in checks if name != "dominating"])
         verdicts += [(name, checks[name] is not False) for name in judged]
     fields = {
         "opt": "" if report.opt_size is None else str(report.opt_size),
         "alg": str(report.alg_size),
         "ratio": "" if report.ratio is None else f"{report.ratio:.4f}",
         "bound": str(report.bound),
-        "cells_tree": _fmt_flag(checks["cells_tree"]),
-        "single_edge": _fmt_flag(checks["single_edge"]),
-        "quotient_bound": _fmt_flag(checks["quotient_bound"]),
-        "di_in_T": _fmt_flag(checks["di_in_T"]),
-    }
+    } | {name: "" if ok is None else str(ok).lower()
+         for name, ok in checks.items() if name in _COLUMNS}
     return verdicts, fields, report, None
 
 
@@ -247,9 +243,16 @@ def run_experiment(spec: Dict) -> ExperimentResult:
     if not g.vertex_count:
         raise ExperimentError("bad_input", "graph has no vertices")
     f_r = _int_param(spec, "f_r", default_f_r(spec))
+    if f_r < 1:
+        raise ExperimentError("bad_spec", f"f_r must be >= 1, got {f_r}")
+    allow_low_girth = spec.get("allow_low_girth", False)
+    if not isinstance(allow_low_girth, bool):
+        raise ExperimentError(
+            "bad_spec", f"allow_low_girth must be true or false, "
+                        f"got {allow_low_girth!r}")
     girth_value = girth(g)
     premise = girth_value >= 4 * r + 3
-    if not premise and not spec.get("allow_low_girth", False):
+    if not premise and not allow_low_girth:
         raise ExperimentError(
             "girth_premise",
             f"girth {render_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
@@ -260,7 +263,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
                                                     premise)
     failures = [name for name, ok in verdicts if not ok]
     passed = not failures
-    row = {name: "" for name in CSV_HEADER.split(",")} | {
+    row = dict.fromkeys(_COLUMNS, "") | {
         "family": str(spec.get("family")),
         "n": str(g.vertex_count),
         "r": str(r),

@@ -71,8 +71,6 @@ def subdivide(g: Graph, k: int) -> Graph:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        return build_graph(g.edges(), extra_vertices=g.vertices)
     nxt = max(g.vertices, default=-1) + 1
     edges = []
     for u, v in g.edges():

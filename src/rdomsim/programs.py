@@ -217,6 +217,7 @@ def selection_oracle(g: Graph, r: int) -> SelectionMap:
         raise ValueError("r must be >= 1")
     # Each r-ball is built once, as a tuple: a fraction of a frozenset's size.
     balls = {v: tuple(distances(g, (v,), r)) for v in g.vertices}
-    sel = {v: max(balls[v], key=lambda u: (len(balls[u]), u))
-           for v in g.vertices}
+    rank = {u: (len(ball), u) for u, ball in balls.items()}
+    sel = {v: max(map(rank.__getitem__, ball))[1]
+           for v, ball in balls.items()}
     return SelectionMap(sel=sel, members=frozenset(sel.values()))

@@ -33,7 +33,8 @@ class VoronoiDecomposition:
     BFS order; ``assignment[v]`` is that center, ties going to the smaller
     center ID.  ``intercell_edges`` lists each edge whose endpoints lie in
     different cells, together with its sorted cell pair;
-    ``quotient_edge_count`` deduplicates cell pairs.
+    ``quotient_edge_count`` deduplicates cell pairs.  ``non_tree_cells``
+    lists, ascending, the centers whose cell does not induce a tree.
     """
 
     centers: FrozenSet[int]
@@ -42,6 +43,7 @@ class VoronoiDecomposition:
     cells: Dict[int, FrozenSet[int]]
     intercell_edges: Tuple[InterCellEdge, ...]
     quotient_edge_count: int
+    non_tree_cells: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,9 @@ def voronoi_decompose(g: Graph, centers: Iterable[int]) -> VoronoiDecomposition:
     their own distance, and every center at distance d from the vertex is
     at distance d - 1 from one of them, so this is the smallest center at
     the vertex's distance.  O(n + m) for any number of centers.  A vertex
-    unreachable from every center is an error.
+    unreachable from every center is an error.  Each vertex joins the cell
+    of a neighbor, so a cell is connected and induces a tree exactly when
+    the pass over the edges counts |cell| - 1 edges inside it.
     """
     center_set = frozenset(centers)
     if not center_set:
@@ -102,31 +106,20 @@ def voronoi_decompose(g: Graph, centers: Iterable[int]) -> VoronoiDecomposition:
     cells = {m: frozenset(vs) for m, vs in members.items()}
     intercell: List[InterCellEdge] = []
     pairs = set()
+    inner = dict.fromkeys(ordered, 0)
     for u, v in g.edges():
         cu, cv = assignment[u], assignment[v]
-        if cu != cv:
+        if cu == cv:
+            inner[cu] += 1
+        else:
             pair = (cu, cv) if cu < cv else (cv, cu)
             intercell.append(((u, v), pair))
             pairs.add(pair)
-    return VoronoiDecomposition(centers=center_set, dist=dist,
-                                assignment=assignment, cells=cells,
-                                intercell_edges=tuple(intercell),
-                                quotient_edge_count=len(pairs))
-
-
-def _non_tree_cells(g: Graph, dec: VoronoiDecomposition) -> List[int]:
-    """Centers, ascending, whose cell does not induce a tree.
-
-    A cell is connected, since every vertex joins the cell of a neighbor
-    one step nearer, so it induces a tree exactly when it holds
-    |cell| - 1 edges.  One pass over the edges counts them.
-    """
-    inner = dict.fromkeys(dec.cells, 0)
-    for u, v in g.edges():
-        m = dec.assignment[u]
-        if m == dec.assignment[v]:
-            inner[m] += 1
-    return [m for m in sorted(dec.cells) if inner[m] != len(dec.cells[m]) - 1]
+    return VoronoiDecomposition(
+        centers=center_set, dist=dist, assignment=assignment, cells=cells,
+        intercell_edges=tuple(intercell), quotient_edge_count=len(pairs),
+        non_tree_cells=tuple(m for m in ordered
+                             if inner[m] != len(members[m]) - 1))
 
 
 def check_structural_lemmas(g: Graph, dec: VoronoiDecomposition,
@@ -137,7 +130,7 @@ def check_structural_lemmas(g: Graph, dec: VoronoiDecomposition,
     two exactly when the inter-cell edges and the pairs are equally many.
     """
     return LemmaFlags(
-        cells_are_trees=not _non_tree_cells(g, dec),
+        cells_are_trees=not dec.non_tree_cells,
         single_edge_per_pair=len(dec.intercell_edges) == dec.quotient_edge_count,
         quotient_bound=dec.quotient_edge_count <= f_r * len(dec.centers))
 
@@ -151,9 +144,9 @@ def boundary_forest(g: Graph, dec: VoronoiDecomposition) -> BoundaryForest:
     the center), so each boundary vertex walks to it until it meets a
     vertex already in its tree, and the whole forest is linear.
     """
-    non_tree = _non_tree_cells(g, dec)
-    if non_tree:
-        raise ValueError(f"cell of center {non_tree[0]} does not induce a tree")
+    if dec.non_tree_cells:
+        raise ValueError(
+            f"cell of center {dec.non_tree_cells[0]} does not induce a tree")
     assignment, dist = dec.assignment, dec.dist
     members = {m: {m} for m in dec.cells}
     for edge, _ in dec.intercell_edges:

@@ -205,10 +205,15 @@ def reference_voronoi_decompose(g: Graph, centers) -> VoronoiDecomposition:
         cu, cv = assignment[u], assignment[v]
         if cu != cv:
             intercell.append(((u, v), (min(cu, cv), max(cu, cv))))
+    # A cell's inner edges, counted from both ends through the adjacency.
+    inner = {m: sum(w in cell for v in cell for w in g.neighbors(v)) // 2
+             for m, cell in cells.items()}
     return VoronoiDecomposition(
         centers=center_set, dist={v: d for v, (d, _) in label.items()},
         assignment=assignment, cells=cells, intercell_edges=tuple(intercell),
-        quotient_edge_count=len({pair for _, pair in intercell}))
+        quotient_edge_count=len({pair for _, pair in intercell}),
+        non_tree_cells=tuple(m for m in sorted(cells)
+                             if inner[m] != len(cells[m]) - 1))
 
 
 def reference_run_simulation(g: Graph, program, params: Any = None,

@@ -257,9 +257,16 @@ def test_run_bad_comparison_set_is_bad_spec(capsys, m):
     assert json.loads(stdout)["error"] == "bad_spec"
 
 
-@pytest.mark.parametrize("extra", [{"m": "7"}, {"m": []},
-                                   {"m": [0.5, None]}, {"m": {"0": 1}},
-                                   {"f_r": "one"}])
+@pytest.mark.parametrize("extra", [
+    {"m": "7"}, {"m": []}, {"m": [0.5, None]}, {"m": {"0": 1}},
+    {"f_r": "one"},
+    # A non-boolean never turns off the girth guard; f_r is at least 1.
+    {"n": 4, "allow_low_girth": "false", "m": [0]},
+    {"allow_low_girth": 1}, {"allow_low_girth": None},
+    {"f_r": -3}, {"f_r": 0},
+    # Booleans and floats are not integers.
+    {"n": 11.7}, {"n": 11.0}, {"r": True}, {"f_r": 1.5}, {"f_r": True},
+    {"m": [0.5]}, {"m": [0, 1.0]}, {"m": [False]}])
 def test_suite_bad_m_or_f_r_is_bad_spec(tmp_path, capsys, extra):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([{"family": "cycle", "n": 11, "r": 1}

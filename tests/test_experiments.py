@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from rdomsim import distances, gen_random_tree, run_experiment
+from rdomsim import RmdsOutput, distances, gen_random_tree, run_experiment
+from rdomsim import experiments
 
 R = 2
 
@@ -22,3 +25,32 @@ def test_mid_size_experiment_evaluates_every_check(spec):
     assert result.passed, result.failures
     assert result.report.opt_source == "supplied"
     assert None not in result.report.checks.values(), result.report.checks
+
+
+def _flip_one(field):
+    """An rmds simulation with one vertex's ``field`` output changed."""
+    simulate = experiments._simulate_rmds
+
+    def simulate_flipped(g, r):
+        sim = simulate(g, r)
+        outputs = dict(sim.outputs)
+        member, selected = outputs[0]
+        outputs[0] = (RmdsOutput(not member, selected) if field == "member"
+                      else RmdsOutput(member, (selected + 1) % g.vertex_count))
+        return dataclasses.replace(sim, outputs=outputs)
+    return simulate_flipped
+
+
+@pytest.mark.parametrize("field", ["member", "selected"])
+def test_selection_equiv_fails_on_either_half(monkeypatch, field):
+    monkeypatch.setattr(experiments, "_simulate_rmds", _flip_one(field))
+    result = run_experiment({"family": "cycle", "n": 11, "r": 1,
+                             "algo": "rmds"})
+    assert "selection_equiv" in result.failures
+
+
+def test_failures_keep_the_check_order():
+    # Subdivided K4 at f_r = 1 exceeds the quotient and boundary bounds.
+    result = run_experiment({"family": "subdivided_k4", "k": 2, "r": 1,
+                             "f_r": 1, "algo": "rmds"})
+    assert result.failures == ["quotient_bound", "t_bound"]

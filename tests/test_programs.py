@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from rdomsim import (ProgramFault, build_graph, count_neighborhood_program,
                      neighborhood_size_oracle, rmds_program,
                      rmds_round_budget, run_simulation, selection_oracle)
 
-from _support import graphs
+from _support import graphs, relabelled
 
 
 def run_count(g, r):
@@ -68,6 +69,21 @@ def test_selection_oracle_star_with_max_id_center():
     star = build_graph([(5, leaf) for leaf in range(5)])
     sel = selection_oracle(star, 1)
     assert sel.members == frozenset({5})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(max_n=10), relabelled(graphs(max_n=10))),
+       st.integers(1, 3))
+def test_selection_oracle_matches_networkx_argmax(g, r):
+    # Low girth included: the oracle assumes nothing of the graph.
+    G = nx.Graph(g.edges())
+    G.add_nodes_from(g.vertices)
+    ball = {v: set(nx.single_source_shortest_path_length(G, v, cutoff=r))
+            for v in G}
+    expected = {v: max(ball[v], key=lambda u: (len(ball[u]), u)) for v in G}
+    oracle = selection_oracle(g, r)
+    assert oracle.sel == expected
+    assert oracle.members == frozenset(expected.values())
 
 
 def test_rmds_c7_r1():

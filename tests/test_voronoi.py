@@ -276,6 +276,8 @@ def test_lemmas_and_forest_match_networkx(g, data):
     tree_cells = {m: nx.is_tree(G.subgraph(cell))
                   for m, cell in dec.cells.items()}
     assert flags.cells_are_trees == all(tree_cells.values())
+    assert dec.non_tree_cells == tuple(
+        sorted(m for m, ok in tree_cells.items() if not ok))
 
     pair_edges = {}
     for u, v in G.edges():
