@@ -17,16 +17,15 @@ from .graphs import (INFINITE, Graph, GraphError, ball, build_graph,
                      neighborhood_size_oracle, read_graph, write_graph)
 from .oracles import (OptimumUnknown, exact_min_rds, greedy_rds,
                       is_independent, is_r_dominating)
-from .programs import (RmdsOutput, SelectionMap, count_neighborhood_program,
+from .programs import (RmdsOutput, count_neighborhood_program,
                        cycle_is_program, rmds_program, rmds_round_budget,
                        selection_oracle)
 from .simulator import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                         FloodMsg, NodeProgram, ProgramFault, SimulationReport,
                         StepResult, id_bits, message_widths, run_simulation)
-from .voronoi import (ApproxReport, LemmaFlags, NotDominatingError,
-                      VoronoiDecomposition, approx_report, boundary_forest,
-                      check_structural_lemmas, split_selection,
-                      voronoi_decompose)
+from .voronoi import (ApproxReport, NotDominatingError, VoronoiDecomposition,
+                      approx_report, boundary_forest, check_structural_lemmas,
+                      split_selection, voronoi_decompose)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -19,7 +20,8 @@ EXIT_ERROR = 2
 
 
 def _emit(obj: Dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    """Print one JSON line; every command ends with one, so it flushes."""
+    print(json.dumps(obj, sort_keys=True), flush=True)
 
 
 def _spec_from_args(args) -> Dict:
@@ -207,14 +209,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run one command.  ``ExperimentError`` (its reason; ``bad_spec`` for
     malformed arguments) and ``OSError`` (``bad_input``) become one JSON
     error line and exit 2; any other exception is a bug and keeps its
-    traceback."""
+    traceback.  A closed stdout ends the command with exit 2 and nothing
+    more written, its error line included."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ExperimentError as exc:
-        _emit({"error": exc.reason, "detail": exc.detail})
-    except OSError as exc:
-        _emit({"error": "bad_input", "detail": str(exc)})
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except ExperimentError as exc:
+            _emit({"error": exc.reason, "detail": exc.detail})
+        except OSError as exc:
+            _emit({"error": "bad_input", "detail": str(exc)})
+    except BrokenPipeError:
+        # Send what is still buffered to the null device, so the
+        # interpreter's exit-time flush of stdout has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_ERROR
 
 

@@ -11,8 +11,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .graphs import Graph, distances
 from .simulator import (BackBitMsg, CandidateMsg, CountMsg, FloodMsg, Message,
@@ -24,17 +23,6 @@ class RmdsOutput(NamedTuple):
 
     member: bool
     selected: int
-
-
-@dataclass(frozen=True)
-class SelectionMap:
-    """Final selection of every vertex and the resulting dominating set.
-
-    The members are exactly the range of ``sel``.
-    """
-
-    sel: Dict[int, int]
-    members: FrozenSet[int]
 
 
 #: The two back-propagation answers, indexed by ``chosen``.  Messages are
@@ -207,11 +195,13 @@ def cycle_is_program(r: int) -> Callable[..., NodeProgram]:
     return _bind_radius(CycleIsProgram, r)
 
 
-def selection_oracle(g: Graph, r: int) -> SelectionMap:
-    """Centralized reference selection, valid without any girth assumption.
+def selection_oracle(g: Graph, r: int) -> Dict[int, RmdsOutput]:
+    """Centralized reference for the rmds outputs, valid without any girth
+    assumption: what ``run_simulation(g, rmds_program(r)).outputs`` holds
+    whenever the girth is at least 4r+3.
 
-    sel(v) is the lexicographic argmax of (|N^r(u)|, u) over the closed
-    r-ball of v.
+    Vertex v selects the lexicographic argmax of (|N^r(u)|, u) over its
+    closed r-ball, and is a member exactly when some vertex selects it.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -220,4 +210,5 @@ def selection_oracle(g: Graph, r: int) -> SelectionMap:
     rank = {u: (len(ball), u) for u, ball in balls.items()}
     sel = {v: max(map(rank.__getitem__, ball))[1]
            for v, ball in balls.items()}
-    return SelectionMap(sel=sel, members=frozenset(sel.values()))
+    members = set(sel.values())
+    return {v: RmdsOutput(v in members, s) for v, s in sel.items()}

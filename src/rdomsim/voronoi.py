@@ -2,7 +2,7 @@
 
 Decomposes the graph around a dominating set, checks the structural facts
 the bound rests on (cells induce trees, at most one edge between any two
-cells, few quotient edges), builds the boundary forests, splits the
+cells, few quotient edges), builds the boundary forest, splits the
 algorithm's selections into in-cell and cross-cell parts, and aggregates
 everything into a per-instance report.
 """
@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .graphs import Graph, GraphError, distances, girth, render_girth
 from .oracles import OptimumUnknown, exact_min_rds, is_r_dominating
-from .programs import RmdsOutput, SelectionMap
+from .programs import RmdsOutput
 from .simulator import SimulationReport
 
 CellPair = Tuple[int, int]
@@ -44,31 +44,6 @@ class VoronoiDecomposition:
     intercell_edges: Tuple[InterCellEdge, ...]
     quotient_edge_count: int
     non_tree_cells: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LemmaFlags:
-    """Outcome of the structural checks (flags, not exceptions)."""
-
-    cells_are_trees: bool
-    single_edge_per_pair: bool
-    quotient_bound: bool
-
-
-@dataclass(frozen=True)
-class BoundaryForest:
-    """Per-cell union of in-cell paths from boundary vertices to the center."""
-
-    trees: Dict[int, FrozenSet[int]]
-    total: FrozenSet[int]
-
-
-@dataclass(frozen=True)
-class SelectionSplit:
-    """Selected vertices split by where their selectors live (may overlap)."""
-
-    inside: FrozenSet[int]
-    outside: FrozenSet[int]
 
 
 def voronoi_decompose(g: Graph, centers: Iterable[int]) -> VoronoiDecomposition:
@@ -122,57 +97,59 @@ def voronoi_decompose(g: Graph, centers: Iterable[int]) -> VoronoiDecomposition:
                              if inner[m] != len(members[m]) - 1))
 
 
-def check_structural_lemmas(g: Graph, dec: VoronoiDecomposition,
-                            f_r: int) -> LemmaFlags:
-    """Check the three structural facts; the flags are the product.
+def check_structural_lemmas(dec: VoronoiDecomposition,
+                            f_r: int) -> Dict[str, bool]:
+    """The three structural facts, under the report's check names.
 
     Every cell pair in the quotient has at least one edge, so no pair has
     two exactly when the inter-cell edges and the pairs are equally many.
     """
-    return LemmaFlags(
-        cells_are_trees=not dec.non_tree_cells,
-        single_edge_per_pair=len(dec.intercell_edges) == dec.quotient_edge_count,
-        quotient_bound=dec.quotient_edge_count <= f_r * len(dec.centers))
+    return {
+        "cells_tree": not dec.non_tree_cells,
+        "single_edge": len(dec.intercell_edges) == dec.quotient_edge_count,
+        "quotient_bound": dec.quotient_edge_count <= f_r * len(dec.centers)}
 
 
-def boundary_forest(g: Graph, dec: VoronoiDecomposition) -> BoundaryForest:
-    """Union, per cell, of the unique in-cell paths from boundary vertices
-    to the center.  Requires every cell to induce a tree.
+def boundary_forest(g: Graph, dec: VoronoiDecomposition) -> FrozenSet[int]:
+    """The boundary forest T: the union of the unique in-cell paths from
+    boundary vertices to their centers.  Requires every cell to induce a
+    tree.
 
     In a tree cell every vertex but the center has exactly one in-cell
     neighbor one step nearer (two would close a cycle with their paths to
     the center), so each boundary vertex walks to it until it meets a
-    vertex already in its tree, and the whole forest is linear.
+    vertex already in its tree, and the whole forest is linear.  The trees
+    are disjoint, each inside its own cell, so cell m's tree is
+    ``T & dec.cells[m]``; it always holds the center m.
     """
     if dec.non_tree_cells:
         raise ValueError(
             f"cell of center {dec.non_tree_cells[0]} does not induce a tree")
     assignment, dist = dec.assignment, dec.dist
-    members = {m: {m} for m in dec.cells}
+    tree = set(dec.centers)
     for edge, _ in dec.intercell_edges:
         for u in edge:
             m = assignment[u]
-            tree = members[m]
             while u not in tree:
                 tree.add(u)
                 nearer = dist[u] - 1
                 u = next(w for w in g.neighbors(u)
                          if dist[w] == nearer and assignment[w] == m)
-    trees = {m: frozenset(vs) for m, vs in members.items()}
-    total = frozenset().union(*trees.values())
-    return BoundaryForest(trees=trees, total=total)
+    return frozenset(tree)
 
 
-def split_selection(dec: VoronoiDecomposition,
-                    selection: SelectionMap) -> SelectionSplit:
-    """Split the selected set by whether some selector shares the cell."""
+def split_selection(dec: VoronoiDecomposition, outputs: Dict[int, RmdsOutput]
+                    ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """``(D_I, D_O)``: the selected vertices with some selector in their own
+    cell, and those with some selector in another (the two may overlap)."""
     inside, outside = set(), set()
-    for v, d in selection.sel.items():
+    for v, out in outputs.items():
+        d = out.selected
         if dec.assignment[v] == dec.assignment[d]:
             inside.add(d)
         else:
             outside.add(d)
-    return SelectionSplit(inside=frozenset(inside), outside=frozenset(outside))
+    return frozenset(inside), frozenset(outside)
 
 
 @dataclass(frozen=True)
@@ -220,8 +197,6 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
     """
     outputs: Dict[int, RmdsOutput] = sim.outputs
     selected = frozenset(v for v, out in outputs.items() if out.member)
-    selection = SelectionMap(sel={v: out.selected for v, out in outputs.items()},
-                             members=selected)
     girth_value = girth(g)
     checks: Dict[str, Optional[bool]] = dict.fromkeys(
         ("dominating", "opt_dominating", "cells_tree", "single_edge",
@@ -254,18 +229,15 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
             checks["opt_dominating"] = False
         else:
             checks["opt_dominating"] = max(dec.dist.values()) <= r
-            flags = check_structural_lemmas(g, dec, f_r)
-            checks["cells_tree"] = flags.cells_are_trees
-            checks["single_edge"] = flags.single_edge_per_pair
-            checks["quotient_bound"] = flags.quotient_bound
+            checks.update(check_structural_lemmas(dec, f_r))
             quotient_edges = dec.quotient_edge_count
-            split = split_selection(dec, selection)
-            di_size, do_size = len(split.inside), len(split.outside)
+            d_inside, d_outside = split_selection(dec, outputs)
+            di_size, do_size = len(d_inside), len(d_outside)
             checks["di_bound"] = di_size <= (1 + 2 * r * f_r) * opt_size
             checks["do_bound"] = do_size <= 2 * r * f_r * opt_size
-            if flags.cells_are_trees:
+            if checks["cells_tree"]:
                 forest = boundary_forest(g, dec)
-                boundary_size = len(forest.total)
+                boundary_size = len(forest)
                 checks["t_bound"] = (boundary_size
                                      <= (1 + 2 * r * f_r) * opt_size)
                 # T is built from boundary paths, so a cell with no
@@ -275,7 +247,7 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
                 # the rest still count in di_bound and ratio_bound.
                 bounded = {m for _, pair in dec.intercell_edges for m in pair}
                 checks["di_in_T"] = all(
-                    d in forest.total for d in split.inside
+                    d in forest for d in d_inside
                     if dec.assignment[d] in bounded)
     else:
         opt_size = None

@@ -131,10 +131,8 @@ def test_criterion_02_selection_equivalence():
     with criterion(2, "selection equivalence"):
         for inst in corpus():
             sim = rmds_sim(inst.label)
-            oracle = selection_oracle(inst.graph, inst.r)
-            assert {v: o.selected for v, o in sim.outputs.items()} == oracle.sel, \
+            assert sim.outputs == selection_oracle(inst.graph, inst.r), \
                 inst.label
-            assert selected_set(sim) == oracle.members, inst.label
 
 
 def test_criterion_03_domination_validity():
@@ -208,8 +206,7 @@ def test_criterion_08_structural_lemmas():
                          "t_bound", "di_in_T", "di_bound", "do_bound"):
                 assert report.checks[name] is True, (inst.label, name)
         dec = voronoi_decompose(gen_cycle(4), {0})
-        flags = check_structural_lemmas(gen_cycle(4), dec, 1)
-        assert flags.cells_are_trees is False
+        assert check_structural_lemmas(dec, 1)["cells_tree"] is False
 
 
 def test_criterion_09_congest_accounting():

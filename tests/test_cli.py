@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdomsim
 from rdomsim import CSV_HEADER, read_graph
 from rdomsim.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
 
@@ -353,3 +358,26 @@ def test_unreadable_or_unwritable_path_is_bad_input(tmp_path, capsys, argv):
     lines = stdout.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "bad_input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--family", "cycle", "--n", "11", "--r", "1"],
+    ["suite", "--builtin"],
+    ["run", "--family", "cycle", "--n", "abc"],
+], ids=["run-report", "suite-csv", "run-error-line"])
+def test_closed_stdout_exits_2_quietly(argv):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails, whichever line it is.
+    src = str(Path(rdomsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rdomsim.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr == b""

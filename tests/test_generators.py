@@ -1,9 +1,10 @@
 import pytest
 
 from rdomsim import (INFINITE, TightnessParams, build_graph, distances,
-                     gen_complete, gen_cycle, gen_path, gen_random_tree,
-                     gen_tightness, girth, is_r_dominating,
-                     neighborhood_size_oracle, subdivide,
+                     exact_min_rds, gen_complete, gen_cycle, gen_path,
+                     gen_random_tree, gen_tightness, girth, is_r_dominating,
+                     neighborhood_size_oracle, rmds_program,
+                     rmds_round_budget, run_simulation, subdivide,
                      tightness_dominating_set)
 
 
@@ -91,6 +92,21 @@ def test_tightness_dominating_set_is_valid():
         assert is_r_dominating(tg.graph, m, r)
         if r >= 2:
             assert m == frozenset(tg.x_side) | frozenset(tg.y_side)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("f", [2, 3, 4])
+def test_tightness_ratio_is_exactly_one_plus_r_f(r, f):
+    # From r = 2 on, X union Y (4f vertices) is a minimum r-dominating set
+    # and rmds selects 1 + r*f times as many vertices.
+    tg = gen_tightness(TightnessParams(r, f))
+    g = tg.graph
+    m = tightness_dominating_set(tg)
+    assert len(m) == 4 * f
+    assert len(exact_min_rds(g, r, vertex_cap=g.vertex_count)) == len(m)
+    sim = run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r))
+    selected = sum(out.member for out in sim.outputs.values())
+    assert selected == (1 + r * f) * len(m)
 
 
 def test_tightness_determinism():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (ProgramFault, build_graph, count_neighborhood_program,
+from rdomsim import (ProgramFault, RmdsOutput, build_graph, count_neighborhood_program,
                      cycle_is_program, gen_cycle, gen_random_tree, girth,
                      id_bits,
                      is_independent, is_r_dominating,
@@ -27,8 +27,8 @@ def run_cycle_is(g, r, d_set):
                           round_budget=2 * r + 1)
 
 
-def members_of(sim):
-    return frozenset(v for v, out in sim.outputs.items() if out.member)
+def members_of(outputs):
+    return frozenset(v for v, out in outputs.items() if out.member)
 
 
 def test_count_on_c11():
@@ -54,21 +54,21 @@ def test_count_matches_oracle_on_tree():
 
 
 def test_selection_oracle_c7():
-    sel = selection_oracle(gen_cycle(7), 1)
-    assert sel.sel == {0: 6, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 6}
-    assert sel.members == frozenset({2, 3, 4, 5, 6})
+    oracle = selection_oracle(gen_cycle(7), 1)
+    assert {v: out.selected for v, out in oracle.items()} == {
+        0: 6, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 6}
+    assert members_of(oracle) == frozenset({2, 3, 4, 5, 6})
 
 
 def test_selection_oracle_single_vertex():
     g = build_graph([], extra_vertices=[3])
-    sel = selection_oracle(g, 1)
-    assert sel.sel == {3: 3} and sel.members == frozenset({3})
+    assert selection_oracle(g, 1) == {3: RmdsOutput(True, 3)}
 
 
 def test_selection_oracle_star_with_max_id_center():
     star = build_graph([(5, leaf) for leaf in range(5)])
-    sel = selection_oracle(star, 1)
-    assert sel.members == frozenset({5})
+    oracle = selection_oracle(star, 1)
+    assert oracle == {v: RmdsOutput(v == 5, 5) for v in range(6)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -81,13 +81,13 @@ def test_selection_oracle_matches_networkx_argmax(g, r):
     ball = {v: set(nx.single_source_shortest_path_length(G, v, cutoff=r))
             for v in G}
     expected = {v: max(ball[v], key=lambda u: (len(ball[u]), u)) for v in G}
-    oracle = selection_oracle(g, r)
-    assert oracle.sel == expected
-    assert oracle.members == frozenset(expected.values())
+    members = set(expected.values())
+    assert selection_oracle(g, r) == {
+        v: RmdsOutput(v in members, s) for v, s in expected.items()}
 
 
 def test_rmds_c7_r1():
-    assert members_of(run_rmds(gen_cycle(7), 1)) == frozenset({2, 3, 4, 5, 6})
+    assert members_of(run_rmds(gen_cycle(7), 1).outputs) == frozenset({2, 3, 4, 5, 6})
 
 
 @st.composite
@@ -105,30 +105,38 @@ def admissible_instances(draw):
 def test_rmds_claims_hold_for_every_admissible_r(instance):
     g, r = instance
     sim = run_rmds(g, r)
-    oracle = selection_oracle(g, r)
     assert sim.rounds_executed == rmds_round_budget(r)
     assert sim.max_message_bits <= 2 * id_bits(g.vertex_count) + 1
-    assert {v: out.selected for v, out in sim.outputs.items()} == oracle.sel
-    assert members_of(sim) == oracle.members
+    assert sim.outputs == selection_oracle(g, r)
 
 
 def test_rmds_c11_r2():
     sim = run_rmds(gen_cycle(11), 2)
-    assert members_of(sim) == frozenset({4, 5, 6, 7, 8, 9, 10})
+    assert members_of(sim.outputs) == frozenset({4, 5, 6, 7, 8, 9, 10})
     assert sim.rounds_executed == rmds_round_budget(2) == 5
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [99, 500, 2001])
+def test_rmds_on_naturally_labelled_rings_leaves_2r_unselected(n, r):
+    # All balls are equally large, so each vertex selects the largest ID
+    # within r hops: v + r, or n - 1 near the wrap-around.  Only the 2r
+    # smallest IDs are nobody's choice.
+    unselected = set(range(n)) - members_of(run_rmds(gen_cycle(n), r).outputs)
+    assert unselected == set(range(2 * r))
 
 
 def test_rmds_single_vertex():
     g = build_graph([], extra_vertices=[0])
     sim = run_rmds(g, 1)
-    assert members_of(sim) == frozenset({0})
+    assert members_of(sim.outputs) == frozenset({0})
     assert sim.rounds_executed == 2
 
 
 def test_rmds_degenerate_r_beyond_diameter():
     g = gen_cycle(9)
     sim = run_rmds(g, 9)
-    selected = members_of(sim)
+    selected = members_of(sim.outputs)
     assert selected == frozenset({8})  # global (prio, id) argmax
     assert is_r_dominating(g, selected, 9)
 
@@ -139,20 +147,16 @@ def test_rmds_equals_oracle_on_high_girth_cycles(n, r):
     g = gen_cycle(n)
     if girth(g) < 4 * r + 3:
         return
-    sim = run_rmds(g, r)
-    oracle = selection_oracle(g, r)
-    assert {v: o.selected for v, o in sim.outputs.items()} == oracle.sel
-    assert members_of(sim) == oracle.members
+    assert run_rmds(g, r).outputs == selection_oracle(g, r)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 60), st.integers(0, 5), st.integers(1, 3))
 def test_rmds_equals_oracle_on_trees(n, seed, r):
     g = gen_random_tree(n, seed)
-    sim = run_rmds(g, r)
     oracle = selection_oracle(g, r)
-    assert members_of(sim) == oracle.members
-    assert is_r_dominating(g, oracle.members, r)
+    assert run_rmds(g, r).outputs == oracle
+    assert is_r_dominating(g, members_of(oracle), r)
 
 
 @settings(max_examples=30)
@@ -162,7 +166,7 @@ def test_rmds_always_dominates_even_without_girth_promise(g, r):
     # 3r-1 rounds; the oracle's set always dominates.
     sim = run_rmds(g, r)
     assert sim.rounds_executed == rmds_round_budget(r)
-    assert is_r_dominating(g, selection_oracle(g, r).members, r)
+    assert is_r_dominating(g, members_of(selection_oracle(g, r)), r)
 
 
 def test_cycle_is_c9_r1():

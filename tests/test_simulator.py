@@ -406,7 +406,8 @@ def builtin_runs(draw):
     r = draw(st.integers(1, 3))
     if kind == "cycle_is":
         g = draw(relabelled(st.integers(3, 30).map(gen_cycle)))
-        d_set = selection_oracle(g, r).members
+        d_set = frozenset(v for v, out in selection_oracle(g, r).items()
+                          if out.member)
         return g, cycle_is_program(r), {"d_member": d_set}, 2 * r + 1
     g = draw(relabelled(graphs(max_n=12)))
     if kind == "rmds":

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (NotDominatingError, RmdsOutput, SelectionMap,
-                     SimulationReport, TightnessParams, approx_report,
+from rdomsim import (NotDominatingError, RmdsOutput, SimulationReport, TightnessParams, approx_report,
                      boundary_forest, build_graph, check_structural_lemmas,
                      gen_cycle, gen_path, gen_random_tree, gen_tightness,
                      greedy_rds, rmds_program, rmds_round_budget,
@@ -54,48 +53,47 @@ def test_decompose_rejects_non_dominating_centers():
 
 def test_decompose_negative_control_without_domination_guard():
     dec = voronoi_decompose(gen_cycle(4), {0})
-    flags = check_structural_lemmas(gen_cycle(4), dec, 1)
-    assert not flags.cells_are_trees  # the cell is the whole 4-cycle
+    # the cell is the whole 4-cycle
+    assert check_structural_lemmas(dec, 1)["cells_tree"] is False
 
 
 def test_structural_lemmas_c9():
     g = gen_cycle(9)
     dec = voronoi_decompose(g, {0, 3, 6})
-    flags = check_structural_lemmas(g, dec, 1)
-    assert flags.cells_are_trees
-    assert flags.single_edge_per_pair
-    assert flags.quotient_bound  # |E'| = 3 <= 1 * 3
+    # |E'| = 3 <= 1 * 3
+    assert check_structural_lemmas(dec, 1) == {
+        "cells_tree": True, "single_edge": True, "quotient_bound": True}
 
 
 def test_structural_lemmas_single_center_tree():
     g = gen_random_tree(40, 2)
     dec = voronoi_decompose(g, {0})
-    flags = check_structural_lemmas(g, dec, 1)
-    assert flags.cells_are_trees and flags.single_edge_per_pair
-    assert flags.quotient_bound
+    assert check_structural_lemmas(dec, 1) == {
+        "cells_tree": True, "single_edge": True, "quotient_bound": True}
 
 
 def test_boundary_forest_c9_meets_bound_with_equality():
     g = gen_cycle(9)
     dec = voronoi_decompose(g, {0, 3, 6})
     forest = boundary_forest(g, dec)
-    assert forest.trees[0] == frozenset({0, 1, 8})
-    assert len(forest.total) == 9 == (1 + 2 * 1 * 1) * 3
+    assert forest & dec.cells[0] == frozenset({0, 1, 8})
+    assert len(forest) == 9 == (1 + 2 * 1 * 1) * 3
 
 
 def test_boundary_forest_single_center_no_boundary():
     g = gen_random_tree(40, 2)
     dec = voronoi_decompose(g, {0})
-    forest = boundary_forest(g, dec)
-    assert forest.total == frozenset({0})
+    assert boundary_forest(g, dec) == frozenset({0})
 
 
 def test_boundary_forest_walks_inside_its_cell_on_ties():
     # Vertex 2 is two steps from both centers and joins cell 0 through 5;
     # its smaller neighbor 1 is one step nearer too, but in cell 9.
     g = build_graph([(0, 5), (5, 2), (2, 1), (1, 9)])
-    forest = boundary_forest(g, voronoi_decompose(g, {0, 9}))
-    assert forest.trees == {0: frozenset({0, 5, 2}), 9: frozenset({9, 1})}
+    dec = voronoi_decompose(g, {0, 9})
+    forest = boundary_forest(g, dec)
+    assert forest & dec.cells[0] == frozenset({0, 5, 2})
+    assert forest & dec.cells[9] == frozenset({9, 1})
 
 
 def test_boundary_forest_tightness_family():
@@ -104,8 +102,7 @@ def test_boundary_forest_tightness_family():
     # X union Y misses the pendant vertices at r=1; the decomposition is
     # still well-defined and the bound still holds.
     dec = voronoi_decompose(tg.graph, centers)
-    forest = boundary_forest(tg.graph, dec)
-    assert len(forest.total) <= (1 + 2 * 1 * 2) * 8 == 40
+    assert len(boundary_forest(tg.graph, dec)) <= (1 + 2 * 1 * 2) * 8 == 40
 
 
 def test_boundary_forest_rejects_cyclic_cell():
@@ -118,19 +115,17 @@ def test_boundary_forest_rejects_cyclic_cell():
 def test_split_selection_c7():
     g = gen_cycle(7)
     dec = voronoi_decompose(g, {0, 3, 5})
-    split = split_selection(dec, selection_oracle(g, 1))
-    assert split.inside == frozenset({3, 4, 6})
-    assert split.outside == frozenset({2, 5, 6})
+    inside, outside = split_selection(dec, selection_oracle(g, 1))
+    assert inside == frozenset({3, 4, 6})
+    assert outside == frozenset({2, 5, 6})
 
 
 def test_split_selection_identity():
     g = gen_cycle(5)
     dec = voronoi_decompose(g, set(g.vertices))
-    sel = SelectionMap(sel={v: v for v in g.vertices},
-                       members=frozenset(g.vertices))
-    split = split_selection(dec, sel)
-    assert split.outside == frozenset()
-    assert split.inside == frozenset(g.vertices)
+    outputs = {v: RmdsOutput(True, v) for v in g.vertices}
+    assert split_selection(dec, outputs) == (frozenset(g.vertices),
+                                             frozenset())
 
 
 def test_approx_report_c9():
@@ -215,9 +210,10 @@ def test_split_union_equals_selected_on_cycles(n, r):
     g = gen_cycle(n)
     centers = greedy_rds(g, r)
     dec = voronoi_decompose(g, centers)
-    sel = selection_oracle(g, r)
-    split = split_selection(dec, sel)
-    assert split.inside | split.outside == sel.members
+    oracle = selection_oracle(g, r)
+    inside, outside = split_selection(dec, oracle)
+    assert inside | outside == frozenset(
+        v for v, out in oracle.items() if out.member)
 
 
 def _outcome(decompose, g, centers):
@@ -271,11 +267,11 @@ def test_lemmas_and_forest_match_networkx(g, data):
     centers = drawn | {min(comp) for comp in nx.connected_components(G)
                        if not comp & drawn}
     dec = voronoi_decompose(g, centers)
-    flags = check_structural_lemmas(g, dec, 1)
+    lemmas = check_structural_lemmas(dec, 1)
 
     tree_cells = {m: nx.is_tree(G.subgraph(cell))
                   for m, cell in dec.cells.items()}
-    assert flags.cells_are_trees == all(tree_cells.values())
+    assert lemmas["cells_tree"] == all(tree_cells.values())
     assert dec.non_tree_cells == tuple(
         sorted(m for m, ok in tree_cells.items() if not ok))
 
@@ -284,20 +280,21 @@ def test_lemmas_and_forest_match_networkx(g, data):
         cu, cv = sorted((dec.assignment[u], dec.assignment[v]))
         if cu != cv:
             pair_edges[cu, cv] = pair_edges.get((cu, cv), 0) + 1
-    assert flags.single_edge_per_pair == all(
+    assert lemmas["single_edge"] == all(
         count == 1 for count in pair_edges.values())
 
-    if not flags.cells_are_trees:
+    if not lemmas["cells_tree"]:
         first = min(m for m, ok in tree_cells.items() if not ok)
         with pytest.raises(ValueError, match=f"center {first} does not"):
             boundary_forest(g, dec)
         return
     forest = boundary_forest(g, dec)
+    trees = []
     for m, cell in dec.cells.items():
         inside = G.subgraph(cell)
         boundary = {u for u in cell
                     if any(w not in cell for w in G.neighbors(u))}
-        expected = {m}.union(*(nx.shortest_path(inside, b, m)
-                               for b in boundary))
-        assert forest.trees[m] == expected
-    assert forest.total == frozenset().union(*forest.trees.values())
+        trees.append({m}.union(*(nx.shortest_path(inside, b, m)
+                                 for b in boundary)))
+        assert forest & cell == trees[-1]
+    assert forest == frozenset().union(*trees)
