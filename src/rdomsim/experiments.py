@@ -236,6 +236,8 @@ def run_experiment(spec: Dict) -> ExperimentResult:
     r = _int_param(spec, "r", 1)
     if r < 1:
         raise ExperimentError("bad_spec", f"r must be >= 1, got {r}")
+    if not isinstance(algo, str) or algo not in _ALGOS:
+        raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
     g, tight = build_instance(spec)
     if not g.vertex_count:
         raise ExperimentError("bad_input", "graph has no vertices")
@@ -254,8 +256,6 @@ def run_experiment(spec: Dict) -> ExperimentResult:
             "girth_premise",
             f"girth {render_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
             f"set allow_low_girth for negative controls")
-    if not isinstance(algo, str) or algo not in _ALGOS:
-        raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
     verdicts, fields, report, detail = _ALGOS[algo](spec, g, tight, r, f_r,
                                                     premise)
     failures = [name for name, ok in verdicts if not ok]

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set
 
-from .graphs import Graph, GraphError, ball, connected_components, distances
+from .graphs import (Graph, GraphError, connected_components, distances,
+                     r_balls)
 
 
 class OptimumUnknown(RuntimeError):
@@ -35,10 +36,10 @@ def is_independent(g: Graph, candidates: Iterable[int]) -> bool:
     return not any(u in members and v in members for u, v in g.edges())
 
 
-def _greedy(balls: Dict[int, FrozenSet[int]]) -> List[int]:
-    """Greedy cover from closed balls keyed by vertex, in ascending vertex
-    order: repeatedly take the vertex covering the most uncovered vertices,
-    ties broken by smaller ID.
+def _greedy(balls: Dict[int, Collection[int]]) -> List[int]:
+    """Greedy cover from closed balls (tuples or frozensets) keyed by
+    vertex, in ascending vertex order: repeatedly take the vertex covering
+    the most uncovered vertices, ties broken by smaller ID.
 
     Lazy: the heap holds (-gain, v) keys that may be stale.  Gains only
     shrink, so a stale key is an upper bound, and a vertex whose fresh key
@@ -50,12 +51,12 @@ def _greedy(balls: Dict[int, FrozenSet[int]]) -> List[int]:
     chosen: List[int] = []
     while uncovered:
         _, v = heapq.heappop(heap)
-        key = (-len(balls[v] & uncovered), v)
+        key = (-len(uncovered.intersection(balls[v])), v)
         if heap and key > heap[0]:
             heapq.heappush(heap, key)
             continue
         chosen.append(v)
-        uncovered -= balls[v]
+        uncovered.difference_update(balls[v])
     return chosen
 
 
@@ -64,7 +65,7 @@ def greedy_rds(g: Graph, r: int) -> FrozenSet[int]:
     vertices, ties broken by smaller ID."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return frozenset(_greedy({v: ball(g, v, r) for v in g.vertices}))
+    return frozenset(_greedy(r_balls(g, r)))
 
 
 def _tree_optimum(g: Graph, root: int, r: int) -> int:
@@ -125,8 +126,8 @@ def _packing_lower_bound(uncovered: FrozenSet[int],
     holds every vertex sorted by (ball size, ID)."""
     blocked: Set[int] = set()
     count = 0
-    for v in order:
-        if v in uncovered and balls[v].isdisjoint(blocked):
+    for v in filter(uncovered.__contains__, order):
+        if balls[v].isdisjoint(blocked):
             count += 1
             blocked |= balls[v]
     return count
@@ -150,6 +151,16 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
     search would settle on too, since no node on the way to its first
     k-vertex leaf can be pruned; only the proof that nothing smaller
     exists is skipped.
+
+    The search is incremental.  One ``excluded`` set holds the candidates
+    banned on the current path, and ``free[v]`` counts the vertices of
+    ``balls[v]`` not in it.  Balls are symmetric, so banning c takes one
+    from ``free[u]`` for each u in ``balls[c]``; a node restores both when
+    it returns.  The cheap bound ceil(uncovered / max ball size) is tried
+    before the packing bound, which runs only when the cheap one does not
+    prune.  Either bound reaching the threshold prunes, so the search
+    visits the same nodes in the same order as one that recomputes both
+    bounds and every ``free`` count at each node.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -158,7 +169,7 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
             f"instance has {g.vertex_count} vertices, above cap {vertex_cap}")
     if g.vertex_count == 0:
         return frozenset()
-    balls = {v: ball(g, v, r) for v in g.vertices}
+    balls = {v: frozenset(b) for v, b in r_balls(g, r).items()}
     best = sorted(_greedy(balls))
     k = _known_optimum(g, r)
     if len(best) == k:
@@ -166,10 +177,11 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
     prune_at = math.inf if k is None else k + 1
     max_ball = max(len(b) for b in balls.values())
     order = sorted(g.vertices, key=lambda u: (len(balls[u]), u))
+    free = {v: len(b) for v, b in balls.items()}
+    excluded: Set[int] = set()
     nodes = 0
 
-    def search(chosen: List[int], uncovered: FrozenSet[int],
-               excluded: FrozenSet[int]) -> bool:
+    def search(chosen: List[int], uncovered: FrozenSet[int]) -> bool:
         """True once ``best`` has k vertices, which ends the search."""
         nonlocal best, nodes
         nodes += 1
@@ -179,22 +191,26 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
             if len(chosen) < len(best):
                 best = sorted(chosen)
             return len(best) == k
-        bound = max(_packing_lower_bound(uncovered, balls, order),
-                    -(-len(uncovered) // max_ball))
-        if len(chosen) + bound >= min(len(best), prune_at):
+        threshold = min(len(best), prune_at) - len(chosen)
+        if (-(-len(uncovered) // max_ball) >= threshold
+                or _packing_lower_bound(uncovered, balls, order) >= threshold):
             return False
-        target = min(uncovered,
-                     key=lambda v: (len(balls[v] - excluded), v))
+        target = min(zip(map(free.__getitem__, uncovered), uncovered))[1]
         candidates = sorted(balls[target] - excluded,
                             key=lambda c: (-len(balls[c] & uncovered), c))
-        banned = set(excluded)
         for c in candidates:
             chosen.append(c)
-            if search(chosen, uncovered - balls[c], frozenset(banned)):
+            if search(chosen, uncovered - balls[c]):
                 return True
             chosen.pop()
-            banned.add(c)
+            excluded.add(c)
+            for u in balls[c]:
+                free[u] -= 1
+        excluded.difference_update(candidates)
+        for c in candidates:
+            for u in balls[c]:
+                free[u] += 1
         return False
 
-    search([], frozenset(g.vertices), frozenset())
+    search([], frozenset(g.vertices))
     return frozenset(best)

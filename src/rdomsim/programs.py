@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .graphs import Graph, distances
+from .graphs import Graph, r_balls
 from .simulator import (BackBitMsg, CandidateMsg, CountMsg, FloodMsg, Message,
                         NodeProgram, ProgramFault)
 
@@ -205,8 +205,7 @@ def selection_oracle(g: Graph, r: int) -> Dict[int, RmdsOutput]:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    # Each r-ball is built once, as a tuple: a fraction of a frozenset's size.
-    balls = {v: tuple(distances(g, (v,), r)) for v in g.vertices}
+    balls = r_balls(g, r)
     rank = {u: (len(ball), u) for u, ball in balls.items()}
     sel = {v: max(map(rank.__getitem__, ball))[1]
            for v, ball in balls.items()}

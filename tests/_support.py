@@ -14,6 +14,7 @@ from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg, Graph,
                      OptimumUnknown, ProgramFault, RmdsOutput, SimulationReport, StepResult,
                      VoronoiDecomposition, ball, build_graph, distances,
                      message_widths)
+from rdomsim.oracles import _known_optimum
 
 
 @st.composite
@@ -139,6 +140,132 @@ def reference_exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
 
     search([], frozenset(g.vertices), frozenset())
     return frozenset(best)
+
+
+def _rescanning_packing_lower_bound(uncovered: FrozenSet[int],
+                                    balls: Dict[int, FrozenSet[int]],
+                                    order: List[int]) -> int:
+    """``_packing_lower_bound`` as it was before it walked only the
+    uncovered vertices."""
+    blocked: Set[int] = set()
+    count = 0
+    for v in order:
+        if v in uncovered and balls[v].isdisjoint(blocked):
+            count += 1
+            blocked |= balls[v]
+    return count
+
+
+def rescanning_exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
+                             node_budget: int = 10_000_000) -> FrozenSet[int]:
+    """Exact oracle that rescans: ``exact_min_rds`` as it was before the
+    incremental search, stopping at the known optimum size but rebuilding
+    ``balls[v] - excluded`` for every uncovered vertex at every node and
+    computing both bounds at every node.
+
+    The body is that earlier solver's, with the greedy set taken from
+    ``reference_greedy_rds``.  ``exact_min_rds`` visits the same nodes in
+    the same order, so at every node budget both return the same set or
+    both raise OptimumUnknown.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if g.vertex_count > vertex_cap:
+        raise OptimumUnknown(
+            f"instance has {g.vertex_count} vertices, above cap {vertex_cap}")
+    if g.vertex_count == 0:
+        return frozenset()
+    balls = {v: ball(g, v, r) for v in g.vertices}
+    best = sorted(reference_greedy_rds(g, r))
+    k = _known_optimum(g, r)
+    if len(best) == k:
+        return frozenset(best)
+    prune_at = math.inf if k is None else k + 1
+    max_ball = max(len(b) for b in balls.values())
+    order = sorted(g.vertices, key=lambda u: (len(balls[u]), u))
+    nodes = 0
+
+    def search(chosen: List[int], uncovered: FrozenSet[int],
+               excluded: FrozenSet[int]) -> bool:
+        """True once ``best`` has k vertices, which ends the search."""
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise OptimumUnknown(f"search node budget {node_budget} exhausted")
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = sorted(chosen)
+            return len(best) == k
+        bound = max(_rescanning_packing_lower_bound(uncovered, balls, order),
+                    -(-len(uncovered) // max_ball))
+        if len(chosen) + bound >= min(len(best), prune_at):
+            return False
+        target = min(uncovered,
+                     key=lambda v: (len(balls[v] - excluded), v))
+        candidates = sorted(balls[target] - excluded,
+                            key=lambda c: (-len(balls[c] & uncovered), c))
+        banned = set(excluded)
+        for c in candidates:
+            chosen.append(c)
+            if search(chosen, uncovered - balls[c], frozenset(banned)):
+                return True
+            chosen.pop()
+            banned.add(c)
+        return False
+
+    search([], frozenset(g.vertices), frozenset())
+    return frozenset(best)
+
+
+def reference_max_packing(g: Graph, r: int) -> FrozenSet[int]:
+    """A maximum 2r-packing of a forest: a largest set of vertices pairwise
+    more than 2r apart, by one leaf-up pass per tree, O(n).
+
+    Each vertex v, deepest first, hears from each child the distance to
+    the nearest member kept below it and counts itself as a member at
+    distance 0.  Members nearer than 2r+1 to one another through v are
+    resolved by keeping the farthest from v: of the near ones (distance
+    at most r) at most one survives, and only if it is far enough from
+    every far one.  v then reports the nearest survivor to its parent.
+    Two members below one child are at least 2r+1 apart through a vertex
+    below v, so the farther one never conflicts with a survivor, and only
+    the nearest member of each child can take part in a conflict.
+
+    On a tree this size is the minimum distance-r dominating set size
+    (A. Meir and J. W. Moon, Pacific J. Math. 61(1), 1975): an independent
+    certificate for Slater's count.
+    """
+    members: Set[int] = set()
+    heard: Dict[int, List[Tuple[int, int]]] = {}
+    for root in g.vertices:
+        if root in heard:
+            continue
+        parent = {root: None}
+        order = [root]
+        for u in order:
+            for w in g.neighbors(u):
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        heard.update((v, []) for v in order)
+        for v in reversed(order):
+            members.add(v)
+            found = heard[v] + [(0, v)]
+            near = [x for x in found if x[0] <= r]
+            far = [x for x in found if x[0] > r]
+            kept = far
+            if near:
+                closest = max(near)
+                near.remove(closest)
+                if not far or closest[0] + min(far)[0] > 2 * r:
+                    kept = far + [closest]
+                else:
+                    near.append(closest)
+                members.difference_update(m for _, m in near)
+            if parent[v] is not None:
+                d, m = min(kept)
+                heard[parent[v]].append((d + 1, m))
+    return frozenset(members)
 
 
 def reference_girth(g: Graph):

@@ -268,6 +268,8 @@ def test_run_bad_comparison_set_is_bad_spec(capsys, m):
     # A non-boolean never turns off the girth guard; f_r is at least 1.
     {"n": 4, "allow_low_girth": "false", "m": [0]},
     {"allow_low_girth": 1}, {"allow_low_girth": None},
+    # The algo is judged before the graph: C4 fails the girth premise.
+    {"n": 4, "algo": "nope"},
     {"f_r": -3}, {"f_r": 0},
     # Booleans and floats are not integers.
     {"n": 11.7}, {"n": 11.0}, {"r": True}, {"f_r": 1.5}, {"f_r": True},

@@ -1,9 +1,10 @@
 import dataclasses
+import sys
 
 import pytest
 
 from rdomsim import RmdsOutput, distances, gen_random_tree, run_experiment
-from rdomsim import experiments
+from rdomsim import experiments, graphs
 
 R = 2
 
@@ -54,3 +55,29 @@ def test_failures_keep_the_check_order():
     result = run_experiment({"family": "subdivided_k4", "k": 2, "r": 1,
                              "f_r": 1, "algo": "rmds"})
     assert result.failures == ["quotient_bound", "t_bound"]
+
+
+def test_rmds_experiment_computes_each_r_ball_and_the_girth_once(monkeypatch):
+    bfs, girths = [], []
+    real_distances, real_girth = graphs.distances, graphs._compute_girth
+
+    def counted_distances(g, sources, limit=None):
+        sources = tuple(sources)
+        bfs.append((sources, limit))
+        return real_distances(g, sources, limit)
+
+    def counted_girth(g):
+        girths.append(g)
+        return real_girth(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rdomsim") and getattr(module, "distances",
+                                                  None) is real_distances:
+            monkeypatch.setattr(module, "distances", counted_distances)
+    monkeypatch.setattr(graphs, "_compute_girth", counted_girth)
+    result = run_experiment({"family": "tree", "n": 50, "seed": 3, "r": 1})
+    assert result.passed and result.report.opt_source == "exact"
+    # The exact solver and the selection oracle share one BFS per vertex.
+    assert sorted(s for s, limit in bfs if len(s) == 1 and limit == 1) == [
+        (v,) for v in range(50)]
+    assert len(girths) == 1

@@ -11,7 +11,9 @@ from rdomsim import (INFINITE, GraphError, TightnessParams, ball, build_graph,
                      neighborhood_size_oracle, read_graph, subdivide,
                      write_graph)
 
-from _support import graphs, reference_girth
+from rdomsim.graphs import r_balls
+
+from _support import graphs, reference_girth, relabelled
 
 
 def test_build_path_on_three_vertices():
@@ -149,6 +151,24 @@ def _networkx_girth(g):
 @given(graphs(max_n=10))
 def test_girth_matches_reference_and_networkx(g):
     assert girth(g) == reference_girth(g) == _networkx_girth(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(max_n=10), relabelled(graphs(max_n=10))),
+       st.integers(1, 4))
+def test_memoized_girth_and_r_balls_match_references(g, r):
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(g.vertices)
+    first = r_balls(g, r)
+    for _ in range(2):  # the second round reads the memo
+        assert girth(g) == reference_girth(g)
+        balls = r_balls(g, r)
+        assert balls is first
+        assert sorted(balls) == list(g.vertices)
+        for v, found in balls.items():
+            assert found[0] == v and len(set(found)) == len(found)
+            assert set(found) == set(
+                nx.single_source_shortest_path_length(nxg, v, cutoff=r))
 
 
 def test_girth_cycle_with_pendant_trees():

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from rdomsim.oracles import _known_optimum
 
 from _support import (enumerate_min_rds, graphs, reference_exact_min_rds,
                       reference_greedy_rds, reference_is_r_dominating,
-                      relabelled)
+                      reference_max_packing, relabelled,
+                      rescanning_exact_min_rds)
 
 
 @st.composite
@@ -173,6 +176,72 @@ def test_solvers_return_the_reference_sets(g, r):
     except OptimumUnknown:
         return
     assert exact_min_rds(g, r, node_budget=20_000) == expected
+
+
+def _outcome(solver, g, r, budget):
+    """The set ``solver`` returns, or OptimumUnknown if it gives up."""
+    try:
+        return solver(g, r, node_budget=budget)
+    except OptimumUnknown:
+        return OptimumUnknown
+
+
+def _assert_same_search(g, r):
+    # A node budget of b gives up at node b + 1, so agreeing at every
+    # small budget means visiting the same first nodes.
+    for budget in (1, 2, 4, 8, 16, 32, 64):
+        assert (_outcome(exact_min_rds, g, r, budget)
+                == _outcome(rescanning_exact_min_rds, g, r, budget))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_ORACLE_GRAPHS, relabelled(_ORACLE_GRAPHS)),
+       st.integers(1, 5))
+def test_search_visits_the_same_nodes_as_the_rescanning_one(g, r):
+    _assert_same_search(g, r)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_search_visits_the_same_nodes_on_backtracking_graphs(seed):
+    # G(n, p) with n = 30..40 and average degree 2..4 backtracks within 64
+    # nodes far more often than the small graphs drawn above.
+    rnd = random.Random(seed)
+    n = rnd.randint(30, 40)
+    p = rnd.choice([2, 3, 4]) / (n - 1)
+    g = build_graph([(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rnd.random() < p], extra_vertices=range(n))
+    for r in (1, 2):
+        _assert_same_search(g, r)
+
+
+def _random_forest(seed, n):
+    """A forest on n shuffled, non-contiguous IDs: vertex v hangs from one
+    of the ``span`` vertices before it (a path at span 1, a recursive tree
+    at span n), or with probability ``split`` starts a new tree."""
+    rnd = random.Random(seed)
+    span = rnd.choice([1, 2, 5, 40, n])
+    split = rnd.choice([0.0, 0.0, 0.02, 0.3])
+    edges = [(rnd.randrange(max(0, v - span), v), v) for v in range(1, n)
+             if rnd.random() >= split]
+    ids = rnd.sample(range(3 * n), n)
+    return build_graph([(ids[u], ids[v]) for u, v in edges],
+                       extra_vertices=ids)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 150, 2000])
+@pytest.mark.parametrize("seed", range(8))
+def test_max_packing_certifies_the_known_optimum(seed, n):
+    # Meir and Moon: on a forest the largest set of vertices pairwise more
+    # than 2r apart is as large as a smallest distance-r dominating set.
+    g = _random_forest(seed, n)
+    graph = nx.Graph(g.edges())
+    graph.add_nodes_from(g.vertices)
+    for r in (1, 2, 3, 4):
+        packing = reference_max_packing(g, r)
+        assert len(packing) == _known_optimum(g, r)
+        for p in packing:
+            near = nx.single_source_shortest_path_length(graph, p, cutoff=2 * r)
+            assert packing.isdisjoint(near.keys() - {p})
 
 
 @settings(max_examples=200, deadline=None)
