@@ -12,9 +12,8 @@ from .experiments import (CSV_HEADER, ExperimentError, ExperimentResult,
 from .generators import (TightnessGraph, TightnessParams, gen_complete,
                          gen_cycle, gen_path, gen_random_tree, gen_tightness,
                          subdivide, tightness_dominating_set)
-from .graphs import (INFINITE, Graph, GraphError, ball, build_graph,
-                     connected_components, distances, girth,
-                     neighborhood_size_oracle, read_graph, write_graph)
+from .graphs import (INFINITE, Graph, GraphError, build_graph, distances,
+                     girth, read_graph, write_graph)
 from .oracles import (OptimumUnknown, exact_min_rds, greedy_rds,
                       is_independent, is_r_dominating)
 from .programs import (RmdsOutput, count_neighborhood_program,

@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from .generators import (TightnessGraph, TightnessParams, gen_complete,
                          gen_cycle, gen_path, gen_random_tree, gen_tightness,
                          subdivide, tightness_dominating_set)
-from .graphs import (Graph, girth, neighborhood_size_oracle, read_graph,
-                     render_girth)
+from .graphs import Graph, girth, r_balls, read_graph, render_girth
 from .oracles import is_independent, is_r_dominating
 from .programs import (count_neighborhood_program, cycle_is_program,
                        rmds_program, rmds_round_budget, selection_oracle)
@@ -93,10 +92,12 @@ def build_instance(spec: Dict) -> Tuple[Graph, Optional[TightnessGraph]]:
     ``bad_spec`` error and an unreadable graph file a ``bad_input`` one."""
     family = spec.get("family")
     if family == "file":
-        if not spec.get("graph"):
-            raise ExperimentError("bad_spec", "family 'file' needs 'graph'")
+        path = spec.get("graph")
+        if not path or not isinstance(path, str):
+            raise ExperimentError("bad_spec",
+                                  "family 'file' needs 'graph', a file path")
         try:
-            return read_graph(spec["graph"]), None
+            return read_graph(path), None
         except (OSError, ValueError) as exc:
             raise ExperimentError("bad_input", str(exc)) from None
     try:
@@ -185,8 +186,7 @@ def _rmds(spec, g, tight, r, f_r, premise):
 
 def _count(spec, g, tight, r, f_r, premise):
     sim = run_simulation(g, count_neighborhood_program(r), round_budget=r - 1)
-    exact = all(sim.outputs[v] == neighborhood_size_oracle(g, v, r)
-                for v in g.vertices)
+    exact = sim.outputs == {v: len(b) - 1 for v, b in r_balls(g, r).items()}
     verdicts = [("count_equiv", exact or not premise),
                 ("rounds", sim.rounds_executed == r - 1),
                 ("bits", _bits_ok(g, sim))]

@@ -1,15 +1,14 @@
 """Immutable simple undirected graphs plus exact sequential primitives.
 
-These routines (BFS distances, truncated-BFS neighborhood counts, girth,
-connected components) serve as ground truth for everything the distributed
-algorithms compute.
+These routines (BFS distances, closed r-balls, girth) serve as ground
+truth for everything the distributed algorithms compute.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Girth of an acyclic graph.
 INFINITE = math.inf
@@ -154,22 +153,6 @@ def r_balls(g: Graph, r: int) -> Dict[int, Tuple[int, ...]]:
     return balls
 
 
-def ball(g: Graph, v: int, r: int) -> FrozenSet[int]:
-    """Closed distance-r neighborhood of ``v`` (includes ``v`` itself)."""
-    return frozenset(distances(g, (v,), r))
-
-
-def neighborhood_size_oracle(g: Graph, v: int, r: int) -> int:
-    """Exact count of vertices at distance 1..r from ``v`` (truncated BFS).
-
-    Makes no girth assumption; this is the reference the message-passing
-    count is checked against.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return len(ball(g, v, r)) - 1
-
-
 def girth(g: Graph):
     """Length of the shortest cycle, or INFINITE for acyclic graphs;
     computed once per graph (see ``_compute_girth``)."""
@@ -245,23 +228,6 @@ def _compute_girth(g: Graph):
                     if candidate < best:
                         best = candidate
     return best
-
-
-def connected_components(g: Graph) -> List[Tuple[int, ...]]:
-    """Partition of V into maximal connected sets.
-
-    Each component is sorted ascending; the list is sorted by smallest
-    member.
-    """
-    seen = set()
-    components = []
-    for s in g.vertices:
-        if s in seen:
-            continue
-        comp = sorted(distances(g, (s,)))
-        seen.update(comp)
-        components.append(tuple(comp))
-    return components
 
 
 def write_graph(g: Graph, path) -> None:

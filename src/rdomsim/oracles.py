@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from .graphs import (Graph, GraphError, connected_components, distances,
-                     r_balls)
+from .graphs import Graph, GraphError, distances, r_balls
 
 
 class OptimumUnknown(RuntimeError):
@@ -36,85 +35,78 @@ def is_independent(g: Graph, candidates: Iterable[int]) -> bool:
     return not any(u in members and v in members for u, v in g.edges())
 
 
-def _greedy(balls: Dict[int, Collection[int]]) -> List[int]:
-    """Greedy cover from closed balls (tuples or frozensets) keyed by
-    vertex, in ascending vertex order: repeatedly take the vertex covering
-    the most uncovered vertices, ties broken by smaller ID.
+def greedy_rds(g: Graph, r: int) -> FrozenSet[int]:
+    """Greedy baseline: repeatedly add the vertex covering the most uncovered
+    vertices, ties broken by smaller ID.
 
     Lazy: the heap holds (-gain, v) keys that may be stale.  Gains only
     shrink, so a stale key is an upper bound, and a vertex whose fresh key
     still heads the heap is the greedy choice.
     """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    balls = r_balls(g, r)
     heap = [(-len(b), v) for v, b in balls.items()]
     heapq.heapify(heap)
     uncovered = set(balls)
-    chosen: List[int] = []
+    chosen: Set[int] = set()
     while uncovered:
         _, v = heapq.heappop(heap)
         key = (-len(uncovered.intersection(balls[v])), v)
         if heap and key > heap[0]:
             heapq.heappush(heap, key)
             continue
-        chosen.append(v)
+        chosen.add(v)
         uncovered.difference_update(balls[v])
-    return chosen
-
-
-def greedy_rds(g: Graph, r: int) -> FrozenSet[int]:
-    """Greedy baseline: repeatedly add the vertex covering the most uncovered
-    vertices, ties broken by smaller ID."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return frozenset(_greedy(r_balls(g, r)))
-
-
-def _tree_optimum(g: Graph, root: int, r: int) -> int:
-    """Size of a minimum distance-r dominating set of the tree holding
-    ``root``: Slater's leaf-up rule in reverse BFS order.
-
-    ``far[v]`` is the distance to the farthest undominated vertex below v
-    (v itself counts), ``near[v]`` to the nearest chosen one.  A vertex is
-    chosen when its farthest undominated vertex is exactly r away, and the
-    root when it still needs cover.
-    """
-    parent = {root: None}
-    order = [root]
-    for u in order:
-        for w in g.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    far = dict.fromkeys(order, 0)
-    near = dict.fromkeys(order, r + 1)  # r + 1: nothing chosen in reach
-    count = 0
-    for v in reversed(order):
-        needs_cover = far[v] + near[v] > r
-        if needs_cover and far[v] == r:
-            count += 1
-            near[v] = 0
-            needs_cover = False
-        p = parent[v]
-        if p is not None:
-            if needs_cover:
-                far[p] = max(far[p], far[v] + 1)
-            near[p] = min(near[p], near[v] + 1)
-    return count + needs_cover  # the root comes last
+    return frozenset(chosen)
 
 
 def _known_optimum(g: Graph, r: int) -> Optional[int]:
     """Minimum distance-r dominating set size when every component is a
-    tree or a cycle: Slater's rule per tree, ceil(|C| / (2r+1)) per cycle.
-    None when some component is neither."""
+    tree or a cycle, None when some component is neither.
+
+    One BFS per component, from its smallest unseen vertex, gives the
+    component's vertices and edge count.  A cycle of c vertices needs
+    ceil(c / (2r+1)).  A tree is counted by Slater's leaf-up rule
+    (P. J. Slater, "R-Domination in Graphs", J. ACM 23(3), 1976) in
+    reverse BFS order: ``far[v]`` is the distance to the farthest
+    undominated vertex below v (v itself counts), ``near[v]`` to the
+    nearest chosen one.  A vertex is chosen when its farthest undominated
+    vertex is exactly r away, and the root when it still needs cover.
+    """
+    parent: Dict[int, Optional[int]] = {}
     total = 0
-    for comp in connected_components(g):
-        degrees = [len(g.neighbors(v)) for v in comp]
+    for root in g.vertices:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for u in order:
+            for w in g.neighbors(u):
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        degrees = [len(g.neighbors(v)) for v in order]
         edges = sum(degrees) // 2
-        if edges == len(comp) - 1:
-            total += _tree_optimum(g, comp[0], r)
-        elif edges == len(comp) and all(d == 2 for d in degrees):
-            total += -(-len(comp) // (2 * r + 1))
-        else:
+        if edges == len(order) and all(d == 2 for d in degrees):
+            total += -(-len(order) // (2 * r + 1))
+            continue
+        if edges != len(order) - 1:
             return None
+        far = dict.fromkeys(order, 0)
+        near = dict.fromkeys(order, r + 1)  # r + 1: nothing chosen in reach
+        for v in reversed(order):
+            needs_cover = far[v] + near[v] > r
+            if needs_cover and far[v] == r:
+                total += 1
+                near[v] = 0
+                needs_cover = False
+            p = parent[v]
+            if p is not None:
+                if needs_cover:
+                    far[p] = max(far[p], far[v] + 1)
+                near[p] = min(near[p], near[v] + 1)
+        total += needs_cover  # the root comes last
     return total
 
 
@@ -170,7 +162,7 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
     if g.vertex_count == 0:
         return frozenset()
     balls = {v: frozenset(b) for v, b in r_balls(g, r).items()}
-    best = sorted(_greedy(balls))
+    best = sorted(greedy_rds(g, r))
     k = _known_optimum(g, r)
     if len(best) == k:
         return frozenset(best)

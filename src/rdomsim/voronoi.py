@@ -9,6 +9,7 @@ everything into a per-instance report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -40,7 +41,6 @@ class VoronoiDecomposition:
     centers: FrozenSet[int]
     dist: Dict[int, int]
     assignment: Dict[int, int]
-    cells: Dict[int, FrozenSet[int]]
     intercell_edges: Tuple[InterCellEdge, ...]
     quotient_edge_count: int
     non_tree_cells: Tuple[int, ...]
@@ -75,10 +75,7 @@ def voronoi_decompose(g: Graph, centers: Iterable[int]) -> VoronoiDecomposition:
     for v, d in dist.items():
         assignment[v] = v if d == 0 else min(
             assignment[u] for u in g.neighbors(v) if dist[u] == d - 1)
-    members: Dict[int, List[int]] = {m: [] for m in ordered}
-    for v, m in assignment.items():
-        members[m].append(v)
-    cells = {m: frozenset(vs) for m, vs in members.items()}
+    sizes = Counter(assignment.values())
     intercell: List[InterCellEdge] = []
     pairs = set()
     inner = dict.fromkeys(ordered, 0)
@@ -91,10 +88,10 @@ def voronoi_decompose(g: Graph, centers: Iterable[int]) -> VoronoiDecomposition:
             intercell.append(((u, v), pair))
             pairs.add(pair)
     return VoronoiDecomposition(
-        centers=center_set, dist=dist, assignment=assignment, cells=cells,
+        centers=center_set, dist=dist, assignment=assignment,
         intercell_edges=tuple(intercell), quotient_edge_count=len(pairs),
         non_tree_cells=tuple(m for m in ordered
-                             if inner[m] != len(members[m]) - 1))
+                             if inner[m] != sizes[m] - 1))
 
 
 def check_structural_lemmas(dec: VoronoiDecomposition,
@@ -119,8 +116,8 @@ def boundary_forest(g: Graph, dec: VoronoiDecomposition) -> FrozenSet[int]:
     neighbor one step nearer (two would close a cycle with their paths to
     the center), so each boundary vertex walks to it until it meets a
     vertex already in its tree, and the whole forest is linear.  The trees
-    are disjoint, each inside its own cell, so cell m's tree is
-    ``T & dec.cells[m]``; it always holds the center m.
+    are disjoint, each inside its own cell, so cell m's tree is T
+    restricted to cell m's vertices; it always holds the center m.
     """
     if dec.non_tree_cells:
         raise ValueError(

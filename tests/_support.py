@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg, Graph,
                      GraphError, NodeProgram, NotDominatingError,
                      OptimumUnknown, ProgramFault, RmdsOutput, SimulationReport, StepResult,
-                     VoronoiDecomposition, ball, build_graph, distances,
+                     VoronoiDecomposition, build_graph, distances,
                      message_widths)
 from rdomsim.oracles import _known_optimum
 
@@ -40,6 +40,30 @@ def relabelled(draw, graph_strategy, max_id=1000):
     new = dict(zip(g.vertices, ids))
     return build_graph([(new[u], new[v]) for u, v in g.edges()],
                        extra_vertices=ids)
+
+
+def ball(g: Graph, v: int, r: int) -> FrozenSet[int]:
+    """Closed distance-r neighborhood of ``v``, by a plain queue BFS that
+    shares no code with the library's ``distances`` or ``r_balls``."""
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == r:
+            continue
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return frozenset(dist)
+
+
+def cells(dec: VoronoiDecomposition) -> Dict[int, FrozenSet[int]]:
+    """Each center's cell, the vertices ``dec.assignment`` maps to it."""
+    members: Dict[int, Set[int]] = {m: set() for m in dec.centers}
+    for v, m in dec.assignment.items():
+        members[m].add(v)
+    return {m: frozenset(vs) for m, vs in members.items()}
 
 
 def enumerate_min_rds(g: Graph, r: int) -> frozenset:
@@ -325,8 +349,8 @@ def reference_voronoi_decompose(g: Graph, centers) -> VoronoiDecomposition:
         raise NotDominatingError(
             f"{len(missing)} vertex(es) unreachable from every center")
     assignment = {v: m for v, (_, m) in label.items()}
-    cells = {m: frozenset(v for v, c in assignment.items() if c == m)
-             for m in sorted(center_set)}
+    by_center = {m: frozenset(v for v, c in assignment.items() if c == m)
+                 for m in sorted(center_set)}
     intercell = []
     for u, v in g.edges():
         cu, cv = assignment[u], assignment[v]
@@ -334,13 +358,13 @@ def reference_voronoi_decompose(g: Graph, centers) -> VoronoiDecomposition:
             intercell.append(((u, v), (min(cu, cv), max(cu, cv))))
     # A cell's inner edges, counted from both ends through the adjacency.
     inner = {m: sum(w in cell for v in cell for w in g.neighbors(v)) // 2
-             for m, cell in cells.items()}
+             for m, cell in by_center.items()}
     return VoronoiDecomposition(
         centers=center_set, dist={v: d for v, (d, _) in label.items()},
-        assignment=assignment, cells=cells, intercell_edges=tuple(intercell),
+        assignment=assignment, intercell_edges=tuple(intercell),
         quotient_edge_count=len({pair for _, pair in intercell}),
-        non_tree_cells=tuple(m for m in sorted(cells)
-                             if inner[m] != len(cells[m]) - 1))
+        non_tree_cells=tuple(m for m in sorted(by_center)
+                             if inner[m] != len(by_center[m]) - 1))
 
 
 def reference_run_simulation(g: Graph, program, params: Any = None,

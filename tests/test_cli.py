@@ -20,6 +20,13 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def _cli_env():
+    """The environment for ``python -m rdomsim.cli`` in a child process."""
+    src = str(Path(rdomsim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_generate_writes_graph_and_sidecar(tmp_path, capsys):
     out = tmp_path / "c11.graph"
     code, stdout = run_cli(capsys, "generate", "--family", "cycle",
@@ -233,6 +240,21 @@ def test_suite_spec_without_family_parameter_is_bad_spec(tmp_path, capsys):
     assert json.loads(stdout)["error"] == "bad_spec"
 
 
+@pytest.mark.parametrize("graph", [1, True])
+def test_suite_non_string_graph_is_bad_spec(tmp_path, graph):
+    # In a child process: open() takes an int (or a bool) as a file
+    # descriptor, and in process fd 1 is the test runner's own.
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps([{"family": "file", "graph": graph, "r": 1}]))
+    proc = subprocess.run([sys.executable, "-m", "rdomsim.cli", "suite",
+                           str(config)], capture_output=True, env=_cli_env(),
+                          timeout=120)
+    assert proc.returncode == EXIT_ERROR
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "bad_spec"
+
+
 def test_verify_missing_files_are_bad_input(tmp_path, capsys):
     missing = str(tmp_path / "missing")
     code, stdout = run_cli(capsys, "verify", "--graph", missing,
@@ -370,15 +392,12 @@ def test_unreadable_or_unwritable_path_is_bad_input(tmp_path, capsys, argv):
 def test_closed_stdout_exits_2_quietly(argv):
     # The pipe's read end is closed before the child starts, so its first
     # write to stdout fails, whichever line it is.
-    src = str(Path(rdomsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "rdomsim.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, timeout=120)
+                              env=_cli_env(), timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_ERROR

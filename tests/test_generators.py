@@ -3,9 +3,10 @@ import pytest
 from rdomsim import (INFINITE, TightnessParams, build_graph, distances,
                      exact_min_rds, gen_complete, gen_cycle, gen_path,
                      gen_random_tree, gen_tightness, girth, is_r_dominating,
-                     neighborhood_size_oracle, rmds_program,
-                     rmds_round_budget, run_simulation, subdivide,
-                     tightness_dominating_set)
+                     rmds_program, rmds_round_budget, run_simulation,
+                     subdivide, tightness_dominating_set)
+
+from _support import ball
 
 
 def test_gen_cycle():
@@ -68,7 +69,7 @@ def test_tightness_r1_f2_shape():
     for x in tg.x_side:
         for y in tg.y_side:
             assert distances(g, (x,))[y] == 3
-        assert neighborhood_size_oracle(g, x, 1) == 4
+        assert len(ball(g, x, 1)) - 1 == 4
     for block in tg.pendants.values():
         assert all(len(g.neighbors(b)) == 1 for b in block)
 

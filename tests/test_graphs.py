@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (INFINITE, GraphError, TightnessParams, ball, build_graph,
-                     connected_components, distances, gen_complete, gen_cycle,
-                     gen_random_tree, gen_tightness, girth,
-                     neighborhood_size_oracle, read_graph, subdivide,
-                     write_graph)
+from rdomsim import (INFINITE, GraphError, TightnessParams, build_graph,
+                     distances, gen_complete, gen_cycle, gen_random_tree,
+                     gen_tightness, girth, read_graph, subdivide, write_graph)
 
 from rdomsim.graphs import r_balls
 
-from _support import graphs, reference_girth, relabelled
+from _support import ball, graphs, reference_girth, relabelled
 
 
 def test_build_path_on_three_vertices():
@@ -57,13 +55,14 @@ def test_bfs_unknown_source():
 
 def test_neighborhood_size_on_long_cycle():
     g = gen_cycle(11)
-    assert all(neighborhood_size_oracle(g, v, 2) == 4 for v in g.vertices)
+    assert all(len(b) - 1 == 4 for b in r_balls(g, 2).values())
 
 
 def test_neighborhood_size_star_center():
     star = build_graph([(5, leaf) for leaf in range(5)])
-    assert neighborhood_size_oracle(star, 5, 1) == 5
-    assert neighborhood_size_oracle(star, 0, 1) == 1
+    balls = r_balls(star, 1)
+    assert len(balls[5]) - 1 == 5
+    assert len(balls[0]) - 1 == 1
 
 
 def test_girth_cycles_and_trees():
@@ -79,13 +78,6 @@ def test_girth_two_cycles_takes_minimum():
     g = build_graph([(0, 1), (1, 2), (2, 0),
                      (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])
     assert girth(g) == 3
-
-
-def test_connected_components():
-    assert connected_components(gen_cycle(5)) == [(0, 1, 2, 3, 4)]
-    g = build_graph([(0, 1), (2, 3)])
-    assert connected_components(g) == [(0, 1), (2, 3)]
-    assert connected_components(build_graph([])) == []
 
 
 def test_graph_roundtrip_through_text_format(tmp_path):
@@ -116,8 +108,9 @@ def test_neighborhood_oracle_matches_bfs(g):
         dist = distances(g, (v,))
         for r in (1, 2, 3):
             expected = sum(1 for u, d in dist.items() if u != v and d <= r)
-            assert neighborhood_size_oracle(g, v, r) == expected
-            assert ball(g, v, r) == frozenset(
+            found = r_balls(g, r)[v]
+            assert len(found) - 1 == expected
+            assert frozenset(found) == ball(g, v, r) == frozenset(
                 u for u, d in dist.items() if d <= r)
 
 

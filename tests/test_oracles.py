@@ -58,15 +58,27 @@ def _disjoint_union(g, h):
                        + [v + shift for v in h.vertices])
 
 
+@st.composite
+def cycle_beside_forest(draw, max_n=14):
+    """A cycle and a forest side by side, either one first: a cycle
+    component among tree components, at most ``max_n`` vertices in all."""
+    c = draw(st.integers(3, max_n - 1))
+    parts = [gen_cycle(c), draw(forests(max_n=max_n - c, isolated=True))]
+    if draw(st.booleans()):
+        parts.reverse()
+    return _disjoint_union(*parts)
+
+
 #: Every family the exact solver meets, with and without a known optimum.
 _ORACLE_GRAPHS = st.one_of(
     forests(), forests(isolated=True), _paths(40), _cycles(40),
     st.integers(0, 6).map(lambda k: subdivide(gen_complete(4), k)),
     gnp_graphs())
 
-#: Forests, paths and cycles small enough to enumerate.
+#: Forests, paths, cycles and cycles beside forests small enough to
+#: enumerate.
 _KNOWN_GRAPHS = st.one_of(forests(max_n=14), forests(max_n=14, isolated=True),
-                          _paths(14), _cycles(14))
+                          _paths(14), _cycles(14), cycle_beside_forest())
 
 
 def test_is_r_dominating_examples():

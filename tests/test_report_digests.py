@@ -15,8 +15,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import pytest
-
 from rdomsim import builtin_corpus, run_experiment
 
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
@@ -36,7 +34,13 @@ def test_every_builtin_spec_is_pinned():
     assert sorted(pinned) == sorted(spec_key(s) for s in builtin_corpus())
 
 
-@pytest.mark.parametrize("spec", builtin_corpus(), ids=spec_key)
+def pytest_generate_tests(metafunc):
+    # A hook rather than a marker, so the module runs as a script without
+    # pytest installed.
+    if "spec" in metafunc.fixturenames:
+        metafunc.parametrize("spec", builtin_corpus(), ids=spec_key)
+
+
 def test_report_matches_pinned_digest(spec):
     assert report_digest(spec) == json.loads(DIGESTS.read_text())[spec_key(spec)]
 

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
-                     FloodMsg, NodeProgram, ProgramFault, StepResult, ball,
-                     build_graph, count_neighborhood_program,
-                     cycle_is_program, gen_cycle, gen_random_tree, id_bits,
-                     message_widths, rmds_program, rmds_round_budget,
-                     run_simulation, selection_oracle)
+                     FloodMsg, NodeProgram, ProgramFault, StepResult,
+                     build_graph, count_neighborhood_program, cycle_is_program,
+                     gen_cycle, gen_random_tree, id_bits, message_widths,
+                     rmds_program, rmds_round_budget, run_simulation,
+                     selection_oracle)
 
-from _support import (graphs, reference_rmds_program, reference_run_simulation,
-                      relabelled)
+from _support import (ball, graphs, reference_rmds_program,
+                      reference_run_simulation, relabelled)
 
 
 class NeverHalts(NodeProgram):
@@ -420,12 +420,15 @@ def builtin_runs(draw):
 def test_builtin_runs_leave_no_cyclic_garbage(case):
     # The collector pause is safe only because a run builds no reference
     # cycle: reference counting alone must free all that it allocates.
-    gc.collect()
+    # Freezing moves the test heap out of the collector's reach, so the
+    # collection after the run scans only what the run allocated.
     gc.disable()
+    gc.freeze()
     try:
         run_simulation(*case)
         assert gc.collect() == 0
     finally:
+        gc.unfreeze()
         gc.enable()
 
 

@@ -10,7 +10,7 @@ from rdomsim import (NotDominatingError, RmdsOutput, SimulationReport, Tightness
                      run_simulation, selection_oracle, split_selection,
                      tightness_dominating_set, voronoi_decompose)
 
-from _support import graphs, reference_voronoi_decompose
+from _support import cells, graphs, reference_voronoi_decompose
 
 
 def run_rmds(g, r):
@@ -19,9 +19,9 @@ def run_rmds(g, r):
 
 def test_decompose_c9():
     dec = voronoi_decompose(gen_cycle(9), {0, 3, 6})
-    assert dec.cells[0] == frozenset({0, 1, 8})
-    assert dec.cells[3] == frozenset({2, 3, 4})
-    assert dec.cells[6] == frozenset({5, 6, 7})
+    assert cells(dec)[0] == frozenset({0, 1, 8})
+    assert cells(dec)[3] == frozenset({2, 3, 4})
+    assert cells(dec)[6] == frozenset({5, 6, 7})
     assert dec.quotient_edge_count == 3
 
 
@@ -34,7 +34,7 @@ def test_decompose_tie_breaks_by_smaller_center_id():
 def test_decompose_single_center_tree():
     g = gen_random_tree(40, 2)
     dec = voronoi_decompose(g, {0})
-    assert dec.cells[0] == frozenset(g.vertices)
+    assert cells(dec)[0] == frozenset(g.vertices)
     assert dec.quotient_edge_count == 0
 
 
@@ -76,7 +76,7 @@ def test_boundary_forest_c9_meets_bound_with_equality():
     g = gen_cycle(9)
     dec = voronoi_decompose(g, {0, 3, 6})
     forest = boundary_forest(g, dec)
-    assert forest & dec.cells[0] == frozenset({0, 1, 8})
+    assert forest & cells(dec)[0] == frozenset({0, 1, 8})
     assert len(forest) == 9 == (1 + 2 * 1 * 1) * 3
 
 
@@ -92,8 +92,8 @@ def test_boundary_forest_walks_inside_its_cell_on_ties():
     g = build_graph([(0, 5), (5, 2), (2, 1), (1, 9)])
     dec = voronoi_decompose(g, {0, 9})
     forest = boundary_forest(g, dec)
-    assert forest & dec.cells[0] == frozenset({0, 5, 2})
-    assert forest & dec.cells[9] == frozenset({9, 1})
+    assert forest & cells(dec)[0] == frozenset({0, 5, 2})
+    assert forest & cells(dec)[9] == frozenset({9, 1})
 
 
 def test_boundary_forest_tightness_family():
@@ -197,7 +197,7 @@ def test_decomposition_partitions_with_radius_bound(g, r):
     dec = voronoi_decompose(g, centers)
     assert max(dec.dist.values()) <= r
     seen = set()
-    for m, cell in dec.cells.items():
+    for m, cell in cells(dec).items():
         assert m in cell
         assert not (cell & seen)
         seen |= cell
@@ -270,7 +270,7 @@ def test_lemmas_and_forest_match_networkx(g, data):
     lemmas = check_structural_lemmas(dec, 1)
 
     tree_cells = {m: nx.is_tree(G.subgraph(cell))
-                  for m, cell in dec.cells.items()}
+                  for m, cell in cells(dec).items()}
     assert lemmas["cells_tree"] == all(tree_cells.values())
     assert dec.non_tree_cells == tuple(
         sorted(m for m, ok in tree_cells.items() if not ok))
@@ -290,7 +290,7 @@ def test_lemmas_and_forest_match_networkx(g, data):
         return
     forest = boundary_forest(g, dec)
     trees = []
-    for m, cell in dec.cells.items():
+    for m, cell in cells(dec).items():
         inside = G.subgraph(cell)
         boundary = {u for u in cell
                     if any(w not in cell for w in G.neighbors(u))}
