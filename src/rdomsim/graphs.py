@@ -7,11 +7,13 @@ truth for everything the distributed algorithms compute.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Girth of an acyclic graph.
 INFINITE = math.inf
+
+#: Most vertices a graph file's header may declare (see ``read_graph``).
+_MAX_FILE_VERTICES = 1 << 20
 
 
 def render_girth(value):
@@ -30,10 +32,11 @@ class Graph:
     threads.  Vertex IDs are arbitrary non-negative integers; they need not
     be contiguous.
 
-    Facts derived from the graph alone (``girth``, ``r_balls``) are
-    memoized in ``_memo``, computed at the first call and kept as long as
-    the graph.  Each value depends only on the graph, so two threads that
-    race on a miss store equal values, and sharing stays safe.
+    Facts derived from the graph alone (``girth``, ``r_balls`` and the
+    2-core peel ``_peel``) are memoized in ``_memo``, computed at the first
+    call and kept as long as the graph.  Each value depends only on the
+    graph, so two threads that race on a miss store equal values, and
+    sharing stays safe.  No value holds the graph itself.
     """
 
     __slots__ = ("_adj", "_vertices", "_memo")
@@ -122,13 +125,13 @@ def distances(g: Graph, sources: Iterable[int],
         if s not in g:
             raise GraphError(f"unknown vertex {s}")
         dist[s] = 0
-    frontier = list(dist)
+    frontier, adj = list(dist), g._adj
     d = 0
     while frontier and (limit is None or d < limit):
         d += 1
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in adj[u]:
                 if w not in dist:
                     dist[w] = d
                     nxt.append(w)
@@ -165,69 +168,72 @@ def girth(g: Graph):
 def _compute_girth(g: Graph):
     """The girth, computed from scratch.
 
-    Every cycle lies in the 2-core, so leaves are peeled off repeatedly
-    first; a forest peels away entirely.  A core component whose vertices
-    all have core degree 2 is a bare cycle and contributes its size.  In
-    any other component every cycle passes through a vertex of core degree
-    >= 3, so a BFS inside the core runs from those vertices only.  For
-    each non-tree edge {u, w} seen from root s the closed walk through s
-    has length dist(u) + dist(w) + 1, which never undercuts the girth and
-    achieves it for a root on a shortest cycle.  Such a walk is at least
-    2·dist(u) long, so a BFS stops once 2·dist(u) >= best.
-
-    Cost: O(n + m) for the peel and the bare cycles, plus one truncated
-    BFS of the core per vertex of core degree >= 3; linear on trees,
-    cycles and forests of them.
+    Every cycle lies in the 2-core (see ``_peel``); a bare cycle there
+    counts its size, and every other cycle passes through a core vertex of
+    degree >= 3, so a BFS in the core runs from those only.  A vertex at
+    depth d with a neighbor at depth d closes a walk of length 2d+1 through
+    the root, one with two neighbors at depth d-1 a walk of length 2d;
+    neither undercuts the girth, and a root on a shortest cycle meets it.
+    So a BFS goes no deeper than (best - 1) // 2.  Cost: the O(n + m) peel
+    plus one truncated BFS per core vertex of degree >= 3.
     """
-    degree = {v: len(g.neighbors(v)) for v in g.vertices}
-    peeled = {v for v, d in degree.items() if d <= 1}
-    leaves = list(peeled)
-    while leaves:
-        for w in g.neighbors(leaves.pop()):
-            if w not in peeled:
-                degree[w] -= 1
-                if degree[w] <= 1:
-                    peeled.add(w)
-                    leaves.append(w)
-
-    best = INFINITE
-    seen = set(peeled)
-    for s in g.vertices:
-        if s in seen:
-            continue
-        seen.add(s)
-        component, branched = [s], False
-        for u in component:
-            branched = branched or degree[u] >= 3
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    component.append(w)
-        if not branched and len(component) < best:
-            best = len(component)
-
-    for s in g.vertices:
-        if s in peeled or degree[s] < 3:
-            continue
-        dist = {s: 0}
-        parent = {s: None}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
+    _, core, cycles, branched = _peel(g)
+    best = min(cycles, default=INFINITE)
+    for s in branched:
+        dist = distances(core, (s,), None if best == INFINITE
+                         else (best - 1) // 2)
+        for u, d in dist.items():
+            if 2 * d >= best:
                 break
-            for w in g.neighbors(u):
-                if w in peeled:
-                    continue
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    candidate = dist[u] + dist[w] + 1
-                    if candidate < best:
-                        best = candidate
+            depths = [dist.get(w) for w in core.neighbors(u)]
+            if d in depths:
+                best = 2 * d + 1
+            if depths.count(d - 1) >= 2:
+                best = 2 * d
     return best
+
+
+def _peel(g: Graph):
+    """``(removed, core, cycles, branched)``, computed once per graph.
+
+    Leaves are peeled off repeatedly.  ``removed`` maps each peeled vertex,
+    in removal order, to its one neighbor still present then, or to None
+    for the last vertex of a tree, so children come before parents.  What
+    remains is the 2-core, ``core``, a new ``Graph``.  ``cycles`` holds
+    the sizes of its components whose vertices all have degree 2, and
+    ``branched`` its vertices of degree >= 3, ascending.  O(n + m).
+    """
+    peel = g._memo.get("peel")
+    if peel is not None:
+        return peel
+    adj = g._adj
+    degree = {v: len(ns) for v, ns in adj.items()}
+    order = [v for v, d in degree.items() if d <= 1]
+    removed: Dict[int, Optional[int]] = {}
+    for v in order:
+        for parent in adj[v]:
+            if parent not in removed:
+                break
+        else:
+            parent = None
+        removed[v] = parent
+        if parent is not None:
+            degree[parent] -= 1
+            if degree[parent] == 1:
+                order.append(parent)
+    core_adj = {v: ns for v, ns in adj.items() if v not in removed}
+    for p in core_adj.keys() & removed.values():  # where trees hang
+        core_adj[p] = tuple(w for w in adj[p] if w not in removed)
+    core = Graph(core_adj)
+    branched = [v for v in core.vertices if len(core_adj[v]) >= 3]
+    seen, cycles = set(distances(core, branched)), []
+    for s in core.vertices:
+        if s not in seen:
+            cycle = distances(core, (s,))
+            seen.update(cycle)
+            cycles.append(len(cycle))
+    peel = g._memo["peel"] = (removed, core, cycles, branched)
+    return peel
 
 
 def write_graph(g: Graph, path) -> None:
@@ -246,12 +252,16 @@ def write_graph(g: Graph, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    """Read the interchange text format written by :func:`write_graph`."""
+    """Read the interchange text format written by :func:`write_graph`;
+    the header is checked before anything is allocated."""
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise GraphError("graph file truncated: missing header")
     n, m = int(tokens[0]), int(tokens[1])
+    if not (0 <= n <= _MAX_FILE_VERTICES and m >= 0):
+        raise GraphError(f"graph file header '{n} {m}' needs m >= 0 and "
+                         f"0 <= n <= {_MAX_FILE_VERTICES}")
     if len(tokens) != 2 + 2 * m:
         raise GraphError(f"graph file expects {m} edges, found {(len(tokens) - 2) // 2}")
     edges = []

@@ -6,7 +6,7 @@ import heapq
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from .graphs import Graph, GraphError, distances, r_balls
+from .graphs import Graph, GraphError, _peel, distances, r_balls
 
 
 class OptimumUnknown(RuntimeError):
@@ -65,48 +65,34 @@ def _known_optimum(g: Graph, r: int) -> Optional[int]:
     """Minimum distance-r dominating set size when every component is a
     tree or a cycle, None when some component is neither.
 
-    One BFS per component, from its smallest unseen vertex, gives the
-    component's vertices and edge count.  A cycle of c vertices needs
-    ceil(c / (2r+1)).  A tree is counted by Slater's leaf-up rule
-    (P. J. Slater, "R-Domination in Graphs", J. ACM 23(3), 1976) in
-    reverse BFS order: ``far[v]`` is the distance to the farthest
+    Read off the peel (see ``graphs._peel``): the 2-core must be bare
+    cycles with no tree hanging off it.  A cycle of c vertices needs
+    ceil(c / (2r+1)).  Trees follow Slater's leaf-up rule (P. J. Slater,
+    "R-Domination in Graphs", J. ACM 23(3), 1976) in removal order,
+    children before parents: ``far[v]`` is the distance to the farthest
     undominated vertex below v (v itself counts), ``near[v]`` to the
     nearest chosen one.  A vertex is chosen when its farthest undominated
-    vertex is exactly r away, and the root when it still needs cover.
+    vertex is exactly r away, and a root (parent None) when it still needs
+    cover; the count does not depend on the root.
     """
-    parent: Dict[int, Optional[int]] = {}
-    total = 0
-    for root in g.vertices:
-        if root in parent:
-            continue
-        parent[root] = None
-        order = [root]
-        for u in order:
-            for w in g.neighbors(u):
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
-        degrees = [len(g.neighbors(v)) for v in order]
-        edges = sum(degrees) // 2
-        if edges == len(order) and all(d == 2 for d in degrees):
-            total += -(-len(order) // (2 * r + 1))
-            continue
-        if edges != len(order) - 1:
-            return None
-        far = dict.fromkeys(order, 0)
-        near = dict.fromkeys(order, r + 1)  # r + 1: nothing chosen in reach
-        for v in reversed(order):
-            needs_cover = far[v] + near[v] > r
-            if needs_cover and far[v] == r:
-                total += 1
-                near[v] = 0
-                needs_cover = False
-            p = parent[v]
-            if p is not None:
-                if needs_cover:
-                    far[p] = max(far[p], far[v] + 1)
-                near[p] = min(near[p], near[v] + 1)
-        total += needs_cover  # the root comes last
+    removed, core, cycles, branched = _peel(g)
+    if branched or any(p in core for p in removed.values()):
+        return None
+    total = sum(-(-c // (2 * r + 1)) for c in cycles)
+    far = dict.fromkeys(removed, 0)
+    near = dict.fromkeys(removed, r + 1)  # r + 1: nothing chosen in reach
+    for v, p in removed.items():
+        needs_cover = far[v] + near[v] > r
+        if needs_cover and far[v] == r:
+            total += 1
+            near[v] = 0
+            needs_cover = False
+        if p is None:
+            total += needs_cover
+        else:
+            if needs_cover:
+                far[p] = max(far[p], far[v] + 1)
+            near[p] = min(near[p], near[v] + 1)
     return total
 
 

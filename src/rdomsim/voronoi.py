@@ -217,7 +217,7 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
     quotient_edges = boundary_size = di_size = do_size = None
     if opt_set is not None:
         opt_size = len(opt_set)
-        ratio = len(selected) / opt_size
+        ratio = len(selected) / opt_size if opt_size else None
         checks["ratio_bound"] = len(selected) <= bound * opt_size
         try:
             dec = voronoi_decompose(g, opt_set)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,23 @@ def test_empty_graph_is_bad_input_for_run_and_verifies(tmp_path, capsys):
                            "--set", str(members), "--r", "1")
     assert code == EXIT_OK
     assert json.loads(stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("header", ["-3 0", "1000000000 0"])
+def test_bad_graph_header_is_bad_input_for_run_and_verify(tmp_path, capsys,
+                                                          header):
+    graph, members = tmp_path / "bad.graph", tmp_path / "empty.set"
+    graph.write_text(header + "\n")
+    members.write_text("")
+    for argv in (["run", "--graph", str(graph), "--r", "1"],
+                 ["verify", "--graph", str(graph), "--set", str(members),
+                  "--r", "1"]):
+        start = time.perf_counter()
+        code, stdout = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        assert len(stdout.splitlines()) == 1
+        assert json.loads(stdout)["error"] == "bad_input"
 
 
 def test_suite_spec_without_family_parameter_is_bad_spec(tmp_path, capsys):

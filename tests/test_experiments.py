@@ -81,3 +81,25 @@ def test_rmds_experiment_computes_each_r_ball_and_the_girth_once(monkeypatch):
     assert sorted(s for s, limit in bfs if len(s) == 1 and limit == 1) == [
         (v,) for v in range(50)]
     assert len(girths) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "tree", "n": 50, "seed": 3, "r": 1},
+    {"family": "cycle", "n": 11, "r": 1},
+])
+def test_rmds_experiment_peels_the_graph_once(monkeypatch, spec):
+    # The girth premise and the exact solver's known optimum share one peel.
+    peels = []
+    real_peel = graphs._peel
+
+    def counted_peel(g):
+        peels.append(real_peel(g))
+        return peels[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rdomsim") and getattr(module, "_peel",
+                                                  None) is real_peel:
+            monkeypatch.setattr(module, "_peel", counted_peel)
+    result = run_experiment(spec)
+    assert result.passed and result.report.opt_source == "exact"
+    assert len(peels) == 2 and peels[0] is peels[1]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -9,7 +10,7 @@ from rdomsim import (INFINITE, GraphError, TightnessParams, build_graph,
                      distances, gen_complete, gen_cycle, gen_random_tree,
                      gen_tightness, girth, read_graph, subdivide, write_graph)
 
-from rdomsim.graphs import r_balls
+from rdomsim.graphs import _peel, r_balls
 
 from _support import ball, graphs, reference_girth, relabelled
 
@@ -91,6 +92,15 @@ def test_read_graph_rejects_out_of_range(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1\n0 5\n")
     with pytest.raises(GraphError):
+        read_graph(path)
+
+
+@pytest.mark.parametrize("header", ["-3 0", "2 -1", "1048577 0",
+                                    "1000000000 0"])
+def test_read_graph_rejects_negative_or_oversized_header(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\n")
+    with pytest.raises(GraphError, match="header|limit"):
         read_graph(path)
 
 
@@ -213,3 +223,65 @@ def test_girth_cycle_beside_a_tree(n, tree_n, seed):
                     extra_vertices=range(offset, offset + tree_n))
     assert girth(g) == n
     assert girth(build_graph(tree, extra_vertices=[offset])) == INFINITE
+
+
+def _nx(g):
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(g.vertices)
+    return nxg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(max_n=10), relabelled(graphs(max_n=10))))
+def test_peel_matches_networkx_2_core_and_orders_children_first(g):
+    removed, core, cycles, branched = _peel(g)
+    nxg = _nx(g)
+    k_core = nx.k_core(nxg, 2)
+    assert set(core.vertices) == set(k_core.nodes)
+    assert core.edges() == sorted(tuple(sorted(e)) for e in k_core.edges)
+    assert set(removed) == set(g.vertices) - set(core.vertices)
+    position = {v: i for i, v in enumerate(removed)}
+    for v, p in removed.items():
+        if p is not None:
+            assert p in g.neighbors(v)
+            assert p in core or position[p] > position[v]
+    trees = sum(nx.is_tree(nxg.subgraph(c))
+                for c in nx.connected_components(nxg))
+    assert list(removed.values()).count(None) == trees
+    core_nx = _nx(core)
+    assert sorted(cycles) == sorted(
+        len(c) for c in nx.connected_components(core_nx)
+        if all(core_nx.degree(v) == 2 for v in c))
+    assert branched == [v for v in core.vertices if core_nx.degree(v) >= 3]
+    assert _peel(g) is _peel(g)
+
+
+def _with_hanging_trees(g, seed, trees=3):
+    """``g`` with ``trees`` seeded random trees, each hung by one edge from
+    a random vertex of ``g`` on fresh IDs."""
+    rnd = random.Random(seed)
+    edges, nxt = g.edges(), max(g.vertices) + 1
+    for _ in range(trees):
+        tree = gen_random_tree(rnd.randint(1, 12), rnd.randrange(1000))
+        edges.append((rnd.choice(g.vertices), nxt))
+        edges += [(u + nxt, v + nxt) for u, v in tree.edges()]
+        nxt += tree.vertex_count
+    return build_graph(edges)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("base", [
+    *(subdivide(gen_complete(4), k) for k in range(1, 7)),
+    gen_tightness(TightnessParams(2, 2)).graph,
+    gen_tightness(TightnessParams(3, 2)).graph,
+], ids=[*(f"subdivided-k4-{k}" for k in range(1, 7)),
+        "tightness-2-2", "tightness-3-2"])
+def test_girth_of_branched_high_girth_core_with_hanging_trees(base, seed):
+    g = _with_hanging_trees(base, seed)
+    expected = _networkx_girth(g)
+    assert girth(g) == expected == girth(base)
+    # A slightly longer bare cycle beside it caps every BFS's depth first.
+    shift = max(g.vertices) + 1
+    bare = [(u + shift, v + shift)
+            for u, v in gen_cycle(expected + 1 + seed).edges()]
+    assert girth(build_graph(g.edges() + bare)) == expected

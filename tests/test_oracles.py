@@ -256,6 +256,12 @@ def test_max_packing_certifies_the_known_optimum(seed, n):
             assert packing.isdisjoint(near.keys() - {p})
 
 
+@pytest.mark.parametrize("r", [1, 4])
+def test_max_packing_certifies_the_known_optimum_at_100k_vertices(r):
+    g = _random_forest(5, 100_000)
+    assert len(reference_max_packing(g, r)) == _known_optimum(g, r)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_KNOWN_GRAPHS, relabelled(_KNOWN_GRAPHS)), st.integers(1, 5))
 def test_known_optimum_matches_enumeration(g, r):
@@ -285,6 +291,9 @@ def test_known_optimum_small_cases(g, r, k):
     _disjoint_union(gen_random_tree(10, 1), subdivide(gen_complete(4), 1)),
     _disjoint_union(gen_cycle(5), build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])),
     gen_complete(4),
+    build_graph(gen_cycle(7).edges() + [(3, 7), (7, 8), (8, 9)]),
+    build_graph(subdivide(gen_complete(4), 2).edges()
+                + [(0, 20), (20, 21), (20, 22), (22, 23)]),
 ])
 def test_known_optimum_is_none_beyond_trees_and_cycles(g):
     assert _known_optimum(g, 1) is None

@@ -166,6 +166,18 @@ def test_approx_report_unknown_optimum():
     assert unknown.checks["cells_tree"] is None
 
 
+def test_approx_report_empty_comparison_set_misses_every_component():
+    g = gen_cycle(11)
+    report = approx_report(g, 1, 1, run_rmds(g, 1), opt=[])
+    assert report.opt_source == "supplied" and report.opt_size == 0
+    assert report.ratio is None
+    assert report.checks["dominating"] is True
+    assert report.checks["opt_dominating"] is False
+    for name in ("cells_tree", "single_edge", "quotient_bound", "t_bound",
+                 "di_in_T", "di_bound", "do_bound"):
+        assert report.checks[name] is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.booleans(), st.integers(1, 40), st.integers(0, 5),
        st.integers(1, 5))
