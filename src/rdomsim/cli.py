@@ -117,10 +117,10 @@ def cmd_verify(args) -> int:
     g, _ = build_instance({"family": "file", "graph": args.graph})
     with open(args.set, "r", encoding="ascii") as fh:
         try:
-            members = [int(tok) for tok in fh.read().split()]
+            members = {int(tok) for tok in fh.read().split()}
         except ValueError as exc:
             raise ExperimentError("bad_input", str(exc)) from None
-    unknown = sorted(set(members).difference(g.vertices))
+    unknown = sorted(members.difference(g.vertices))
     if unknown:
         raise ExperimentError("bad_input", f"unknown vertex {unknown[0]}")
     ok = True

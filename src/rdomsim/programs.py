@@ -97,7 +97,19 @@ class RmdsProgram(CountNeighborhoodProgram):
 
     ``best`` is a ``CandidateMsg``, whose tuple order is the (count, ID)
     ranking, and each selection send re-sends that one object.  ``recv``
-    keeps each absorbed inbox whole, one list per send.
+    keeps each absorbed inbox whole, one list per send.  Each field lives
+    only for the phases that read it: ``counts`` is dropped once summed,
+    and ``sent`` and ``recv`` are made when selection starts.
+
+    ``chosen`` is one ID, the lowest-ranked candidate known to be chosen,
+    rather than the set of them.  Sends never fall in rank, and each ranks
+    at or above every candidate absorbed before it.  Answers come for the
+    later sends first, so each newly chosen candidate ranks at or below
+    those before it, and every chosen candidate ranks at or above each
+    candidate received in a send still to answer.  A received candidate is
+    therefore chosen exactly when it is the lowest-ranked chosen one, and
+    the node is a member exactly when that one is its own ID, which its
+    first and lowest send carried.
     """
 
     __slots__ = ("own", "best", "sent", "recv", "chosen")
@@ -105,10 +117,6 @@ class RmdsProgram(CountNeighborhoodProgram):
     def __init__(self, r: int, own_id: int, num_ports: int, params):
         super().__init__(r, own_id, num_ports, params)
         self.own = own_id
-        self.best: Optional[CandidateMsg] = None
-        self.sent: List[CandidateMsg] = []
-        self.recv: List[List[CandidateMsg]] = []
-        self.chosen: Optional[set] = None
 
     def step(self, round_index, inbox):
         r, t = self.r, round_index
@@ -117,21 +125,24 @@ class RmdsProgram(CountNeighborhoodProgram):
             if out is not None:
                 return out, False, None
             self.best = CandidateMsg(sum(self.counts), self.own)
+            self.counts = None
+            self.sent: List[CandidateMsg] = []
+            self.recv: List[List[CandidateMsg]] = []
         elif t <= 2 * r:  # absorb selection send t - r
             self.recv.append(inbox)
             if inbox:
                 self.best = max(self.best, max(inbox))
         elif _BACK_BITS[True] in inbox:  # answers to send 3r - t + 1
-            self.chosen.add(self.sent[3 * r - t].id)
+            self.chosen = self.sent[3 * r - t].id
         if t < 2 * r:
             self.sent.append(self.best)
             return [self.best] * len(inbox), False, None
         if t == 2 * r:
-            self.chosen = {self.best.id}
+            self.chosen = self.best.id
         if t < 3 * r:  # answer selection send 3r - t on every port
-            return ([_BACK_BITS[msg.id in self.chosen]
+            return ([_BACK_BITS[msg.id == self.chosen]
                      for msg in self.recv[3 * r - t - 1]], False, None)
-        output = RmdsOutput(self.own in self.chosen, self.best.id)
+        output = RmdsOutput(self.own == self.chosen, self.best.id)
         return [None] * len(inbox), True, output
 
 

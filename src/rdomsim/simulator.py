@@ -15,6 +15,7 @@ import gc
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Union)
 
@@ -99,7 +100,10 @@ class NodeProgram:
     by one round.  ``inbox`` holds one message (or None) per port; it is a
     fresh list each round, so the node may keep it.  ``step`` returns the
     triple ``(outbox, halted, output)``: one message (or None) per port,
-    whether the node halts, and its output if it does.  Messages are the
+    whether the node halts, and its output if it does.  The simulator drops
+    its reference to a node as soon as the node halts, within the round, so
+    a halted node's state is freed before the next node steps unless its
+    output, or something else, still refers to it.  Messages are the
     ``NamedTuple`` types above; any other type, a bare tuple included, is a
     ``ProgramFault``.  Steps must be deterministic: no hidden global state,
     no randomness.  ``run_simulation`` pauses the cyclic garbage collector,
@@ -174,56 +178,71 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
                 mate[s] = free[j]
                 free[j] += 1
         del index, free  # the rounds need neither; free them first
-        live = [(v, program(v, hi - a, params), a, hi)
-                for v, a, hi in zip(verts, lo, lo[1:])]
+        # The live nodes, as parallel lists: vertex IDs, nodes, and each
+        # node's slots starts[i]..ends[i]-1.  A node that halts leaves
+        # ``nodes`` at once, so its state is freed before the next node
+        # steps; the lists are compacted after any round in which one did.
+        ids = verts
+        starts, ends = lo[:-1], lo[1:]
+        del lo
+        nodes = [program(v, hi - a, params)
+                 for v, a, hi in zip(verts, starts, ends)]
         widths = message_widths(n)
         inbox: List[Optional[Message]] = [None] * len(mate)
         outputs: Dict[int, Any] = {}
         messages_per_round: List[int] = []
         max_bits = 0
         t = 0
-        while live:
+        while nodes:
             t += 1
             if t > round_budget + 1:
                 raise BudgetExceeded(
-                    f"{len(live)} node(s) not halted after {round_budget} "
+                    f"{len(nodes)} node(s) not halted after {round_budget} "
                     f"communication rounds")
             out: List[Optional[Message]] = [None] * len(mate)
-            still = []
-            for entry in live:
-                v, node, a, hi = entry
+            done = len(outputs)
+            for i, node, a, hi in zip(count(), nodes, starts, ends):
                 # The slice is a fresh list, so the node may keep it.
                 outbox, halted, output = node.step(t, inbox[a:hi])
                 if len(outbox) != hi - a:
                     raise ProgramFault(
-                        f"vertex {v} produced outbox of length {len(outbox)}, "
-                        f"expected {hi - a}")
+                        f"vertex {ids[i]} produced outbox of length "
+                        f"{len(outbox)}, expected {hi - a}")
                 out[a:hi] = outbox
                 if halted:
-                    outputs[v] = output
-                else:
-                    still.append(entry)
+                    outputs[ids[i]] = output
+                    nodes[i] = node = None
             # Charge every message sent this round, those to halted nodes too.
             kinds = Counter(map(type, out))
             kinds.pop(type(None), None)
             sent = bits_max = bits_total = 0
-            for kind, count in kinds.items():
+            for kind, num in kinds.items():
                 bits = widths.get(kind)
                 if bits is None:
                     raise ProgramFault(f"unknown message type {kind.__name__}")
-                sent += count
-                bits_total += count * bits
+                sent += num
+                bits_total += num * bits
                 bits_max = max(bits_max, bits)
             messages_per_round.append(sent)
             max_bits = max(max_bits, bits_max)
             if trace is not None:
-                trace.write(json.dumps({"round": t, "live": len(live),
+                trace.write(json.dumps({"round": t, "live": len(nodes),
                                         "sent": sent, "bits_max": bits_max,
                                         "bits_total": bits_total}) + "\n")
-            live = still
+            if len(outputs) != done:
+                if len(outputs) == n:
+                    break  # no node is live, so no inbox is needed
+                keep = [node is not None for node in nodes]
+                ids, nodes, starts, ends = (list(compress(seq, keep))
+                                            for seq in (ids, nodes, starts,
+                                                        ends))
             # Slot s receives what the facing slot sent.  Halted nodes are
             # never stepped again, so what reaches their slots is discarded.
+            # At most two port buffers exist at once: this round's inbox
+            # goes before the gather, and the outbox buffer after it.
+            del inbox
             inbox = list(map(out.__getitem__, mate))
+            del out
         return SimulationReport(outputs=outputs,
                                 rounds_executed=max(t - 1, 0),
                                 max_message_bits=max_bits,

@@ -134,6 +134,20 @@ def test_verify_dominating_and_independent(tmp_path, capsys):
     assert payload["independent"] is False and payload["pass"] is False
 
 
+def test_verify_set_size_counts_distinct_vertices(tmp_path, capsys):
+    # A vertex listed three times is one vertex of the set.
+    out = tmp_path / "c9.graph"
+    run_cli(capsys, "generate", "--family", "cycle", "--n", "9",
+            "-o", str(out))
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("2 2 2\n")
+    code, stdout = run_cli(capsys, "verify", "--graph", str(out),
+                           "--set", str(repeated), "--check", "independent")
+    assert code == EXIT_OK
+    assert json.loads(stdout) == {"n": 9, "set_size": 1, "independent": True,
+                                  "pass": True}
+
+
 def test_verify_requires_r_for_domination(tmp_path, capsys):
     out = tmp_path / "c9.graph"
     run_cli(capsys, "generate", "--family", "cycle", "--n", "9",

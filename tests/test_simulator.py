@@ -1,7 +1,9 @@
+import functools
 import gc
 import io
 import itertools
 import json
+import tracemalloc
 import weakref
 from typing import NamedTuple
 
@@ -12,9 +14,10 @@ from hypothesis import strategies as st
 from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      FloodMsg, NodeProgram, ProgramFault, StepResult,
                      build_graph, count_neighborhood_program, cycle_is_program,
-                     gen_cycle, gen_random_tree, id_bits, message_widths,
-                     rmds_program, rmds_round_budget, run_simulation,
-                     selection_oracle)
+                     gen_cycle, gen_path, gen_random_tree, id_bits,
+                     message_widths, rmds_program, rmds_round_budget,
+                     run_simulation, selection_oracle)
+from rdomsim.programs import RmdsProgram
 
 from _support import (ball, graphs, reference_rmds_program,
                       reference_run_simulation, relabelled)
@@ -259,16 +262,28 @@ def trees_with_chords(draw, max_n=24):
     return build_graph(sorted(edges), extra_vertices=range(n))
 
 
+def gen_star(leaves: int):
+    """The star K(1, leaves): vertex 0 joined to 1..leaves."""
+    return build_graph([(0, v) for v in range(1, leaves + 1)])
+
+
 @st.composite
 def low_girth_rmds_cases(draw):
     """(graph, r, round_budget) off the girth premise, with shuffled IDs and,
-    about half the time, a round budget one short."""
-    g = draw(relabelled(st.one_of(gnp_graphs(), trees_with_chords())))
-    r = draw(st.integers(1, 5))
+    about half the time, a round budget one short.  Small cycles and stars
+    run up to r = 8, so that a node hears many selection sends answered."""
+    if draw(st.booleans()):
+        family = st.one_of(gnp_graphs(), trees_with_chords())
+        r = draw(st.integers(1, 5))
+    else:
+        family = st.one_of(st.integers(3, 16).map(gen_cycle),
+                           st.integers(1, 10).map(gen_star))
+        r = draw(st.integers(1, 8))
+    g = draw(relabelled(family))
     return g, r, rmds_round_budget(r) - draw(st.booleans())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(low_girth_rmds_cases())
 def test_rmds_matches_reference_program_off_the_girth_premise(case):
     # Off the premise only domination is judged elsewhere, so a changed
@@ -278,6 +293,38 @@ def test_rmds_matches_reference_program_off_the_girth_premise(case):
     assert _outcome(run_simulation, g, rmds_program(r), None, budget) == \
         _outcome(reference_run_simulation, g, reference_rmds_program(r),
                  None, budget)
+
+
+class LogsChosen(RmdsProgram):
+    """``RmdsProgram`` that logs, in ``params[own_id]``, each new value its
+    ``chosen`` takes from round 2r on."""
+
+    def __init__(self, r, own_id, num_ports, params):
+        super().__init__(r, own_id, num_ports, params)
+        self.log = params.setdefault(own_id, [])
+
+    def step(self, round_index, inbox):
+        result = super().step(round_index, inbox)
+        if round_index >= 2 * self.r and self.log[-1:] != [self.chosen]:
+            self.log.append(self.chosen)
+        return result
+
+
+def test_a_node_chosen_for_several_candidates_keeps_the_lowest():
+    # On the path 0-..-6 at r = 2, vertex 2 selects 4, is told that its
+    # send carrying 3 is chosen, and then that its own send is: its
+    # ``chosen`` takes three distinct IDs, each lower than the last.  The
+    # outputs still match the set-keeping reference program.
+    g, r = gen_path(7), 2
+    logs = {}
+    report = run_simulation(g, functools.partial(LogsChosen, r), logs,
+                            rmds_round_budget(r))
+    assert {v: ids for v, ids in logs.items() if len(ids) > 1} == \
+        {1: [3, 2], 2: [4, 3, 2], 3: [4, 3]}
+    reference = reference_run_simulation(g, reference_rmds_program(r), None,
+                                         rmds_round_budget(r))
+    assert report == reference
+    assert report.outputs == selection_oracle(g, r)
 
 
 class LookAlike(NamedTuple):
@@ -459,3 +506,63 @@ def test_cycles_a_program_builds_are_reclaimed_after_the_run():
     assert len(refs) == 5
     gc.collect()
     assert [ref() for ref in refs] == [None] * 5
+
+
+class Watched(Staggered):
+    """A ``Staggered`` node that keeps a weak reference to itself in
+    ``params`` and outputs, for each of its steps, the vertices whose nodes
+    were already freed when it stepped."""
+
+    def __init__(self, own_id, num_ports, params):
+        super().__init__(own_id, num_ports, None)
+        self.refs = params
+        self.seen = []
+        params[own_id] = weakref.ref(self)
+
+    def step(self, round_index, inbox):
+        self.seen.append(sorted(v for v, ref in self.refs.items()
+                                if ref() is None))
+        out, halted, _ = super().step(round_index, inbox)
+        return out, halted, self.seen
+
+
+def test_a_halted_node_is_freed_before_the_next_node_steps():
+    # On the path 0-..-5, vertex v halts in round 1 + v mod 3.  Vertex 0
+    # halts first, and vertex 1, stepping next in the same round, must find
+    # it freed; likewise 3 before 4 in round 1, and 2 before 5 in round 3.
+    refs = {}
+    report = run_simulation(gen_path(6), Watched, refs, round_budget=2)
+    assert report.outputs == {
+        0: [[]],
+        1: [[0], [0, 3]],
+        2: [[0], [0, 1, 3], [0, 1, 3, 4]],
+        3: [[0]],
+        4: [[0, 3], [0, 1, 3]],
+        5: [[0, 3], [0, 1, 3, 4], [0, 1, 2, 3, 4]],
+    }
+
+
+def peak_bytes_per_node(g, program, budget):
+    """The most memory a run of ``program`` on ``g`` holds at once, per
+    vertex, as tracemalloc sees it: only what the run allocates counts."""
+    tracemalloc.start()
+    try:
+        run_simulation(g, program, round_budget=budget)
+        return tracemalloc.get_traced_memory()[1] / g.vertex_count
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("graph, program, budget, ceiling", [
+    (functools.partial(gen_cycle, 4096), rmds_program(1), 2, 590),
+    (functools.partial(gen_random_tree, 4096, 0), rmds_program(2), 5, 665),
+    (functools.partial(gen_random_tree, 4096, 0), rmds_program(4), 11, 815),
+    (functools.partial(gen_random_tree, 4096, 0),
+     count_neighborhood_program(3), 2, 530),
+], ids=["rmds-cycle-r1", "rmds-tree-r2", "rmds-tree-r4", "count-tree-r3"])
+def test_peak_memory_per_node(graph, program, budget, ceiling):
+    # CPython 3.10 to 3.13 measure 529-535, 598-606, 742-750 and 488-496
+    # bytes per vertex; each ceiling is about 1.1 times that.  Keeping the
+    # summed ``counts`` list, a per-node set for ``chosen`` or a tuple per
+    # live node in the simulator each costs more than the margin.
+    assert peak_bytes_per_node(graph(), program, budget) <= ceiling
