@@ -6,6 +6,8 @@ truth for everything the distributed algorithms compute.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -30,7 +32,9 @@ class Graph:
 
     Instances are immutable after construction and safe to share across
     threads.  Vertex IDs are arbitrary non-negative integers; they need not
-    be contiguous.
+    be contiguous.  Each ID is stored once, as one ``int`` object shared by
+    its key in the adjacency, every neighbor tuple that holds it and
+    ``vertices``.
 
     Facts derived from the graph alone (``girth``, ``r_balls`` and the
     2-core peel ``_peel``) are memoized in ``_memo``, computed at the first
@@ -83,32 +87,84 @@ class Graph:
 
 def build_graph(edges: Iterable[Sequence[int]],
                 extra_vertices: Iterable[int] = ()) -> Graph:
-    """Build a graph from an edge list.
+    """Build a graph from an edge list: any iterable, read once, of edges
+    that are each a sequence of two IDs.
 
     Self-loops and duplicate edges (in either orientation) are hard errors:
     generators are expected to produce clean instances, and silent repair
-    would mask their bugs.  ``extra_vertices`` adds isolated vertices.
+    would mask their bugs.  ``extra_vertices`` adds isolated vertices.  A
+    vertex ID is a non-negative ``int`` other than a ``bool``.
     """
-    adj: Dict[int, List[int]] = {}
+    # The cyclic collector is paused for the build, as for a simulation
+    # run: the build makes no reference cycle, and each collection would
+    # rescan every list and tuple made so far only to free nothing.  A
+    # caller who had already turned the collector off keeps it off.
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        return Graph(_adjacency(list(edges), extra_vertices))
+    finally:
+        if collect:
+            gc.enable()
+
+
+def _adjacency(edges: List[Sequence[int]],
+               extra_vertices: Iterable[int]) -> Dict[int, Tuple[int, ...]]:
+    """``build_graph``'s ``{v: sorted neighbor tuple}``.
+
+    Each ID is kept as one object, the first one seen for its value.  While
+    the lists fill, each starts with its own vertex's object, and one pass
+    over the edges appends each end's object, read from there, to the
+    other end's list.  The checks then run in bulk; only when one fails
+    does ``_first_fault`` rescan the edges in order, so the error names the
+    first fault in the input.
+    """
+    ends = itertools.chain.from_iterable
+    try:
+        adj = dict.fromkeys(ends(edges))
+        for v in adj:
+            adj[v] = [v]
+        for u, v in edges:
+            us, vs = adj[u], adj[v]
+            us.append(vs[0])
+            vs.append(us[0])
+    except (TypeError, ValueError):  # an unhashable ID, or not a pair
+        _first_fault(edges)
+        raise
+    # A self-loop or a duplicate edge repeats an entry in some list.
+    if not (set(map(type, ends(edges))) <= {int}
+            and min(adj, default=0) >= 0
+            and sum(map(len, map(set, adj.values())))
+            == len(adj) + 2 * len(edges)):
+        _first_fault(edges)
+    for v, ns in adj.items():
+        del ns[0]
+        ns.sort()
+        adj[v] = tuple(ns)
+    for w in extra_vertices:
+        _check_id(w)
+        adj.setdefault(w, ())
+    return adj
+
+
+def _check_id(w) -> None:
+    if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+        raise GraphError(f"vertex IDs must be non-negative integers, got {w!r}")
+
+
+def _first_fault(edges: List[Sequence[int]]) -> None:
+    """Raise ``GraphError`` for the first faulty edge in input order, if
+    any: a bad ID, then a self-loop, then a repeat of an earlier edge."""
     seen = set()
-    for edge in edges:
-        u, v = edge
-        for w in (u, v):
-            if not isinstance(w, int) or w < 0:
-                raise GraphError(f"vertex IDs must be non-negative integers, got {w!r}")
+    for u, v in edges:
+        _check_id(u)
+        _check_id(v)
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise GraphError(f"duplicate edge {key}")
         seen.add(key)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for w in extra_vertices:
-        if not isinstance(w, int) or w < 0:
-            raise GraphError(f"vertex IDs must be non-negative integers, got {w!r}")
-        adj.setdefault(w, [])
-    return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
 
 
 def distances(g: Graph, sources: Iterable[int],

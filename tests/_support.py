@@ -503,3 +503,14 @@ class ReferenceRmdsProgram(NodeProgram):
 def reference_rmds_program(r: int):
     """``ReferenceRmdsProgram`` at radius ``r``, as a simulator takes it."""
     return functools.partial(ReferenceRmdsProgram, r)
+
+
+def reference_adjacency(edges, extra_vertices=()) -> Dict[int, Tuple[int, ...]]:
+    """``{v: sorted neighbors}`` of a clean edge list, in ascending vertex
+    order, by a plain set per vertex that shares no code with
+    ``build_graph``."""
+    adj: Dict[int, Set[int]] = {v: set() for v in extra_vertices}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return {v: tuple(sorted(adj[v])) for v in sorted(adj)}

@@ -1,5 +1,9 @@
+import functools
+import gc
+import itertools
 import math
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -12,7 +16,8 @@ from rdomsim import (INFINITE, GraphError, TightnessParams, build_graph,
 
 from rdomsim.graphs import _peel, r_balls
 
-from _support import ball, graphs, reference_girth, relabelled
+from _support import (ball, graphs, reference_adjacency, reference_girth,
+                      relabelled)
 
 
 def test_build_path_on_three_vertices():
@@ -32,6 +37,150 @@ def test_build_rejects_duplicate_edge_either_orientation():
         build_graph([(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         build_graph([(0, 1), (0, 1)])
+
+
+def test_build_rejects_boolean_vertex_ids():
+    # True == 1 and hashes alike, so it would stand in for vertex 1.
+    with pytest.raises(GraphError) as err:
+        build_graph([(True, 2), (1, 3)])
+    assert str(err.value) == "vertex IDs must be non-negative integers, got True"
+
+
+_BAD_ID = "vertex IDs must be non-negative integers, got "
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("edges, extra, message", [
+    pytest.param([(0, 1), (1, -2)], (), _BAD_ID + "-2", id="negative"),
+    pytest.param([(0, 1), (1.5, 2)], (), _BAD_ID + "1.5", id="float"),
+    pytest.param([(300, 301), (300.0, 302)], (), _BAD_ID + "300.0",
+                 id="float-equal-to-an-id"),
+    pytest.param([(0, 1), (False, 2)], (), _BAD_ID + "False", id="bool"),
+    pytest.param([(0, 1), (1, [2])], (), _BAD_ID + "[2]", id="unhashable"),
+    pytest.param([(0, 1), ("7", 2)], (), _BAD_ID + "'7'", id="str"),
+    pytest.param([(0, 1), (2, 2)], (), "self-loop at vertex 2",
+                 id="self-loop"),
+    pytest.param([(0, 1), (1, 2), (2, 1)], (), "duplicate edge (1, 2)",
+                 id="duplicate-reversed"),
+    pytest.param([(0, 1), (1, 2), (1, 2)], (), "duplicate edge (1, 2)",
+                 id="duplicate-same-way"),
+    pytest.param([(500, 400), (401, 400), (400, 500)], (),
+                 "duplicate edge (400, 500)", id="duplicate-large-ids"),
+    pytest.param([(0, 1)], [2, -1], _BAD_ID + "-1", id="extra-negative"),
+    pytest.param([(0, 1)], [2, 3.0], _BAD_ID + "3.0", id="extra-float"),
+    # Two planted faults: the first in input order is named.
+    pytest.param([(0, 1), (3, 3), (1, 0)], (), "self-loop at vertex 3",
+                 id="self-loop-then-duplicate"),
+    pytest.param([(0, 1), (1, 0), (3, 3)], (), "duplicate edge (0, 1)",
+                 id="duplicate-then-self-loop"),
+    pytest.param([(5, 6), (7, -1), (2, 2)], (), _BAD_ID + "-1",
+                 id="negative-then-self-loop"),
+    pytest.param([(2, 2), (7, -1)], (), "self-loop at vertex 2",
+                 id="self-loop-then-negative"),
+    pytest.param([(4, 4), ([2], 3)], (), "self-loop at vertex 4",
+                 id="self-loop-then-unhashable"),
+    pytest.param([(0, [1]), (2, 2)], (), _BAD_ID + "[1]",
+                 id="unhashable-then-self-loop"),
+    pytest.param([(0, 1), (2, -3)], [-4], _BAD_ID + "-3",
+                 id="edge-then-extra"),
+    pytest.param([(0, 1), (1, 0)], [-1], "duplicate edge (0, 1)",
+                 id="duplicate-then-extra"),
+])
+def test_build_names_the_first_planted_fault(edges, extra, message,
+                                             as_generator):
+    with pytest.raises(GraphError) as err:
+        build_graph((e for e in edges) if as_generator else edges, extra)
+    assert str(err.value) == message
+
+
+def _fresh(w):
+    """An int equal to ``w`` but a new object (beyond CPython's small-int
+    cache), as generators make when they compute an ID twice."""
+    return int(str(w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_matches_reference_builder(data):
+    ids = data.draw(st.lists(st.integers(0, 10 ** 6), unique=True,
+                             min_size=1, max_size=14), label="ids")
+    pairs = list(itertools.combinations(ids, 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                max_size=len(pairs)) if pairs else st.just([]))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
+                               max_size=len(chosen)))
+    edges = data.draw(st.permutations(
+        [(_fresh(v), _fresh(u)) if flip else (_fresh(u), _fresh(v))
+         for (u, v), flip in zip(chosen, flips)]), label="edges")
+    extra = [_fresh(w) for w in data.draw(
+        st.lists(st.sampled_from(ids), max_size=len(ids)), label="extra")]
+    expected = reference_adjacency(edges, extra)
+    if data.draw(st.booleans(), label="as generator"):
+        g = build_graph((e for e in edges), (w for w in extra))
+    else:
+        g = build_graph(edges, extra)
+    assert g.vertices == tuple(expected)
+    assert {v: g.neighbors(v) for v in g.vertices} == expected
+    assert g.edges() == sorted((min(e), max(e)) for e in edges)
+    one = {v: v for v in g.vertices}
+    assert all(w is one[w] for v in g.vertices for w in g.neighbors(v))
+
+
+def graph_bytes_per_vertex(make):
+    """``(graph, live, peak)``: the bytes per vertex that ``make`` leaves
+    allocated and the most it held at once, input edge list included, as
+    tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        g = make()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, live / g.vertex_count, peak / g.vertex_count
+
+
+@pytest.mark.parametrize("make, live_ceiling, peak_ceiling", [
+    (functools.partial(gen_cycle, 4096), 173, 316),
+    (functools.partial(gen_random_tree, 4096, 0), 172, 281),
+], ids=["cycle", "tree"])
+def test_build_memory_per_vertex(make, live_ceiling, peak_ceiling):
+    # CPython 3.10 to 3.13 measure live 154-157 and 113-156 bytes, peak
+    # 252-287 and 248-255, the spread set by how full the tuple free list
+    # is; each ceiling is about 1.1 times the most.  An int object per
+    # endpoint, a per-edge key set or a second dict each costs more.
+    g, live, peak = graph_bytes_per_vertex(make)
+    assert live <= live_ceiling
+    assert peak <= peak_ceiling
+    one = {v: v for v in g.vertices}
+    assert all(w is one[w] for v in g.vertices for w in g.neighbors(v))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("edges, raises", [
+    ([(0, 1), (1, 2), (2, 0)], None),
+    ([(0, 1), (1, 0)], GraphError),
+    ([(0, 1, 2)], ValueError),
+], ids=["builds", "duplicate", "not-a-pair"])
+def test_build_restores_the_collector_state_and_leaves_no_garbage(
+        enabled, edges, raises):
+    # The build pauses the cyclic collector, which is safe only because it
+    # makes no reference cycle; however it ends, the collector is left as
+    # the caller had it.  Freezing moves the test heap out of the
+    # collector's reach, so the collection scans only what the build made.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.freeze()
+    try:
+        if raises is None:
+            build_graph(edges)
+        else:
+            with pytest.raises(raises):
+                build_graph(edges)
+        assert gc.isenabled() is enabled
+        assert gc.collect() == 0
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
 
 
 def test_bfs_distances_on_cycle():
