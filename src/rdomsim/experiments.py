@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 from .generators import (TightnessGraph, TightnessParams, gen_complete,
                          gen_cycle, gen_path, gen_random_tree, gen_tightness,
                          subdivide, tightness_dominating_set)
-from .graphs import Graph, girth, r_balls, read_graph, render_girth
+from .graphs import (_MAX_FILE_VERTICES, Graph, girth, r_balls, read_graph,
+                     render_girth)
 from .oracles import is_independent, is_r_dominating
 from .programs import (count_neighborhood_program, cycle_is_program,
                        rmds_program, rmds_round_budget, selection_oracle)
@@ -87,9 +88,19 @@ def _int_param(spec: Dict, key: str, default: Optional[int] = None) -> int:
     return _as_int(value, key)
 
 
+def _refuse_oversize(family: str, count: int) -> None:
+    """A generated graph has at most as many vertices as a graph file may
+    declare; ``count`` is what the spec asks for, known before any build."""
+    if count > _MAX_FILE_VERTICES:
+        raise ExperimentError(
+            "bad_spec", f"family {family!r} would have {count} vertices, "
+                        f"more than {_MAX_FILE_VERTICES}")
+
+
 def build_instance(spec: Dict) -> Tuple[Graph, Optional[TightnessGraph]]:
-    """Build the spec's graph; a missing or invalid family parameter is a
-    ``bad_spec`` error and an unreadable graph file a ``bad_input`` one."""
+    """Build the spec's graph; a missing or invalid family parameter, or a
+    graph of more than ``2**20`` vertices, is a ``bad_spec`` error and an
+    unreadable graph file a ``bad_input`` one."""
     family = spec.get("family")
     if family == "file":
         path = spec.get("graph")
@@ -102,17 +113,27 @@ def build_instance(spec: Dict) -> Tuple[Graph, Optional[TightnessGraph]]:
             raise ExperimentError("bad_input", str(exc)) from None
     try:
         if family == "cycle":
-            return gen_cycle(_int_param(spec, "n")), None
+            n = _int_param(spec, "n")
+            _refuse_oversize(family, n)
+            return gen_cycle(n), None
         if family == "path":
-            return gen_path(_int_param(spec, "n")), None
+            n = _int_param(spec, "n")
+            _refuse_oversize(family, n)
+            return gen_path(n), None
         if family == "tree":
-            return gen_random_tree(_int_param(spec, "n"),
-                                   _int_param(spec, "seed")), None
+            n, seed = _int_param(spec, "n"), _int_param(spec, "seed")
+            _refuse_oversize(family, n)
+            return gen_random_tree(n, seed), None
         if family == "subdivided_k4":
-            return subdivide(gen_complete(4), _int_param(spec, "k")), None
+            k = _int_param(spec, "k")
+            _refuse_oversize(family, 4 + 6 * k)
+            return subdivide(gen_complete(4), k), None
         if family == "tightness":
-            tg = gen_tightness(TightnessParams(_int_param(spec, "r", 1),
-                                               _int_param(spec, "f")))
+            params = TightnessParams(_int_param(spec, "r", 1),
+                                     _int_param(spec, "f"))
+            r, f = params.r, params.f
+            _refuse_oversize(family, 4 * f + 8 * r * f ** 2 + 8 * r * f ** 3)
+            tg = gen_tightness(params)
             return tg.graph, tg
     except ExperimentError:
         raise

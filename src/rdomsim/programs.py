@@ -11,10 +11,10 @@
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 from .graphs import Graph, r_balls
-from .simulator import (BackBitMsg, CandidateMsg, CountMsg, FloodMsg, Message,
+from .simulator import (BackBitMsg, CandidateMsg, CountMsg, FloodMsg,
                         NodeProgram, ProgramFault)
 
 
@@ -29,11 +29,13 @@ class RmdsOutput(NamedTuple):
 #: immutable, so every port can share them.
 _BACK_BITS = (BackBitMsg(False), BackBitMsg(True))
 
-#: C-level constructors, for messages built once per port per round: a
+#: C-level constructors, for values built once per port or per node: a
 #: ``NamedTuple``'s own ``__new__`` is a Python function.  Each takes the
-#: fields as one tuple and builds the same message.
+#: fields as one tuple and builds the same value.
 _new_count = functools.partial(tuple.__new__, CountMsg)
+_new_candidate = functools.partial(tuple.__new__, CandidateMsg)
 _new_flood = functools.partial(tuple.__new__, FloodMsg)
+_new_output = functools.partial(tuple.__new__, RmdsOutput)
 
 
 def _bind_radius(cls, r: int):
@@ -46,33 +48,36 @@ def _bind_radius(cls, r: int):
 class CountNeighborhoodProgram(NodeProgram):
     """Computes |N^r(v)| at every vertex in r-1 communication rounds."""
 
-    __slots__ = ("r", "counts")
+    __slots__ = ("r",)
 
     def __init__(self, r: int, own_id: int, num_ports: int, params):
         self.r = r
-        self.counts = [1] * num_ports
 
-    def _count(self, t: int, inbox) -> Optional[List[CountMsg]]:
+    def _count(self, t: int, inbox) -> Union[List[CountMsg], int]:
         """Counting phase: rounds 1..r of a node, sending in rounds 1..r-1.
 
-        From round 2 on, ``counts[p]`` takes the subtree size last heard on
-        port p.  Before round r this returns the outbox, which tells each
-        neighbor the size of our subtree excluding its own branch.  At round
-        r it returns None: ``sum(counts)`` is then final, and equals
+        The node keeps no counts: the subtree size last heard on port p is
+        the ``CountMsg`` on port p of the inbox, from round 2 on, and is 1
+        before that.  Before round r this returns the outbox, which tells
+        each neighbor the size of our subtree excluding its own branch; in
+        round 1 that is the degree on every port, one shared message.  At
+        round r it returns the sum of the sizes heard, which equals
         |N^r(v)| whenever the girth is at least 4r+3.
         """
-        if t >= 2:
-            self.counts = [msg.value for msg in inbox]
+        if t == 1:
+            if self.r == 1:
+                return len(inbox)
+            return [_new_count((len(inbox),))] * len(inbox)
+        heard = [msg.value for msg in inbox]
+        total = sum(heard)
         if t == self.r:
-            return None
-        total = sum(self.counts)
-        return [_new_count((1 + total - c,)) for c in self.counts]
+            return total
+        return [_new_count((1 + total - c,)) for c in heard]
 
     def step(self, round_index, inbox):
-        out = self._count(round_index, inbox)
-        if out is not None:
-            return out, False, None
-        return [None] * len(inbox), True, sum(self.counts)
+        if round_index < self.r:
+            return self._count(round_index, inbox), False, None
+        return [None] * len(inbox), True, self._count(round_index, inbox)
 
 
 def count_neighborhood_program(r: int) -> Callable[..., NodeProgram]:
@@ -98,8 +103,9 @@ class RmdsProgram(CountNeighborhoodProgram):
     ``best`` is a ``CandidateMsg``, whose tuple order is the (count, ID)
     ranking, and each selection send re-sends that one object.  ``recv``
     keeps each absorbed inbox whole, one list per send.  Each field lives
-    only for the phases that read it: ``counts`` is dropped once summed,
-    and ``sent`` and ``recv`` are made when selection starts.
+    only for the phases that read it: counting keeps no state beyond the
+    inbox, and ``best``, ``sent`` and ``recv`` are made when selection
+    starts.
 
     ``chosen`` is one ID, the lowest-ranked candidate known to be chosen,
     rather than the set of them.  Sends never fall in rank, and each ranks
@@ -120,12 +126,10 @@ class RmdsProgram(CountNeighborhoodProgram):
 
     def step(self, round_index, inbox):
         r, t = self.r, round_index
-        if t <= r:
-            out = self._count(t, inbox)
-            if out is not None:
-                return out, False, None
-            self.best = CandidateMsg(sum(self.counts), self.own)
-            self.counts = None
+        if t < r:
+            return self._count(t, inbox), False, None
+        if t == r:
+            self.best = _new_candidate((self._count(t, inbox), self.own))
             self.sent: List[CandidateMsg] = []
             self.recv: List[List[CandidateMsg]] = []
         elif t <= 2 * r:  # absorb selection send t - r
@@ -142,7 +146,7 @@ class RmdsProgram(CountNeighborhoodProgram):
         if t < 3 * r:  # answer selection send 3r - t on every port
             return ([_BACK_BITS[msg.id == self.chosen]
                      for msg in self.recv[3 * r - t - 1]], False, None)
-        output = RmdsOutput(self.own == self.chosen, self.best.id)
+        output = _new_output((self.own == self.chosen, self.best.id))
         return [None] * len(inbox), True, output
 
 
@@ -165,7 +169,7 @@ class CycleIsProgram(NodeProgram):
     the independent set iff its distance to the representor is odd.
     """
 
-    __slots__ = ("r", "own", "is_d", "got")
+    __slots__ = ("r", "own", "is_d", "first0", "first1")
 
     def __init__(self, r: int, own_id: int, num_ports: int, params):
         if num_ports != 2:
@@ -179,21 +183,33 @@ class CycleIsProgram(NodeProgram):
                 "cycle_is_program requires params['d_member'], the "
                 "dominating set") from None
         self.is_d = own_id in d_member
-        self.got: List[Optional[Tuple[int, int]]] = [None, None]
+        # The first FloodMsg heard on each port: the nearest dominating
+        # vertex that way, and its distance.
+        self.first0: Optional[FloodMsg] = None
+        self.first1: Optional[FloodMsg] = None
 
     def step(self, round_index, inbox):
         if self.is_d:
             msg = _new_flood((1, self.own, True))
             return [msg, msg], True, False
-        out: List[Optional[Message]] = [None, None]
-        for p, msg in enumerate(inbox):
-            if msg is not None:
-                if self.got[p] is None:
-                    self.got[p] = (msg.id, msg.hops)
-                out[1 - p] = _new_flood((msg.hops + 1, msg.id, msg.flag))
-        if self.got[0] is not None and self.got[1] is not None:
-            representor = min(self.got[0][0], self.got[1][0])
-            dist = min(h for i, h in self.got if i == representor)
+        # Each port forwards what the other heard, one hop further.
+        in0, in1 = inbox
+        out = [None if in1 is None
+               else _new_flood((in1.hops + 1, in1.id, in1.flag)),
+               None if in0 is None
+               else _new_flood((in0.hops + 1, in0.id, in0.flag))]
+        if self.first0 is None:
+            self.first0 = in0
+        if self.first1 is None:
+            self.first1 = in1
+        a, b = self.first0, self.first1
+        if a is not None and b is not None:
+            # The representor is the lower ID; when both ends are the same
+            # vertex, the nearer way counts.
+            if a.id == b.id:
+                dist = min(a.hops, b.hops)
+            else:
+                dist = a.hops if a.id < b.id else b.hops
             return out, True, dist % 2 == 1
         if round_index > 2 * self.r + 1:
             raise ProgramFault(

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import gc
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Union)
 
@@ -161,23 +162,19 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
     try:
         verts = g.vertices
         n = len(verts)
+        adjacency = list(map(g.neighbors, verts))
+        degrees = list(map(len, adjacency))
         # Every port of every vertex is one slot of a flat buffer: vertex i
         # (in ascending ID order) owns slots lo[i]..lo[i+1]-1, one per port.
-        lo = [0]
-        for v in verts:
-            lo.append(lo[-1] + len(g.neighbors(v)))
-        # mate[s] is the slot facing slot s.  Visiting v in ascending ID
-        # order hands each neighbor its next free port, which is v's index
-        # in the neighbor's sorted list.
-        index = {v: i for i, v in enumerate(verts)}
-        free = lo[:-1]
-        mate = [0] * lo[-1]
-        for i, v in enumerate(verts):
-            for s, u in enumerate(g.neighbors(v), lo[i]):
-                j = index[u]
-                mate[s] = free[j]
-                free[j] += 1
-        del index, free  # the rounds need neither; free them first
+        lo = [0, *accumulate(degrees)]
+        # mate[s] is the slot facing slot s.  Slot s is port p of v, facing
+        # flat[s], the p-th of v's sorted neighbours, so the slots run in
+        # (owner, neighbour) order.  A stable sort by neighbour puts them in
+        # (neighbour, owner) order, and as each edge gives one slot at each
+        # end, the k-th slot of that order is the one facing slot k.
+        flat = list(chain.from_iterable(adjacency))
+        mate = array("q", sorted(range(len(flat)), key=flat.__getitem__))
+        del adjacency, flat  # the rounds need neither; free them first
         # The live nodes, as parallel lists: vertex IDs, nodes, and each
         # node's slots starts[i]..ends[i]-1.  A node that halts leaves
         # ``nodes`` at once, so its state is freed before the next node
@@ -185,8 +182,8 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
         ids = verts
         starts, ends = lo[:-1], lo[1:]
         del lo
-        nodes = [program(v, hi - a, params)
-                 for v, a, hi in zip(verts, starts, ends)]
+        nodes = list(map(program, verts, degrees, repeat(params)))
+        del degrees
         widths = message_widths(n)
         inbox: List[Optional[Message]] = [None] * len(mate)
         outputs: Dict[int, Any] = {}

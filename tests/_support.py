@@ -9,12 +9,14 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from hypothesis import strategies as st
 
-from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg, Graph,
-                     GraphError, NodeProgram, NotDominatingError,
-                     OptimumUnknown, ProgramFault, RmdsOutput, SimulationReport, StepResult,
+from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
+                     FloodMsg, Graph, GraphError, NodeProgram,
+                     NotDominatingError, OptimumUnknown, ProgramFault,
+                     RmdsOutput, SimulationReport, StepResult,
                      VoronoiDecomposition, build_graph, distances,
                      message_widths)
 from rdomsim.oracles import _known_optimum
+from rdomsim.simulator import Message
 
 
 @st.composite
@@ -503,6 +505,101 @@ class ReferenceRmdsProgram(NodeProgram):
 def reference_rmds_program(r: int):
     """``ReferenceRmdsProgram`` at radius ``r``, as a simulator takes it."""
     return functools.partial(ReferenceRmdsProgram, r)
+
+
+_new_count = functools.partial(tuple.__new__, CountMsg)
+_new_flood = functools.partial(tuple.__new__, FloodMsg)
+
+
+class ReferenceCountNeighborhoodProgram(NodeProgram):
+    """Counting oracle: the program as it was while it kept a ``counts``
+    list and sent one new message per port in round 1, unchanged."""
+
+    __slots__ = ("r", "counts")
+
+    def __init__(self, r: int, own_id: int, num_ports: int, params):
+        self.r = r
+        self.counts = [1] * num_ports
+
+    def _count(self, t: int, inbox) -> Optional[List[CountMsg]]:
+        """Counting phase: rounds 1..r of a node, sending in rounds 1..r-1.
+
+        From round 2 on, ``counts[p]`` takes the subtree size last heard on
+        port p.  Before round r this returns the outbox, which tells each
+        neighbor the size of our subtree excluding its own branch.  At round
+        r it returns None: ``sum(counts)`` is then final, and equals
+        |N^r(v)| whenever the girth is at least 4r+3.
+        """
+        if t >= 2:
+            self.counts = [msg.value for msg in inbox]
+        if t == self.r:
+            return None
+        total = sum(self.counts)
+        return [_new_count((1 + total - c,)) for c in self.counts]
+
+    def step(self, round_index, inbox):
+        out = self._count(round_index, inbox)
+        if out is not None:
+            return out, False, None
+        return [None] * len(inbox), True, sum(self.counts)
+
+
+def reference_count_program(r: int):
+    """``ReferenceCountNeighborhoodProgram`` at radius ``r``."""
+    return functools.partial(ReferenceCountNeighborhoodProgram, r)
+
+
+class ReferenceCycleIsProgram(NodeProgram):
+    """Cycle independent-set oracle: the program as it was while it looped
+    over its ports and kept an (id, hops) tuple per port, unchanged.
+
+    ``params['d_member']`` is the dominating set (each vertex reads only its
+    own membership).  Dominating vertices flood (hops, id) in both
+    directions and output False; every gap vertex learns the two adjacent
+    dominating vertices, takes the lower-ID one as representor, and joins
+    the independent set iff its distance to the representor is odd.
+    """
+
+    __slots__ = ("r", "own", "is_d", "got")
+
+    def __init__(self, r: int, own_id: int, num_ports: int, params):
+        if num_ports != 2:
+            raise ProgramFault("cycle_is_program requires a cycle (degree 2)")
+        self.r = r
+        self.own = own_id
+        try:
+            d_member = params["d_member"]
+        except (KeyError, TypeError):
+            raise ProgramFault(
+                "cycle_is_program requires params['d_member'], the "
+                "dominating set") from None
+        self.is_d = own_id in d_member
+        self.got: List[Optional[Tuple[int, int]]] = [None, None]
+
+    def step(self, round_index, inbox):
+        if self.is_d:
+            msg = _new_flood((1, self.own, True))
+            return [msg, msg], True, False
+        out: List[Optional[Message]] = [None, None]
+        for p, msg in enumerate(inbox):
+            if msg is not None:
+                if self.got[p] is None:
+                    self.got[p] = (msg.id, msg.hops)
+                out[1 - p] = _new_flood((msg.hops + 1, msg.id, msg.flag))
+        if self.got[0] is not None and self.got[1] is not None:
+            representor = min(self.got[0][0], self.got[1][0])
+            dist = min(h for i, h in self.got if i == representor)
+            return out, True, dist % 2 == 1
+        if round_index > 2 * self.r + 1:
+            raise ProgramFault(
+                "flood incomplete after 2r+1 rounds; the supplied set is not "
+                "a valid distance-r dominating set")
+        return out, False, None
+
+
+def reference_cycle_is_program(r: int):
+    """``ReferenceCycleIsProgram`` at radius ``r``."""
+    return functools.partial(ReferenceCycleIsProgram, r)
 
 
 def reference_adjacency(edges, extra_vertices=()) -> Dict[int, Tuple[int, ...]]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdomsim
-from rdomsim import CSV_HEADER, read_graph
+from rdomsim import CSV_HEADER, experiments, read_graph
 from rdomsim.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
 
 
@@ -221,6 +221,32 @@ def test_run_invalid_instance_exits_2_with_json(tmp_path, monkeypatch,
     code, stdout = run_cli(capsys, "run", *argv)
     assert code == EXIT_ERROR
     assert json.loads(stdout)["error"] == error
+
+
+# One past the 2**20-vertex limit: n itself, 4 + 6k vertices for
+# subdivided_k4 and 4f + 8rf^2 + 8rf^3 for tightness.
+@pytest.mark.parametrize("argv, count", [
+    (["--family", "cycle", "--n", "1048577", "--r", "1"], 1048577),
+    (["--family", "path", "--n", "1048577", "--r", "1"], 1048577),
+    (["--family", "tree", "--n", "1048577", "--seed", "0", "--r", "1"],
+     1048577),
+    (["--family", "subdivided_k4", "--k", "174763", "--r", "1"], 1048582),
+    (["--family", "tightness", "--r", "10923", "--f", "2"], 1048616),
+])
+def test_run_oversize_family_is_bad_spec_before_any_build(monkeypatch, capsys,
+                                                          argv, count):
+    def no_build(*args):
+        raise AssertionError("a generator ran")
+
+    for name in ("gen_cycle", "gen_path", "gen_random_tree", "gen_complete",
+                 "subdivide", "gen_tightness"):
+        monkeypatch.setattr(experiments, name, no_build)
+    code, stdout = run_cli(capsys, "run", *argv)
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {
+        "error": "bad_spec",
+        "detail": f"family {argv[1]!r} would have {count} vertices, more "
+                  f"than 1048576"}
 
 
 def test_missing_subcommand_is_bad_spec_and_help_exits_0(capsys):

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from rdomsim import RmdsOutput, distances, gen_random_tree, run_experiment
+from rdomsim import (ExperimentError, RmdsOutput, build_instance, distances,
+                     gen_random_tree, run_experiment)
 from rdomsim import experiments, graphs
 
 R = 2
@@ -103,3 +104,25 @@ def test_rmds_experiment_peels_the_graph_once(monkeypatch, spec):
     result = run_experiment(spec)
     assert result.passed and result.report.opt_source == "exact"
     assert len(peels) == 2 and peels[0] is peels[1]
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "cycle", "n": 11},
+    {"family": "path", "n": 7},
+    {"family": "tree", "n": 9, "seed": 3},
+    {"family": "subdivided_k4", "k": 2},
+    {"family": "tightness", "r": 2, "f": 2},
+    {"family": "tightness", "r": 1, "f": 3},
+], ids=lambda spec: "-".join(map(str, spec.values())))
+def test_size_limit_counts_the_vertices_before_the_build(monkeypatch, spec):
+    # With the limit at the graph's own vertex count the spec is built;
+    # one lower, it is refused before the build.
+    size = build_instance(spec)[0].vertex_count
+    monkeypatch.setattr(experiments, "_MAX_FILE_VERTICES", size)
+    assert build_instance(spec)[0].vertex_count == size
+    monkeypatch.setattr(experiments, "_MAX_FILE_VERTICES", size - 1)
+    with pytest.raises(ExperimentError) as exc:
+        build_instance(spec)
+    assert exc.value.reason == "bad_spec"
+    assert exc.value.detail == (f"family {spec['family']!r} would have "
+                                f"{size} vertices, more than {size - 1}")
