@@ -9,9 +9,9 @@ of their parameters: byte-identical output across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, List, Tuple
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, _collector_paused, build_graph
 
 # 64-bit linear congruential generator (Knuth's MMIX multiplier).  The top
 # 31 bits of the state are used per draw; specified explicitly so seeded
@@ -20,26 +20,38 @@ _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
-
-def _lcg(seed: int) -> Iterator[int]:
-    state = seed & _LCG_MASK
-    while True:
-        state = (_LCG_A * state + _LCG_C) & _LCG_MASK
-        yield state >> 33
+# Cycles, paths and random trees cannot make a self-loop, a duplicate edge
+# or a bad ID, so they skip ``build_graph`` and its checks: each builds the
+# ``{v: sorted neighbor tuple}`` that ``build_graph`` would, in ascending
+# order, from one ``int`` object per ID (the entries of ``ids``).
 
 
 def gen_cycle(n: int) -> Graph:
     """Cycle on vertices 0..n-1 in cyclic order."""
     if n < 3:
         raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
-    return build_graph([(i, (i + 1) % n) for i in range(n)])
+    ids = list(range(n))
+    return _chain(ids, (ids[1], ids[-1]), (ids[0], ids[-2]))
 
 
 def gen_path(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError(f"a path needs at least 1 vertex, got {n}")
-    return build_graph([(i, i + 1) for i in range(n - 1)], extra_vertices=[0])
+    ids = list(range(n))
+    return _chain(ids, tuple(ids[1:2]), tuple(ids[-2:-1]))
+
+
+def _chain(ids: List[int], first: Tuple[int, ...],
+           last: Tuple[int, ...]) -> Graph:
+    """The graph in which each inner vertex ``ids[i]`` neighbors
+    ``ids[i-1]`` and ``ids[i+1]``, and the end vertices neighbor ``first``
+    and ``last``."""
+    with _collector_paused():
+        adj = {ids[0]: first}
+        adj.update(zip(ids[1:], zip(ids, ids[2:])))
+        adj[ids[-1]] = last
+        return Graph(adj)
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:
@@ -50,9 +62,23 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     """
     if n < 1:
         raise ValueError(f"a tree needs at least 1 vertex, got {n}")
-    draws = _lcg(seed)
-    edges = [(next(draws) % i, i) for i in range(1, n)]
-    return build_graph(edges, extra_vertices=[0])
+    a, c, mask = _LCG_A, _LCG_C, _LCG_MASK
+    state = seed & mask
+    ids = list(range(n))
+    with _collector_paused():
+        adj = [[] for _ in ids]
+        # Vertex i's list gets its parent p < i first, then its children in
+        # ascending order, so every list is sorted as it fills.
+        for i in ids[1:]:
+            state = (a * state + c) & mask
+            p = (state >> 33) % i
+            adj[p].append(i)
+            adj[i].append(ids[p])
+        # Each list is freed as its tuple replaces it, so the build never
+        # holds every list and every tuple at once.
+        for i, ns in enumerate(adj):
+            adj[i] = tuple(ns)
+        return Graph(dict(zip(ids, adj)))
 
 
 def gen_complete(n: int) -> Graph:

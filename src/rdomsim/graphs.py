@@ -6,6 +6,7 @@ truth for everything the distributed algorithms compute.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import math
@@ -95,14 +96,24 @@ def build_graph(edges: Iterable[Sequence[int]],
     would mask their bugs.  ``extra_vertices`` adds isolated vertices.  A
     vertex ID is a non-negative ``int`` other than a ``bool``.
     """
-    # The cyclic collector is paused for the build, as for a simulation
-    # run: the build makes no reference cycle, and each collection would
-    # rescan every list and tuple made so far only to free nothing.  A
-    # caller who had already turned the collector off keeps it off.
+    with _collector_paused():
+        return Graph(_adjacency(list(edges), extra_vertices))
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector for a graph build or a simulation run.
+
+    Neither makes a reference cycle, so reference counting frees all they
+    discard, and each collection would rescan every list, tuple and node
+    made so far only to free nothing.  However the block ends, the
+    collector is left as the caller had it: a caller who had already
+    turned it off keeps it off.
+    """
     collect = gc.isenabled()
     gc.disable()
     try:
-        return Graph(_adjacency(list(edges), extra_vertices))
+        yield
     finally:
         if collect:
             gc.enable()

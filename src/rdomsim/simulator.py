@@ -11,7 +11,6 @@ of its own type.
 
 from __future__ import annotations
 
-import gc
 import json
 from array import array
 from collections import Counter
@@ -20,7 +19,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Union)
 
-from .graphs import Graph
+from .graphs import Graph, _collector_paused
 
 
 class SimulationError(RuntimeError):
@@ -151,15 +150,10 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
     """
     if round_budget < 0:
         raise ValueError("round_budget must be >= 0")
-    # The cyclic collector is paused for the run.  Nothing the simulator or
-    # the built-in programs allocate forms a reference cycle, so reference
-    # counting frees all of it, and each collection would rescan every live
-    # node and list only to free nothing.  A cycle that a program builds is
-    # held until the collector next runs.  A caller who had already turned
-    # the collector off keeps it off.
-    collect = gc.isenabled()
-    gc.disable()
-    try:
+    # Nothing the simulator or the built-in programs allocate forms a
+    # reference cycle.  A cycle that a program builds is held until the
+    # collector next runs.
+    with _collector_paused():
         verts = g.vertices
         n = len(verts)
         adjacency = list(map(g.neighbors, verts))
@@ -244,6 +238,3 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
                                 rounds_executed=max(t - 1, 0),
                                 max_message_bits=max_bits,
                                 messages_per_round=messages_per_round)
-    finally:
-        if collect:
-            gc.enable()

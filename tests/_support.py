@@ -611,3 +611,18 @@ def reference_adjacency(edges, extra_vertices=()) -> Dict[int, Tuple[int, ...]]:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     return {v: tuple(sorted(adj[v])) for v in sorted(adj)}
+
+
+def reference_random_tree_edges(n: int, seed: int) -> List[Tuple[int, int]]:
+    """The edges ``(parent, i)`` of ``gen_random_tree(n, seed)``, i = 1..n-1,
+    from the LCG that the README documents, without the generator's code:
+    the state starts at ``seed`` mod 2^64 and steps to
+    6364136223846793005 * state + 1442695040888963407 mod 2^64 per draw; a
+    draw is the top 31 bits of the new state, and vertex i's parent is the
+    draw mod i."""
+    state = seed % 2 ** 64
+    edges = []
+    for i in range(1, n):
+        state = (6364136223846793005 * state + 1442695040888963407) % 2 ** 64
+        edges.append(((state >> 33) % i, i))
+    return edges

@@ -6,7 +6,8 @@ from rdomsim import (INFINITE, TightnessParams, build_graph, distances,
                      rmds_program, rmds_round_budget, run_simulation,
                      subdivide, tightness_dominating_set)
 
-from _support import ball
+from _support import (ball, reference_adjacency,
+                      reference_random_tree_edges)
 
 
 def test_gen_cycle():
@@ -33,6 +34,40 @@ def test_gen_random_tree_is_a_deterministic_tree():
     assert gen_random_tree(1, 123).vertex_count == 1
     # Different seeds give different trees (overwhelmingly likely by design).
     assert g.edges() != gen_random_tree(50, 2).edges()
+
+
+def assert_built_from(g, edges, extra=()):
+    """``g`` is the graph ``build_graph(edges, extra)`` would build: the same
+    vertices, neighbor tuples and adjacency order, and one object per ID."""
+    expected = reference_adjacency(edges, extra)
+    assert g.vertices == tuple(expected)
+    assert list(g._adj) == list(expected)
+    assert all(g.neighbors(v) == ns for v, ns in expected.items())
+    one = {v: v for v in g._adj}
+    assert all(v is one[v] for v in g.vertices)
+    assert all(w is one[w] for ns in g._adj.values() for w in ns)
+
+
+@pytest.mark.parametrize("n", [*range(3, 81), 4096])
+def test_gen_cycle_matches_reference(n):
+    assert_built_from(gen_cycle(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [*range(1, 81), 4096])
+def test_gen_path_matches_reference(n):
+    assert_built_from(gen_path(n), [(i, i + 1) for i in range(n - 1)], [0])
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_gen_random_tree_matches_reference(seed):
+    for n in range(1, 81):
+        assert_built_from(gen_random_tree(n, seed),
+                          reference_random_tree_edges(n, seed), [0])
+
+
+def test_gen_random_tree_matches_reference_at_scale():
+    assert_built_from(gen_random_tree(32768, 0),
+                      reference_random_tree_edges(32768, 0))
 
 
 def test_subdivide_k4():

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdomsim import (INFINITE, GraphError, TightnessParams, build_graph,
-                     distances, gen_complete, gen_cycle, gen_random_tree,
-                     gen_tightness, girth, read_graph, subdivide, write_graph)
+                     distances, gen_complete, gen_cycle, gen_path,
+                     gen_random_tree, gen_tightness, girth, read_graph,
+                     subdivide, write_graph)
 
 from rdomsim.graphs import _peel, r_balls
 
@@ -140,14 +141,15 @@ def graph_bytes_per_vertex(make):
 
 
 @pytest.mark.parametrize("make, live_ceiling, peak_ceiling", [
-    (functools.partial(gen_cycle, 4096), 173, 316),
-    (functools.partial(gen_random_tree, 4096, 0), 172, 281),
+    (functools.partial(gen_cycle, 4096), 143, 161),
+    (functools.partial(gen_random_tree, 4096, 0), 144, 173),
 ], ids=["cycle", "tree"])
 def test_build_memory_per_vertex(make, live_ceiling, peak_ceiling):
-    # CPython 3.10 to 3.13 measure live 154-157 and 113-156 bytes, peak
-    # 252-287 and 248-255, the spread set by how full the tuple free list
-    # is; each ceiling is about 1.1 times the most.  An int object per
-    # endpoint, a per-edge key set or a second dict each costs more.
+    # CPython 3.10 to 3.13 measure live 125-130 and 111-131 bytes, peak
+    # 141-146 and 140-157, the spread set by how full the tuple free lists
+    # are; each ceiling is about 1.1 times the most.  An int object per
+    # endpoint, an edge list or a second dict each costs more, and so does
+    # a tree that holds every neighbor list and every tuple at once.
     g, live, peak = graph_bytes_per_vertex(make)
     assert live <= live_ceiling
     assert peak <= peak_ceiling
@@ -156,14 +158,21 @@ def test_build_memory_per_vertex(make, live_ceiling, peak_ceiling):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-@pytest.mark.parametrize("edges, raises", [
-    ([(0, 1), (1, 2), (2, 0)], None),
-    ([(0, 1), (1, 0)], GraphError),
-    ([(0, 1, 2)], ValueError),
-], ids=["builds", "duplicate", "not-a-pair"])
+@pytest.mark.parametrize("make, raises", [
+    (functools.partial(build_graph, [(0, 1), (1, 2), (2, 0)]), None),
+    (functools.partial(build_graph, [(0, 1), (1, 0)]), GraphError),
+    (functools.partial(build_graph, [(0, 1, 2)]), ValueError),
+    (functools.partial(gen_cycle, 300), None),
+    (functools.partial(gen_cycle, 2), ValueError),
+    (functools.partial(gen_path, 300), None),
+    (functools.partial(gen_path, 0), ValueError),
+    (functools.partial(gen_random_tree, 300, 0), None),
+    (functools.partial(gen_random_tree, 0, 0), ValueError),
+], ids=["builds", "duplicate", "not-a-pair", "cycle", "cycle-too-short",
+        "path", "empty-path", "tree", "empty-tree"])
 def test_build_restores_the_collector_state_and_leaves_no_garbage(
-        enabled, edges, raises):
-    # The build pauses the cyclic collector, which is safe only because it
+        enabled, make, raises):
+    # A build pauses the cyclic collector, which is safe only because it
     # makes no reference cycle; however it ends, the collector is left as
     # the caller had it.  Freezing moves the test heap out of the
     # collector's reach, so the collection scans only what the build made.
@@ -172,10 +181,10 @@ def test_build_restores_the_collector_state_and_leaves_no_garbage(
     gc.freeze()
     try:
         if raises is None:
-            build_graph(edges)
+            make()
         else:
             with pytest.raises(raises):
-                build_graph(edges)
+                make()
         assert gc.isenabled() is enabled
         assert gc.collect() == 0
     finally:
