@@ -7,8 +7,7 @@ analysis that certifies the approximation bound instance by instance.
 
 from .corpus import builtin_corpus
 from .experiments import (CSV_HEADER, ExperimentError, ExperimentResult,
-                          build_instance, default_f_r, run_experiment,
-                          run_suite)
+                          build_instance, run_experiment, run_suite)
 from .generators import (TightnessGraph, TightnessParams, gen_complete,
                          gen_cycle, gen_path, gen_random_tree, gen_tightness,
                          subdivide, tightness_dominating_set)

@@ -9,8 +9,8 @@ import sys
 from typing import Dict, List, Optional
 
 from .corpus import builtin_corpus
-from .experiments import (CSV_HEADER, ExperimentError, build_instance,
-                          default_f_r, run_experiment, run_suite)
+from .experiments import (_ALGOS, _FAMILIES, CSV_HEADER, ExperimentError,
+                          build_instance, run_experiment, run_suite)
 from .graphs import girth, render_girth, write_graph
 from .oracles import is_independent, is_r_dominating
 
@@ -24,21 +24,27 @@ def _emit(obj: Dict) -> None:
     print(json.dumps(obj, sort_keys=True), flush=True)
 
 
+#: Parsed arguments that are not spec fields.
+_NOT_SPEC = ("command", "func", "output", "json", "csv")
+
+
 def _spec_from_args(args) -> Dict:
-    spec: Dict = {"family": args.family, "r": args.r}
-    for key in ("n", "seed", "k", "f"):
-        value = getattr(args, key, None)
-        if value is not None:
-            spec[key] = value
-    if getattr(args, "graph", None):
-        spec["family"] = "file"
-        spec["graph"] = args.graph
+    """Every flag given (or with a default) as its spec field; a non-empty
+    ``--graph`` names the file family."""
+    spec = {key: value for key, value in vars(args).items()
+            if value is not None and key not in _NOT_SPEC}
+    if spec.pop("graph", None):
+        spec |= {"family": "file", "graph": args.graph}
     return spec
+
+
+def _m_arg(text: str):
+    return text if text in ("exact", "family") else text.split(",")
 
 
 def cmd_generate(args) -> int:
     spec = _spec_from_args(args)
-    g, _ = build_instance(spec)
+    g, (f_r, _) = build_instance(spec)
     write_graph(g, args.output)
     sidecar = {
         "family": spec["family"],
@@ -48,7 +54,7 @@ def cmd_generate(args) -> int:
         "k": spec.get("k"),
         "seed": spec.get("seed"),
         "girth": render_girth(girth(g)),
-        "expansion_bound": default_f_r(spec),
+        "expansion_bound": f_r,
     }
     with open(str(args.output) + ".json", "w", encoding="ascii") as fh:
         json.dump(sidecar, fh, sort_keys=True)
@@ -59,18 +65,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = _spec_from_args(args)
-    spec["algo"] = args.algo
-    if args.f_r is not None:
-        spec["f_r"] = args.f_r
-    if args.allow_low_girth:
-        spec["allow_low_girth"] = True
-    if args.m is not None:
-        spec["m"] = args.m if args.m in ("exact", "family") else \
-            args.m.split(",")
-    if args.d_source is not None:
-        spec["d_source"] = args.d_source
-    result = run_experiment(spec)
+    result = run_experiment(_spec_from_args(args))
     payload = result.to_dict()
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
@@ -140,10 +135,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_family_args(parser) -> None:
-    parser.add_argument("--family",
-                        choices=["cycle", "path", "tree", "subdivided_k4",
-                                 "tightness"],
-                        required=False)
+    parser.add_argument("--family", choices=_FAMILIES)
     parser.add_argument("--graph", help="load a graph file instead of generating")
     parser.add_argument("--n", type=int)
     parser.add_argument("--seed", type=int)
@@ -174,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment end to end")
     _add_family_args(p_run)
-    p_run.add_argument("--algo", choices=["rmds", "count", "cycle_is"],
-                       default="rmds")
+    p_run.add_argument("--algo", choices=_ALGOS, default="rmds")
     p_run.add_argument("--f-r", dest="f_r", type=int,
                        help="expansion bound f(r) used in the analysis")
-    p_run.add_argument("--m", help='"exact", "family", or comma-separated IDs')
+    p_run.add_argument("--m", type=_m_arg,
+                       help='"exact", "family", or comma-separated IDs')
     p_run.add_argument("--d-source", dest="d_source",
                        choices=["rmds", "trivial"])
-    p_run.add_argument("--allow-low-girth", action="store_true")
+    p_run.add_argument("--allow-low-girth", action="store_true", default=None)
     p_run.add_argument("--json", help="write the full report as JSON")
     p_run.add_argument("--csv", help="write a one-row CSV")
     p_run.set_defaults(func=cmd_run)

@@ -2,11 +2,11 @@
 
 An experiment spec is a plain dict (JSON-friendly):
 
-    family:  cycle | path | tree | subdivided_k4 | tightness | file
-    algo:    rmds | count | cycle_is
-    r:       radius (>= 1)
+    family:  a key of ``_FAMILIES``, or "file" with ``graph``, a file path
+    algo:    a key of ``_ALGOS`` (default "rmds")
+    r:       radius, 1 <= r <= n
     f_r:     expansion bound used in the analysis, >= 1 (defaults per family)
-    n, seed, k, f, graph:  family parameters
+    n, seed, k, f:  the family's integer parameters (see ``_FAMILIES``)
     m:       "exact" (default) | "family" | explicit vertex list
     d_source: for cycle_is, "rmds" (default) | "trivial"
     allow_low_girth:  true to opt out of the girth >= 4r+3 guard (negative
@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .generators import (TightnessGraph, TightnessParams, gen_complete,
-                         gen_cycle, gen_path, gen_random_tree, gen_tightness,
-                         subdivide, tightness_dominating_set)
+from .generators import (TightnessParams, gen_complete, gen_cycle, gen_path,
+                         gen_random_tree, gen_tightness, subdivide,
+                         tightness_dominating_set)
 from .graphs import (_MAX_FILE_VERTICES, Graph, girth, r_balls, read_graph,
                      render_girth)
 from .oracles import is_independent, is_r_dominating
@@ -34,8 +34,6 @@ from .voronoi import ApproxReport, approx_report
 CSV_HEADER = ("family,n,r,f_r,girth,opt,alg,ratio,bound,"
               "cells_tree,single_edge,quotient_bound,di_in_T,pass")
 _COLUMNS = CSV_HEADER.split(",")
-
-_DEFAULT_F_R = {"cycle": 1, "path": 1, "tree": 1, "subdivided_k4": 3}
 
 
 class ExperimentError(ValueError):
@@ -88,19 +86,37 @@ def _int_param(spec: Dict, key: str, default: Optional[int] = None) -> int:
     return _as_int(value, key)
 
 
-def _refuse_oversize(family: str, count: int) -> None:
-    """A generated graph has at most as many vertices as a graph file may
-    declare; ``count`` is what the spec asks for, known before any build."""
-    if count > _MAX_FILE_VERTICES:
-        raise ExperimentError(
-            "bad_spec", f"family {family!r} would have {count} vertices, "
-                        f"more than {_MAX_FILE_VERTICES}")
+def _tightness_size(r: int, f: int) -> int:
+    TightnessParams(r, f)  # its range checks come before the size limit
+    return 4 * f + 8 * r * f ** 2 + 8 * r * f ** 3
 
 
-def build_instance(spec: Dict) -> Tuple[Graph, Optional[TightnessGraph]]:
-    """Build the spec's graph; a missing or invalid family parameter, or a
-    graph of more than ``2**20`` vertices, is a ``bad_spec`` error and an
-    unreadable graph file a ``bad_input`` one."""
+def _tightness(r: int, f: int) -> Tuple[Graph, Tuple[int, frozenset]]:
+    tg = gen_tightness(TightnessParams(r, f))
+    return tg.graph, (f, tightness_dominating_set(tg))
+
+
+#: family -> (its integer parameters with their defaults, in the order they
+#: are read; the vertex count they give, known before any build; a build
+#: returning the graph and (the default f_r, the family's own dominating set,
+#: the one m: "family" names, or None)).  The builds look the generators up
+#: when called.
+_FAMILIES = {
+    "cycle": ({"n": None}, lambda n: n, lambda n: (gen_cycle(n), (1, None))),
+    "path": ({"n": None}, lambda n: n, lambda n: (gen_path(n), (1, None))),
+    "tree": ({"n": None, "seed": None}, lambda n, seed: n,
+             lambda n, seed: (gen_random_tree(n, seed), (1, None))),
+    "subdivided_k4": ({"k": None}, lambda k: 4 + 6 * k,
+                      lambda k: (subdivide(gen_complete(4), k), (3, None))),
+    "tightness": ({"r": 1, "f": None}, _tightness_size, _tightness),
+}
+
+
+def build_instance(spec: Dict) -> Tuple[Graph, Tuple[int, Optional[frozenset]]]:
+    """The spec's graph and its family's ``(default f_r, own dominating set
+    or None)``; a missing or invalid family parameter, or a graph of more
+    than ``2**20`` vertices, is a ``bad_spec`` error and an unreadable graph
+    file a ``bad_input`` one."""
     family = spec.get("family")
     if family == "file":
         path = spec.get("graph")
@@ -108,58 +124,35 @@ def build_instance(spec: Dict) -> Tuple[Graph, Optional[TightnessGraph]]:
             raise ExperimentError("bad_spec",
                                   "family 'file' needs 'graph', a file path")
         try:
-            return read_graph(path), None
+            return read_graph(path), (1, None)
         except (OSError, ValueError) as exc:
             raise ExperimentError("bad_input", str(exc)) from None
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ExperimentError("bad_family", f"unknown family {family!r}")
+    params, size, build = _FAMILIES[family]
+    args = [_int_param(spec, key, default) for key, default in params.items()]
     try:
-        if family == "cycle":
-            n = _int_param(spec, "n")
-            _refuse_oversize(family, n)
-            return gen_cycle(n), None
-        if family == "path":
-            n = _int_param(spec, "n")
-            _refuse_oversize(family, n)
-            return gen_path(n), None
-        if family == "tree":
-            n, seed = _int_param(spec, "n"), _int_param(spec, "seed")
-            _refuse_oversize(family, n)
-            return gen_random_tree(n, seed), None
-        if family == "subdivided_k4":
-            k = _int_param(spec, "k")
-            _refuse_oversize(family, 4 + 6 * k)
-            return subdivide(gen_complete(4), k), None
-        if family == "tightness":
-            params = TightnessParams(_int_param(spec, "r", 1),
-                                     _int_param(spec, "f"))
-            r, f = params.r, params.f
-            _refuse_oversize(family, 4 * f + 8 * r * f ** 2 + 8 * r * f ** 3)
-            tg = gen_tightness(params)
-            return tg.graph, tg
-    except ExperimentError:
-        raise
+        count = size(*args)
+        if count <= _MAX_FILE_VERTICES:
+            return build(*args)
     except ValueError as exc:
         raise ExperimentError("bad_spec", str(exc)) from None
-    raise ExperimentError("bad_family", f"unknown family {family!r}")
-
-
-def default_f_r(spec: Dict) -> int:
-    family = spec.get("family")
-    if family == "tightness":
-        return int(spec["f"])
-    return _DEFAULT_F_R.get(family, 1)
+    raise ExperimentError(
+        "bad_spec", f"family {family!r} would have {count} vertices, "
+                    f"more than {_MAX_FILE_VERTICES}")
 
 
 def _resolve_comparison_set(spec: Dict, g: Graph,
-                            tight: Optional[TightnessGraph]) -> Optional[frozenset]:
+                            own_m: Optional[frozenset]) -> Optional[frozenset]:
     """The spec's ``m``; a malformed or unknown vertex list is ``bad_spec``."""
     source = spec.get("m", "exact")
     if source == "exact":
         return None  # approx_report falls back to the exact solver
     if source == "family":
-        if tight is None:
+        if own_m is None:
             raise ExperimentError(
                 "bad_spec", 'm: "family" is only defined for the tightness family')
-        return tightness_dominating_set(tight)
+        return own_m
     if not isinstance(source, list) or not source:
         raise ExperimentError(
             "bad_spec", f'm must be "exact", "family" or a non-empty list of '
@@ -180,8 +173,8 @@ def _simulate_rmds(g: Graph, r: int) -> SimulationReport:
     return run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r))
 
 
-def _rmds(spec, g, tight, r, f_r, premise):
-    opt = _resolve_comparison_set(spec, g, tight)
+def _rmds(spec, g, own_m, r, f_r, premise):
+    opt = _resolve_comparison_set(spec, g, own_m)
     sim = _simulate_rmds(g, r)
     report = approx_report(g, r, f_r, sim, opt=opt)
     checks = report.checks
@@ -205,7 +198,7 @@ def _rmds(spec, g, tight, r, f_r, premise):
     return verdicts, fields, report, None
 
 
-def _count(spec, g, tight, r, f_r, premise):
+def _count(spec, g, own_m, r, f_r, premise):
     sim = run_simulation(g, count_neighborhood_program(r), round_budget=r - 1)
     exact = sim.outputs == {v: len(b) - 1 for v, b in r_balls(g, r).items()}
     verdicts = [("count_equiv", exact or not premise),
@@ -216,7 +209,7 @@ def _count(spec, g, tight, r, f_r, premise):
              "max_message_bits": sim.max_message_bits})
 
 
-def _cycle_is(spec, g, tight, r, f_r, premise):
+def _cycle_is(spec, g, own_m, r, f_r, premise):
     if spec.get("family") != "cycle":
         raise ExperimentError("bad_spec",
                               "algo cycle_is requires the cycle family")
@@ -245,7 +238,7 @@ def _cycle_is(spec, g, tight, r, f_r, premise):
              "max_message_bits": sim.max_message_bits})
 
 
-#: algo -> fn(spec, g, tight, r, f_r, premise) returning (verdicts, CSV
+#: algo -> fn(spec, g, own_m, r, f_r, premise) returning (verdicts, CSV
 #: fields, ApproxReport or None, detail or None).  ``verdicts`` lists
 #: (check name, passed) in the order failures are reported.
 _ALGOS = {"rmds": _rmds, "count": _count, "cycle_is": _cycle_is}
@@ -259,10 +252,10 @@ def run_experiment(spec: Dict) -> ExperimentResult:
         raise ExperimentError("bad_spec", f"r must be >= 1, got {r}")
     if not isinstance(algo, str) or algo not in _ALGOS:
         raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
-    g, tight = build_instance(spec)
+    g, (family_f_r, own_m) = build_instance(spec)
     if not g.vertex_count:
         raise ExperimentError("bad_input", "graph has no vertices")
-    f_r = _int_param(spec, "f_r", default_f_r(spec))
+    f_r = _int_param(spec, "f_r", family_f_r)
     if f_r < 1:
         raise ExperimentError("bad_spec", f"f_r must be >= 1, got {f_r}")
     allow_low_girth = spec.get("allow_low_girth", False)
@@ -270,6 +263,10 @@ def run_experiment(spec: Dict) -> ExperimentResult:
         raise ExperimentError(
             "bad_spec", f"allow_low_girth must be true or false, "
                         f"got {allow_low_girth!r}")
+    # An r above n names the same balls as r = n and only adds rounds.
+    if r > g.vertex_count:
+        raise ExperimentError(
+            "bad_spec", f"r must be <= n = {g.vertex_count}, got {r}")
     girth_value = girth(g)
     premise = girth_value >= 4 * r + 3
     if not premise and not allow_low_girth:
@@ -277,7 +274,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
             "girth_premise",
             f"girth {render_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
             f"set allow_low_girth for negative controls")
-    verdicts, fields, report, detail = _ALGOS[algo](spec, g, tight, r, f_r,
+    verdicts, fields, report, detail = _ALGOS[algo](spec, g, own_m, r, f_r,
                                                     premise)
     failures = [name for name, ok in verdicts if not ok]
     passed = not failures

@@ -28,18 +28,25 @@ def _cli_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_generate_writes_graph_and_sidecar(tmp_path, capsys):
-    out = tmp_path / "c11.graph"
-    code, stdout = run_cli(capsys, "generate", "--family", "cycle",
-                           "--n", "11", "-o", str(out))
+# The expansion bound is the family's default f_r: 1 on a cycle, 3 on a
+# subdivided K_4 and f on the tightness family.
+@pytest.mark.parametrize("argv, n, m, girth, bound", [
+    (["--family", "cycle", "--n", "11"], 11, 11, 11, 1),
+    (["--family", "subdivided_k4", "--k", "2"], 16, 18, 9, 3),
+    (["--family", "tightness", "--r", "1", "--f", "3"], 300, 324, 12, 3),
+])
+def test_generate_writes_graph_and_sidecar(tmp_path, capsys, argv, n, m,
+                                           girth, bound):
+    out = tmp_path / "g.graph"
+    code, stdout = run_cli(capsys, "generate", *argv, "-o", str(out))
     assert code == EXIT_OK
     g = read_graph(out)
-    assert g.vertex_count == 11 and g.edge_count == 11
-    sidecar = json.loads((tmp_path / "c11.graph.json").read_text())
-    assert sidecar["family"] == "cycle"
-    assert sidecar["girth"] == 11
-    assert sidecar["expansion_bound"] == 1
-    assert json.loads(stdout)["n"] == 11
+    assert g.vertex_count == n and g.edge_count == m
+    sidecar = json.loads((tmp_path / "g.graph.json").read_text())
+    assert sidecar["family"] == argv[1]
+    assert sidecar["girth"] == girth
+    assert sidecar["expansion_bound"] == bound
+    assert json.loads(stdout)["n"] == n
 
 
 def test_generate_tree_sidecar_reports_infinite_girth(tmp_path, capsys):
@@ -214,6 +221,8 @@ def test_run_without_family_parameter_is_bad_spec(capsys):
     (["--family", "cycle", "--n", "abc"], "bad_spec"),
     (["--family", "nope", "--n", "5"], "bad_spec"),
     (["--family", "cycle", "--n", "11", "--bogus"], "bad_spec"),
+    # r above n: the same balls as r = n, only more rounds.
+    (["--family", "tree", "--n", "5", "--seed", "0", "--r", "6"], "bad_spec"),
 ])
 def test_run_invalid_instance_exits_2_with_json(tmp_path, monkeypatch,
                                                 capsys, argv, error):
@@ -353,7 +362,11 @@ def test_run_bad_comparison_set_is_bad_spec(capsys, m):
     {"f_r": -3}, {"f_r": 0},
     # Booleans and floats are not integers.
     {"n": 11.7}, {"n": 11.0}, {"r": True}, {"f_r": 1.5}, {"f_r": True},
-    {"m": [0.5]}, {"m": [0, 1.0]}, {"m": [False]}])
+    {"m": [0.5]}, {"m": [0, 1.0]}, {"m": [False]},
+    # Only the tightness family has a dominating set of its own.
+    {"m": "family"},
+    # r above n, before the girth premise C_11 would fail.
+    {"r": 12}])
 def test_suite_bad_m_or_f_r_is_bad_spec(tmp_path, capsys, extra):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([{"family": "cycle", "n": 11, "r": 1}
