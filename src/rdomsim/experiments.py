@@ -7,7 +7,8 @@ An experiment spec is a plain dict (JSON-friendly):
     r:       radius, 1 <= r <= n
     f_r:     expansion bound used in the analysis, >= 1 (defaults per family)
     n, seed, k, f:  the family's integer parameters (see ``_FAMILIES``)
-    m:       "exact" (default) | "family" | explicit vertex list
+    m:       for rmds, M: "exact" (default; "unknown" above 200 vertices or
+             when the node budget runs out) | "family" | explicit vertex list
     d_source: for cycle_is, "rmds" (default) | "trivial"
     allow_low_girth:  true to opt out of the girth >= 4r+3 guard (negative
                       controls)
@@ -25,7 +26,8 @@ from .generators import (TightnessParams, gen_complete, gen_cycle, gen_path,
                          tightness_dominating_set)
 from .graphs import (_MAX_FILE_VERTICES, Graph, girth, r_balls, read_graph,
                      render_girth)
-from .oracles import is_independent, is_r_dominating
+from .oracles import (OptimumUnknown, exact_min_rds, is_independent,
+                      is_r_dominating)
 from .programs import (count_neighborhood_program, cycle_is_program,
                        rmds_program, rmds_round_budget, selection_oracle)
 from .simulator import SimulationReport, id_bits, run_simulation
@@ -142,17 +144,22 @@ def build_instance(spec: Dict) -> Tuple[Graph, Tuple[int, Optional[frozenset]]]:
                     f"more than {_MAX_FILE_VERTICES}")
 
 
-def _resolve_comparison_set(spec: Dict, g: Graph,
-                            own_m: Optional[frozenset]) -> Optional[frozenset]:
-    """The spec's ``m``; a malformed or unknown vertex list is ``bad_spec``."""
+def _resolve_comparison_set(spec: Dict, g: Graph, r: int,
+                            own_m: Optional[frozenset]
+                            ) -> Tuple[Optional[frozenset], str]:
+    """``(M, source)``: "exact", ``(None, "unknown")`` where the solver gives
+    up, or "supplied"; a malformed or unknown vertex list is ``bad_spec``."""
     source = spec.get("m", "exact")
     if source == "exact":
-        return None  # approx_report falls back to the exact solver
+        try:
+            return exact_min_rds(g, r), "exact"
+        except OptimumUnknown:
+            return None, "unknown"
     if source == "family":
         if own_m is None:
             raise ExperimentError(
                 "bad_spec", 'm: "family" is only defined for the tightness family')
-        return own_m
+        return own_m, "supplied"
     if not isinstance(source, list) or not source:
         raise ExperimentError(
             "bad_spec", f'm must be "exact", "family" or a non-empty list of '
@@ -161,7 +168,7 @@ def _resolve_comparison_set(spec: Dict, g: Graph,
     unknown = sorted(m.difference(g.vertices))
     if unknown:
         raise ExperimentError("bad_spec", f"m names unknown vertices {unknown}")
-    return m
+    return m, "supplied"
 
 
 def _bits_ok(g: Graph, sim: SimulationReport) -> bool:
@@ -174,9 +181,9 @@ def _simulate_rmds(g: Graph, r: int) -> SimulationReport:
 
 
 def _rmds(spec, g, own_m, r, f_r, premise):
-    opt = _resolve_comparison_set(spec, g, own_m)
+    opt, opt_source = _resolve_comparison_set(spec, g, r, own_m)
     sim = _simulate_rmds(g, r)
-    report = approx_report(g, r, f_r, sim, opt=opt)
+    report = approx_report(g, r, f_r, sim, opt, opt_source)
     checks = report.checks
     verdicts = [("dominating", checks["dominating"])]
     if premise:
@@ -238,10 +245,11 @@ def _cycle_is(spec, g, own_m, r, f_r, premise):
              "max_message_bits": sim.max_message_bits})
 
 
-#: algo -> fn(spec, g, own_m, r, f_r, premise) returning (verdicts, CSV
-#: fields, ApproxReport or None, detail or None).  ``verdicts`` lists
-#: (check name, passed) in the order failures are reported.
-_ALGOS = {"rmds": _rmds, "count": _count, "cycle_is": _cycle_is}
+#: algo -> (fn(spec, g, own_m, r, f_r, premise) returning (verdicts, CSV
+#: fields, ApproxReport or None, detail or None), which of m and d_source it
+#: reads).  ``verdicts`` lists (check name, passed) in failure order.
+_ALGOS = {"rmds": (_rmds, "m"), "count": (_count, None),
+          "cycle_is": (_cycle_is, "d_source")}
 
 
 def run_experiment(spec: Dict) -> ExperimentResult:
@@ -252,6 +260,11 @@ def run_experiment(spec: Dict) -> ExperimentResult:
         raise ExperimentError("bad_spec", f"r must be >= 1, got {r}")
     if not isinstance(algo, str) or algo not in _ALGOS:
         raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
+    run, reads = _ALGOS[algo]
+    for key in ("m", "d_source"):
+        if key in spec and key != reads:
+            raise ExperimentError("bad_spec",
+                                  f"algo {algo!r} does not read {key!r}")
     g, (family_f_r, own_m) = build_instance(spec)
     if not g.vertex_count:
         raise ExperimentError("bad_input", "graph has no vertices")
@@ -274,8 +287,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
             "girth_premise",
             f"girth {render_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
             f"set allow_low_girth for negative controls")
-    verdicts, fields, report, detail = _ALGOS[algo](spec, g, own_m, r, f_r,
-                                                    premise)
+    verdicts, fields, report, detail = run(spec, g, own_m, r, f_r, premise)
     failures = [name for name, ok in verdicts if not ok]
     passed = not failures
     row = dict.fromkeys(_COLUMNS, "") | {

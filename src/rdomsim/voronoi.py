@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .graphs import Graph, GraphError, distances, girth, render_girth
-from .oracles import OptimumUnknown, exact_min_rds, is_r_dominating
+from .oracles import is_r_dominating
 from .programs import RmdsOutput
 from .simulator import SimulationReport
 
@@ -151,11 +151,11 @@ def split_selection(dec: VoronoiDecomposition, outputs: Dict[int, RmdsOutput]
 
 @dataclass(frozen=True)
 class ApproxReport:
-    """Per-instance summary of the algorithm-versus-optimum analysis.
+    """Per-instance summary of the algorithm-versus-M analysis.
 
-    ``checks`` maps check names to True/False, or None when not evaluable
-    (e.g. no optimum available).  ``opt_source`` records whether the
-    comparison set came from the exact solver or was supplied.
+    ``checks`` maps check names to True/False, or None when not evaluable.
+    ``opt_source`` says where M came from: "exact" (a minimum), "supplied"
+    or "unknown" (no M); ``ratio`` tests the paper's bound only if "exact".
     """
 
     n: int
@@ -175,9 +175,6 @@ class ApproxReport:
     max_message_bits: int
     checks: Dict[str, Optional[bool]] = field(default_factory=dict)
 
-    def evaluated_checks(self) -> Dict[str, bool]:
-        return {k: v for k, v in self.checks.items() if v is not None}
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["girth"] = render_girth(d.pop("girth_value"))
@@ -185,12 +182,14 @@ class ApproxReport:
 
 
 def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
-                  opt: Optional[Iterable[int]] = None) -> ApproxReport:
-    """Analyze one dominating-set run against an optimum (or supplied set).
+                  opt: Optional[Iterable[int]],
+                  opt_source: str) -> ApproxReport:
+    """Judge one dominating-set run against the comparison set M = ``opt``.
 
-    The bounds are monotone in the comparison set's size, so any valid
-    dominating set yields a conservative check; the report records which
-    was used.  When neither is available the ratio fields stay unknown.
+    The caller decides M and names its source; with ``opt`` None every
+    check that needs M stays None.  The lemma checks hold for any M that
+    r-dominates; ``ratio`` and ``ratio_bound`` divide by |M|, so they test
+    the paper's bound only when M is a minimum (``opt_source`` "exact").
     """
     outputs: Dict[int, RmdsOutput] = sim.outputs
     selected = frozenset(v for v, out in outputs.items() if out.member)
@@ -200,22 +199,12 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
          "quotient_bound", "t_bound", "di_in_T", "di_bound", "do_bound",
          "ratio_bound"))
     checks["dominating"] = is_r_dominating(g, selected, r)
-    opt_set: Optional[FrozenSet[int]] = None
-    opt_source = "unknown"
-    if opt is not None:
-        opt_set = frozenset(opt)
-        opt_source = "supplied"
-    else:
-        try:
-            opt_set = exact_min_rds(g, r)
-            opt_source = "exact"
-        except OptimumUnknown:
-            pass
 
     bound = 1 + 4 * r * f_r
-    ratio = None
+    ratio = opt_size = None
     quotient_edges = boundary_size = di_size = do_size = None
-    if opt_set is not None:
+    if opt is not None:
+        opt_set = frozenset(opt)
         opt_size = len(opt_set)
         ratio = len(selected) / opt_size if opt_size else None
         checks["ratio_bound"] = len(selected) <= bound * opt_size
@@ -246,8 +235,6 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
                 checks["di_in_T"] = all(
                     d in forest for d in d_inside
                     if dec.assignment[d] in bounded)
-    else:
-        opt_size = None
 
     return ApproxReport(n=g.vertex_count, r=r, f_r=f_r,
                         girth_value=girth_value, alg_size=len(selected),

@@ -199,9 +199,10 @@ def test_criterion_07_lower_bound_reduction():
 def test_criterion_08_structural_lemmas():
     with criterion(8, "structural lemmas and negative control"):
         for inst in corpus():
-            opt = inst.opt if inst.opt is not None else exact_opt(inst.label)
+            opt, source = ((inst.opt, "supplied") if inst.opt is not None
+                           else (exact_opt(inst.label), "exact"))
             report = approx_report(inst.graph, inst.r, inst.f_r,
-                                   rmds_sim(inst.label), opt=opt)
+                                   rmds_sim(inst.label), opt, source)
             for name in ("cells_tree", "single_edge", "quotient_bound",
                          "t_bound", "di_in_T", "di_bound", "do_bound"):
                 assert report.checks[name] is True, (inst.label, name)

@@ -366,7 +366,10 @@ def test_run_bad_comparison_set_is_bad_spec(capsys, m):
     # Only the tightness family has a dominating set of its own.
     {"m": "family"},
     # r above n, before the girth premise C_11 would fail.
-    {"r": 12}])
+    {"r": 12},
+    # m is read only by rmds, d_source only by cycle_is.
+    {"algo": "count", "m": ["zz"]}, {"algo": "cycle_is", "m": "exact"},
+    {"d_source": "bogus"}, {"algo": "count", "d_source": "rmds"}])
 def test_suite_bad_m_or_f_r_is_bad_spec(tmp_path, capsys, extra):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([{"family": "cycle", "n": 11, "r": 1}

@@ -5,7 +5,7 @@ import pytest
 
 from rdomsim import (ExperimentError, RmdsOutput, build_instance, distances,
                      gen_random_tree, run_experiment)
-from rdomsim import experiments, graphs
+from rdomsim import experiments, graphs, oracles
 
 R = 2
 
@@ -126,3 +126,66 @@ def test_size_limit_counts_the_vertices_before_the_build(monkeypatch, spec):
     assert exc.value.reason == "bad_spec"
     assert exc.value.detail == (f"family {spec['family']!r} would have "
                                 f"{size} vertices, more than {size - 1}")
+
+
+def _count_exact_calls(monkeypatch):
+    """Count ``exact_min_rds`` calls through every module that binds it."""
+    calls = []
+    real = oracles.exact_min_rds
+
+    def counted(g, r, **kwargs):
+        calls.append((g.vertex_count, r))
+        return real(g, r, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rdomsim") and getattr(module, "exact_min_rds",
+                                                  None) is real:
+            monkeypatch.setattr(module, "exact_min_rds", counted)
+    return calls
+
+
+def test_default_m_runs_the_exact_solver_once(monkeypatch):
+    calls = _count_exact_calls(monkeypatch)
+    result = run_experiment({"family": "cycle", "n": 11, "r": 1})
+    assert result.passed and result.report.opt_source == "exact"
+    assert calls == [(11, 1)]
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "cycle", "n": 11, "r": 1, "m": [0, 3, 6, 9]},
+    {"family": "tightness", "r": 2, "f": 2, "m": "family"},
+], ids=["vertex-list", "tightness-family"])
+def test_supplied_m_never_runs_the_exact_solver(monkeypatch, spec):
+    calls = _count_exact_calls(monkeypatch)
+    result = run_experiment(spec)
+    assert result.passed and result.report.opt_source == "supplied"
+    assert calls == []
+
+
+def test_exact_m_above_the_solver_cap_is_unknown():
+    result = run_experiment({"family": "tree", "n": 230, "seed": 1, "r": 1})
+    report = result.report
+    assert result.passed
+    assert report.opt_source == "unknown" and report.opt_size is None
+    assert report.checks["dominating"] is True
+    for name in ("opt_dominating", "cells_tree", "single_edge",
+                 "quotient_bound", "t_bound", "di_in_T", "di_bound",
+                 "do_bound", "ratio_bound"):
+        assert report.checks[name] is None, name
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"algo": "count", "m": ["zz"]}, "m"),
+    ({"algo": "cycle_is", "m": "exact"}, "m"),
+    ({"d_source": "bogus"}, "d_source"),
+    ({"algo": "count", "d_source": "rmds"}, "d_source"),
+])
+def test_a_field_the_algo_does_not_read_is_refused_before_the_build(
+        monkeypatch, extra, field):
+    monkeypatch.setattr(experiments, "_MAX_FILE_VERTICES", 1)
+    spec = {"family": "cycle", "n": 11, "r": 1} | extra
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment(spec)
+    assert exc.value.reason == "bad_spec"
+    assert exc.value.detail == (
+        f"algo {spec.get('algo', 'rmds')!r} does not read {field!r}")

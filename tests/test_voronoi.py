@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (NotDominatingError, RmdsOutput, SimulationReport, TightnessParams, approx_report,
+from rdomsim import (NotDominatingError, OptimumUnknown, RmdsOutput, SimulationReport, TightnessParams, approx_report,
                      boundary_forest, build_graph, check_structural_lemmas,
-                     gen_cycle, gen_path, gen_random_tree, gen_tightness,
-                     greedy_rds, rmds_program, rmds_round_budget,
+                     exact_min_rds, gen_cycle, gen_path, gen_random_tree,
+                     gen_tightness, greedy_rds, rmds_program, rmds_round_budget,
                      run_simulation, selection_oracle, split_selection,
                      tightness_dominating_set, voronoi_decompose)
 
@@ -130,15 +130,17 @@ def test_split_selection_identity():
 
 def test_approx_report_c9():
     g = gen_cycle(9)
-    report = approx_report(g, 1, 1, run_rmds(g, 1))
+    report = approx_report(g, 1, 1, run_rmds(g, 1), exact_min_rds(g, 1),
+                           "exact")
     assert report.opt_size == 3 and report.opt_source == "exact"
     assert report.ratio <= report.bound == 5
-    assert all(v for v in report.evaluated_checks().values())
+    assert False not in report.checks.values()
 
 
 def test_approx_report_single_vertex():
     g = build_graph([], extra_vertices=[0])
-    report = approx_report(g, 1, 1, run_rmds(g, 1))
+    report = approx_report(g, 1, 1, run_rmds(g, 1), exact_min_rds(g, 1),
+                           "exact")
     assert report.alg_size == report.opt_size == 1
     assert report.ratio == 1.0
 
@@ -146,20 +148,23 @@ def test_approx_report_single_vertex():
 def test_approx_report_tightness_lower_bound():
     tg = gen_tightness(TightnessParams(1, 2))
     report = approx_report(tg.graph, 1, 2, run_rmds(tg.graph, 1),
-                           opt=tightness_dominating_set(tg))
+                           tightness_dominating_set(tg), "supplied")
     assert report.opt_source == "supplied"
     assert report.alg_size >= 1 * 4 * 2 * 2  # at least r * 4 * f^2 selected
     assert report.alg_size / (4 * 2) >= 1 * 2  # ratio against |M| <= 4f
-    assert all(report.evaluated_checks().values())
+    assert False not in report.checks.values()
 
 
 def test_approx_report_unknown_optimum():
     g = gen_random_tree(30, 1)
-    report = approx_report(g, 1, 1, run_rmds(g, 1))
+    report = approx_report(g, 1, 1, run_rmds(g, 1), exact_min_rds(g, 1),
+                           "exact")
     assert report.opt_source == "exact"
-    # Force the solver over its cap to exercise the unknown path.
+    # Over the solver's cap no M is known; the caller passes None.
     big = gen_random_tree(230, 1)
-    unknown = approx_report(big, 1, 1, run_rmds(big, 1))
+    with pytest.raises(OptimumUnknown):
+        exact_min_rds(big, 1)
+    unknown = approx_report(big, 1, 1, run_rmds(big, 1), None, "unknown")
     assert unknown.opt_source == "unknown"
     assert unknown.ratio is None and unknown.opt_size is None
     assert unknown.checks["dominating"] is True
@@ -168,7 +173,7 @@ def test_approx_report_unknown_optimum():
 
 def test_approx_report_empty_comparison_set_misses_every_component():
     g = gen_cycle(11)
-    report = approx_report(g, 1, 1, run_rmds(g, 1), opt=[])
+    report = approx_report(g, 1, 1, run_rmds(g, 1), [], "supplied")
     assert report.opt_source == "supplied" and report.opt_size == 0
     assert report.ratio is None
     assert report.checks["dominating"] is True
@@ -183,7 +188,8 @@ def test_approx_report_empty_comparison_set_misses_every_component():
        st.integers(1, 5))
 def test_approx_report_passes_on_small_trees_and_paths(path, n, seed, r):
     g = gen_path(n) if path else gen_random_tree(n, seed)
-    report = approx_report(g, r, 1, run_rmds(g, r))
+    report = approx_report(g, r, 1, run_rmds(g, r), exact_min_rds(g, r),
+                           "exact")
     assert report.opt_source == "exact"
     assert [k for k, v in report.checks.items() if v is False] == []
 
@@ -197,7 +203,7 @@ def test_di_in_T_fails_off_the_boundary_forest_of_a_bounded_cell():
     sim = SimulationReport(
         outputs={v: RmdsOutput(v in sel.values(), d) for v, d in sel.items()},
         rounds_executed=2, max_message_bits=6)
-    report = approx_report(g, 1, 1, sim, opt={0, 3})
+    report = approx_report(g, 1, 1, sim, {0, 3}, "supplied")
     assert report.checks["dominating"] is True
     assert report.checks["di_in_T"] is False
 
