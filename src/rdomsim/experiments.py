@@ -14,12 +14,12 @@ An experiment spec is a plain dict (JSON-friendly):
                       controls)
 
 Integer fields take integers or integer strings, never booleans or floats.
+A key that the spec's family and algo do not read is ``bad_spec``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .generators import (TightnessParams, gen_complete, gen_cycle, gen_path,
                          gen_random_tree, gen_tightness, subdivide,
@@ -47,8 +47,9 @@ class ExperimentError(ValueError):
         self.detail = detail
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
+    """One judged spec and its CSV ``row``; an immutable ``NamedTuple``."""
+
     spec: Dict
     passed: bool
     failures: List[str]
@@ -250,6 +251,32 @@ def _cycle_is(spec, g, own_m, r, f_r, premise):
 #: reads).  ``verdicts`` lists (check name, passed) in failure order.
 _ALGOS = {"rmds": (_rmds, "m"), "count": (_count, None),
           "cycle_is": (_cycle_is, "d_source")}
+#: Spec fields that every family and algo read.
+_COMMON_FIELDS = ("family", "algo", "r", "f_r", "allow_low_girth")
+
+
+def _refuse_unread_fields(spec: Dict, algo: str, reads: Optional[str]) -> None:
+    """Refuse, as ``bad_spec`` naming it, a spec field that nothing reads:
+    first an algo field of ``_ALGOS`` that this algo does not read, then any
+    key that is neither common, a parameter of the family (``graph`` for
+    "file") nor the algo's field.  An unknown family is left to
+    ``build_instance``."""
+    for _, field in _ALGOS.values():
+        if field in spec and field != reads:
+            raise ExperimentError("bad_spec",
+                                  f"algo {algo!r} does not read {field!r}")
+    family = spec.get("family")
+    if family == "file":
+        params = ("graph",)
+    elif isinstance(family, str) and family in _FAMILIES:
+        params = _FAMILIES[family][0]
+    else:
+        return
+    for key in spec:
+        if key not in _COMMON_FIELDS and key not in params and key != reads:
+            raise ExperimentError(
+                "bad_spec", f"family {family!r} and algo {algo!r} do not "
+                            f"read {key!r}")
 
 
 def run_experiment(spec: Dict) -> ExperimentResult:
@@ -261,10 +288,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
     if not isinstance(algo, str) or algo not in _ALGOS:
         raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
     run, reads = _ALGOS[algo]
-    for key in ("m", "d_source"):
-        if key in spec and key != reads:
-            raise ExperimentError("bad_spec",
-                                  f"algo {algo!r} does not read {key!r}")
+    _refuse_unread_fields(spec, algo, reads)
     g, (family_f_r, own_m) = build_instance(spec)
     if not g.vertex_count:
         raise ExperimentError("bad_input", "graph has no vertices")

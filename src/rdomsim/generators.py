@@ -8,8 +8,7 @@ of their parameters: byte-identical output across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .graphs import Graph, _collector_paused, build_graph
 
@@ -106,22 +105,23 @@ def subdivide(g: Graph, k: int) -> Graph:
     return build_graph(edges, extra_vertices=g.vertices)
 
 
-@dataclass(frozen=True)
-class TightnessParams:
-    """Parameters of the tightness family: radius r >= 1 and density bound f >= 2."""
+class TightnessParams(NamedTuple("TightnessParams", [("r", int), ("f", int)])):
+    """Tightness-family parameters, radius r >= 1 and density bound f >= 2:
+    an immutable ``NamedTuple`` that checks both when built or replaced."""
 
-    r: int
-    f: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.f < 2:
-            raise ValueError(f"f must be >= 2, got {self.f}")
+    def __new__(cls, r: int, f: int):
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+        if f < 2:
+            raise ValueError(f"f must be >= 2, got {f}")
+        return super().__new__(cls, r, f)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # for _replace
 
 
-@dataclass(frozen=True)
-class TightnessGraph:
+class TightnessGraph(NamedTuple):
     """Subdivided biclique with pendant blocks.
 
     Two sides X and Y of 2f vertices each; every (x, y) pair is joined by a
@@ -129,7 +129,7 @@ class TightnessGraph:
     k = 2rf pendant degree-1 vertices, each attached by a single edge to the
     path vertex adjacent to x.  ID layout: X ascending, then Y, then path
     vertices in (x, y)-lexicographic order from the x side, then pendant
-    blocks in the same order.
+    blocks in the same order.  An immutable ``NamedTuple``.
     """
 
     graph: Graph

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Union)
@@ -119,20 +118,20 @@ class NodeProgram:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Outcome of one lockstep run.
 
     ``messages_per_round[t-1]`` counts messages sent in round t (each is
     delivered exactly once at the start of round t+1; a delivery to an
     already-halted vertex is discarded).  ``rounds_executed`` is the number
-    of communication rounds, i.e. rounds after the first.
+    of communication rounds, i.e. rounds after the first.  Like the
+    messages, an immutable ``NamedTuple`` that compares as a tuple.
     """
 
     outputs: Dict[int, Any]
     rounds_executed: int
     max_message_bits: int
-    messages_per_round: List[int] = field(default_factory=list)
+    messages_per_round: Sequence[int] = ()
 
 
 def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],

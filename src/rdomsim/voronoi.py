@@ -10,8 +10,7 @@ everything into a per-instance report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .graphs import Graph, GraphError, distances, girth, render_girth
 from .oracles import is_r_dominating
@@ -26,8 +25,7 @@ class NotDominatingError(ValueError):
     """The center set is empty or misses a whole component."""
 
 
-@dataclass(frozen=True)
-class VoronoiDecomposition:
+class VoronoiDecomposition(NamedTuple):
     """Partition of V into cells around centers.
 
     ``dist[v]`` is the hop distance from ``v`` to its nearest center, in
@@ -35,7 +33,8 @@ class VoronoiDecomposition:
     center ID.  ``intercell_edges`` lists each edge whose endpoints lie in
     different cells, together with its sorted cell pair;
     ``quotient_edge_count`` deduplicates cell pairs.  ``non_tree_cells``
-    lists, ascending, the centers whose cell does not induce a tree.
+    lists, ascending, the centers whose cell does not induce a tree.  An
+    immutable ``NamedTuple`` (no code generated at import, tuple equality).
     """
 
     centers: FrozenSet[int]
@@ -149,13 +148,14 @@ def split_selection(dec: VoronoiDecomposition, outputs: Dict[int, RmdsOutput]
     return frozenset(inside), frozenset(outside)
 
 
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """Per-instance summary of the algorithm-versus-M analysis.
 
     ``checks`` maps check names to True/False, or None when not evaluable.
     ``opt_source`` says where M came from: "exact" (a minimum), "supplied"
     or "unknown" (no M); ``ratio`` tests the paper's bound only if "exact".
+    An immutable ``NamedTuple``: no code generated at import, tuple
+    equality; ``to_dict`` copies ``checks`` and puts ``girth`` last.
     """
 
     n: int
@@ -173,10 +173,10 @@ class ApproxReport:
     do_size: Optional[int]
     rounds_executed: int
     max_message_bits: int
-    checks: Dict[str, Optional[bool]] = field(default_factory=dict)
+    checks: Dict[str, Optional[bool]]
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = self._asdict() | {"checks": dict(self.checks)}
         d["girth"] = render_girth(d.pop("girth_value"))
         return d
 

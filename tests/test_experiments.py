@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import pytest
@@ -39,7 +38,7 @@ def _flip_one(field):
         member, selected = outputs[0]
         outputs[0] = (RmdsOutput(not member, selected) if field == "member"
                       else RmdsOutput(member, (selected + 1) % g.vertex_count))
-        return dataclasses.replace(sim, outputs=outputs)
+        return sim._replace(outputs=outputs)
     return simulate_flipped
 
 

@@ -1,0 +1,82 @@
+"""A spec names only what its family and algo read: any other key is
+``bad_spec`` (exit 2), refused before the graph is built."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rdomsim import (ExperimentError, builtin_corpus, experiments, gen_cycle,
+                     run_experiment, write_graph)
+from rdomsim.cli import EXIT_ERROR, main
+
+
+#: The spec fields each family, each algo and every spec read.
+_FAMILY_READS = {"cycle": ("n",), "path": ("n",), "tree": ("n", "seed"),
+                 "subdivided_k4": ("k",), "tightness": ("r", "f")}
+_ALGO_READS = {"rmds": ("m",), "count": (), "cycle_is": ("d_source",)}
+_COMMON_READS = ("family", "algo", "r", "f_r", "allow_low_girth")
+
+
+def _suite_exit(specs):
+    """Exit code and last stdout line of ``rdomsim suite`` on ``specs``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "suite.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(specs, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["suite", config])
+    return code, json.loads(out.getvalue().splitlines()[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(builtin_corpus()),
+       key=st.sampled_from(["n", "seed", "k", "f", "m", "d_source", "graph",
+                            "famly", "F_r", "r ", ""]) | st.text(max_size=6),
+       value=st.sampled_from(["zz", 0, 3, True, None, [0], {}]))
+def test_a_builtin_spec_with_one_unread_key_is_refused(spec, key, value):
+    read = (_COMMON_READS + _FAMILY_READS[spec["family"]]
+            + _ALGO_READS[spec.get("algo", "rmds")])
+    assume(key not in read)
+    code, line = _suite_exit([spec | {key: value}])
+    assert code == EXIT_ERROR
+    assert line["error"] == "bad_spec"
+    assert repr(key) in line["detail"]
+
+
+@pytest.mark.parametrize("extra, key", [({"famly": "x"}, "famly"),
+                                        ({"k": "zz"}, "k"),
+                                        ({"seed": 0}, "seed"),
+                                        ({"graph": "g.graph"}, "graph")])
+def test_a_key_the_family_does_not_read_is_refused_before_the_build(
+        monkeypatch, extra, key):
+    monkeypatch.setattr(experiments, "_MAX_FILE_VERTICES", 1)
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment({"family": "cycle", "n": 11, "r": 1} | extra)
+    assert exc.value.reason == "bad_spec"
+    assert exc.value.detail == (
+        f"family 'cycle' and algo 'rmds' do not read {key!r}")
+
+
+def test_a_file_spec_reads_graph_and_nothing_of_the_generated_families(
+        tmp_path):
+    path = tmp_path / "c.graph"
+    write_graph(gen_cycle(11), path)
+    spec = {"family": "file", "graph": str(path), "r": 1}
+    assert run_experiment(spec).passed
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment(spec | {"n": 11})
+    assert exc.value.detail == "family 'file' and algo 'rmds' do not read 'n'"
+
+
+def test_every_builtin_spec_reads_all_its_keys():
+    for spec in builtin_corpus():
+        read = (_COMMON_READS + _FAMILY_READS[spec["family"]]
+                + _ALGO_READS[spec.get("algo", "rmds")])
+        assert set(spec) <= set(read), spec

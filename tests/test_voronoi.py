@@ -247,7 +247,7 @@ def test_decompose_matches_per_center_reference(g, data):
     centers = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
     fast = _outcome(voronoi_decompose, g, centers)
     slow = _outcome(reference_voronoi_decompose, g, centers)
-    assert fast == slow  # dataclass equality compares dist too
+    assert fast == slow  # tuple equality compares dist too
 
 
 def test_decompose_ties_on_even_cycle_go_to_smaller_center():
