@@ -9,8 +9,8 @@ import sys
 from typing import Dict, List, Optional
 
 from .corpus import builtin_corpus
-from .experiments import (_ALGOS, _FAMILIES, CSV_HEADER, ExperimentError,
-                          build_instance, run_experiment, run_suite)
+from .experiments import (_ALGOS, _FAMILIES, ExperimentError, build_instance,
+                          run_suite)
 from .graphs import girth, render_girth, write_graph
 from .oracles import is_independent, is_r_dominating
 
@@ -46,16 +46,8 @@ def cmd_generate(args) -> int:
     spec = _spec_from_args(args)
     g, (f_r, _) = build_instance(spec)
     write_graph(g, args.output)
-    sidecar = {
-        "family": spec["family"],
-        "n": g.vertex_count,
-        "r": spec.get("r"),
-        "f": spec.get("f"),
-        "k": spec.get("k"),
-        "seed": spec.get("seed"),
-        "girth": render_girth(girth(g)),
-        "expansion_bound": f_r,
-    }
+    sidecar = spec | {"n": g.vertex_count, "girth": render_girth(girth(g)),
+                      "expansion_bound": f_r}
     with open(str(args.output) + ".json", "w", encoding="ascii") as fh:
         json.dump(sidecar, fh, sort_keys=True)
         fh.write("\n")
@@ -65,7 +57,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    result = run_experiment(_spec_from_args(args))
+    [result], csv_text = run_suite([_spec_from_args(args)])
     payload = result.to_dict()
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
@@ -73,7 +65,7 @@ def cmd_run(args) -> int:
             fh.write("\n")
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(CSV_HEADER + "\n" + result.csv_line() + "\n")
+            fh.write(csv_text)
     _emit(payload)
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
@@ -109,6 +101,9 @@ def cmd_suite(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.check == "independent" and args.r is not None:
+        raise ExperimentError("bad_spec",
+                              "--check independent does not read --r")
     g, _ = build_instance({"family": "file", "graph": args.graph})
     with open(args.set, "r", encoding="ascii") as fh:
         try:
@@ -137,10 +132,14 @@ def cmd_verify(args) -> int:
 def _add_family_args(parser) -> None:
     parser.add_argument("--family", choices=_FAMILIES)
     parser.add_argument("--graph", help="load a graph file instead of generating")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--f", type=int, help="tightness family parameter f(r)")
+    readers: Dict[str, List[str]] = {}
+    for family, (params, _, _) in _FAMILIES.items():
+        for key in params:
+            readers.setdefault(key, []).append(family)
+    for key, families in readers.items():
+        if key != "r":
+            parser.add_argument(f"--{key}", type=int,
+                                help=f"read by {', '.join(families)}")
     parser.add_argument("--r", type=int, default=1)
 
 

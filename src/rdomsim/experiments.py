@@ -14,7 +14,10 @@ An experiment spec is a plain dict (JSON-friendly):
                       controls)
 
 Integer fields take integers or integer strings, never booleans or floats.
-A key that the spec's family and algo do not read is ``bad_spec``.
+Every command that builds a graph goes through ``build_instance``, which
+refuses as ``bad_spec``, before any build, a key that is not a common field,
+an ``_ALGOS`` field or a parameter of the family; ``run_experiment`` also
+refuses an ``_ALGOS`` field that the spec's own algo does not read.
 """
 
 from __future__ import annotations
@@ -117,10 +120,23 @@ _FAMILIES = {
 
 def build_instance(spec: Dict) -> Tuple[Graph, Tuple[int, Optional[frozenset]]]:
     """The spec's graph and its family's ``(default f_r, own dominating set
-    or None)``; a missing or invalid family parameter, or a graph of more
-    than ``2**20`` vertices, is a ``bad_spec`` error and an unreadable graph
-    file a ``bad_input`` one."""
+    or None)``.  Before anything is built, a key outside the common fields,
+    the ``_ALGOS`` fields and the family's parameters (``graph`` for
+    "file") is a ``bad_spec`` error naming the family and the key; so are a
+    missing or invalid family parameter and a graph of more than ``2**20``
+    vertices.  An unreadable graph file is ``bad_input``."""
     family = spec.get("family")
+    if family == "file":
+        params = ("graph",)
+    elif isinstance(family, str) and family in _FAMILIES:
+        params, size, build = _FAMILIES[family]
+    else:
+        raise ExperimentError("bad_family", f"unknown family {family!r}")
+    read = {*_COMMON_FIELDS, *params, *(field for _, field in _ALGOS.values())}
+    for key in spec:
+        if key not in read:
+            raise ExperimentError(
+                "bad_spec", f"family {family!r} does not read {key!r}")
     if family == "file":
         path = spec.get("graph")
         if not path or not isinstance(path, str):
@@ -130,9 +146,6 @@ def build_instance(spec: Dict) -> Tuple[Graph, Tuple[int, Optional[frozenset]]]:
             return read_graph(path), (1, None)
         except (OSError, ValueError) as exc:
             raise ExperimentError("bad_input", str(exc)) from None
-    if not isinstance(family, str) or family not in _FAMILIES:
-        raise ExperimentError("bad_family", f"unknown family {family!r}")
-    params, size, build = _FAMILIES[family]
     args = [_int_param(spec, key, default) for key, default in params.items()]
     try:
         count = size(*args)
@@ -255,30 +268,6 @@ _ALGOS = {"rmds": (_rmds, "m"), "count": (_count, None),
 _COMMON_FIELDS = ("family", "algo", "r", "f_r", "allow_low_girth")
 
 
-def _refuse_unread_fields(spec: Dict, algo: str, reads: Optional[str]) -> None:
-    """Refuse, as ``bad_spec`` naming it, a spec field that nothing reads:
-    first an algo field of ``_ALGOS`` that this algo does not read, then any
-    key that is neither common, a parameter of the family (``graph`` for
-    "file") nor the algo's field.  An unknown family is left to
-    ``build_instance``."""
-    for _, field in _ALGOS.values():
-        if field in spec and field != reads:
-            raise ExperimentError("bad_spec",
-                                  f"algo {algo!r} does not read {field!r}")
-    family = spec.get("family")
-    if family == "file":
-        params = ("graph",)
-    elif isinstance(family, str) and family in _FAMILIES:
-        params = _FAMILIES[family][0]
-    else:
-        return
-    for key in spec:
-        if key not in _COMMON_FIELDS and key not in params and key != reads:
-            raise ExperimentError(
-                "bad_spec", f"family {family!r} and algo {algo!r} do not "
-                            f"read {key!r}")
-
-
 def run_experiment(spec: Dict) -> ExperimentResult:
     """Run one spec end to end and judge every applicable check."""
     algo = spec.get("algo", "rmds")
@@ -288,7 +277,10 @@ def run_experiment(spec: Dict) -> ExperimentResult:
     if not isinstance(algo, str) or algo not in _ALGOS:
         raise ExperimentError("bad_spec", f"unknown algo {algo!r}")
     run, reads = _ALGOS[algo]
-    _refuse_unread_fields(spec, algo, reads)
+    for _, field in _ALGOS.values():
+        if field in spec and field != reads:
+            raise ExperimentError("bad_spec",
+                                  f"algo {algo!r} does not read {field!r}")
     g, (family_f_r, own_m) = build_instance(spec)
     if not g.vertex_count:
         raise ExperimentError("bad_input", "graph has no vertices")

@@ -1,4 +1,5 @@
-"""The names by which the benchmark under ``bench/`` reaches into rdomsim.
+"""The names by which the benchmark under ``bench/`` reaches into rdomsim,
+and the shape of the committed ``BENCH_*.json`` trajectories.
 
 The benchmark wraps and calls rdomsim functions by name from outside, so a
 rename would break only ``bench/run.py --trace 1`` and fail no other test.
@@ -9,6 +10,7 @@ rename would break only ``bench/run.py --trace 1`` and fail no other test.
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ import pytest
 import rdomsim
 import rdomsim.cli  # noqa: F401  (reached as rd.cli by the benchmark)
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _spans():
@@ -100,3 +103,26 @@ def test_names_the_workloads_call_still_exist():
         for attr in path:
             assert hasattr(obj, attr), ".".join(path)
             obj = getattr(obj, attr)
+
+
+def test_committed_bench_trajectories_are_complete():
+    # Every entry of every BENCH_*.json names its source and run length and
+    # gives, per workload, the median and quartiles of each end-to-end
+    # metric that BENCHMARK.json declares.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in declared["end_to_end"]]
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths, "no BENCH_*.json"
+    for path in paths:
+        trajectory = json.loads(path.read_text())["trajectory"]
+        for i, entry in enumerate(trajectory):
+            where = f"{path.name} entry {i}"
+            for key in ("src", "run_seconds", "workloads"):
+                assert key in entry, f"{where}: no {key!r}"
+            assert entry["workloads"], f"{where}: no workload"
+            for w, data in entry["workloads"].items():
+                for name in names:
+                    metric = data["end_to_end"].get(name, {})
+                    for stat in ("median", "q1", "q3"):
+                        assert isinstance(metric.get(stat), (int, float)), \
+                            f"{where} {w}: no {name} {stat}"

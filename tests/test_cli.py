@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import rdomsim
 from rdomsim import CSV_HEADER, experiments, read_graph
-from rdomsim.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
+from rdomsim.cli import (EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, build_parser,
+                         main)
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +35,8 @@ def _cli_env():
     (["--family", "cycle", "--n", "11"], 11, 11, 11, 1),
     (["--family", "subdivided_k4", "--k", "2"], 16, 18, 9, 3),
     (["--family", "tightness", "--r", "1", "--f", "3"], 300, 324, 12, 3),
+    (["--family", "path", "--n", "7"], 7, 6, "inf", 1),
+    (["--family", "tree", "--n", "9", "--seed", "3"], 9, 8, "inf", 1),
 ])
 def test_generate_writes_graph_and_sidecar(tmp_path, capsys, argv, n, m,
                                            girth, bound):
@@ -47,6 +50,44 @@ def test_generate_writes_graph_and_sidecar(tmp_path, capsys, argv, n, m,
     assert sidecar["girth"] == girth
     assert sidecar["expansion_bound"] == bound
     assert json.loads(stdout)["n"] == n
+    # The sidecar is the spec (r defaults to 1) plus n, girth and the bound.
+    spec = {"r": 1} | {flag[2:]: value if flag == "--family" else int(value)
+                       for flag, value in zip(argv[::2], argv[1::2])}
+    assert sidecar == spec | {"n": n, "girth": girth, "expansion_bound": bound}
+    assert None not in sidecar.values()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--family", "cycle", "--n", "11", "--k", "3"], "k"),
+    (["--family", "path", "--n", "7", "--seed", "1"], "seed"),
+    (["--family", "tree", "--n", "9", "--seed", "3", "--f", "2"], "f"),
+    (["--family", "subdivided_k4", "--k", "2", "--n", "16"], "n"),
+    (["--family", "tightness", "--f", "2", "--seed", "0"], "seed"),
+])
+def test_generate_refuses_a_flag_the_family_does_not_read(tmp_path, capsys,
+                                                          argv, key):
+    out = tmp_path / "g.graph"
+    code, stdout = run_cli(capsys, "generate", *argv, "-o", str(out))
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {
+        "error": "bad_spec",
+        "detail": f"family {argv[1]!r} does not read {key!r}"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_family_flags_are_the_family_parameters(command):
+    # One int flag per _FAMILIES parameter, read off the table; --r keeps
+    # its default of 1.
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    params = {key for params, _, _ in experiments._FAMILIES.values()
+              for key in params}
+    for key in params:
+        actions = [action for action in sub._actions
+                   if f"--{key}" in action.option_strings]
+        assert len(actions) == 1, key
+        assert actions[0].type is int
+        assert actions[0].default == (1 if key == "r" else None)
 
 
 def test_generate_tree_sidecar_reports_infinite_girth(tmp_path, capsys):
@@ -165,6 +206,21 @@ def test_verify_requires_r_for_domination(tmp_path, capsys):
                            "--set", str(s), "--check", "dominating")
     assert code == EXIT_ERROR
     assert json.loads(stdout)["error"] == "bad_spec"
+
+
+def test_verify_independent_check_refuses_r(tmp_path, capsys):
+    out = tmp_path / "c9.graph"
+    run_cli(capsys, "generate", "--family", "cycle", "--n", "9",
+            "-o", str(out))
+    s = tmp_path / "s.txt"
+    s.write_text("0 3 6\n")
+    code, stdout = run_cli(capsys, "verify", "--graph", str(out),
+                           "--set", str(s), "--check", "independent",
+                           "--r", "2")
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {
+        "error": "bad_spec",
+        "detail": "--check independent does not read --r"}
 
 
 def test_suite_custom_config(tmp_path, capsys):

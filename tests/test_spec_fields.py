@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (ExperimentError, builtin_corpus, experiments, gen_cycle,
-                     run_experiment, write_graph)
+from rdomsim import (ExperimentError, build_instance, builtin_corpus,
+                     experiments, gen_cycle, run_experiment, write_graph)
 from rdomsim.cli import EXIT_ERROR, main
 
 
@@ -53,15 +53,15 @@ def test_a_builtin_spec_with_one_unread_key_is_refused(spec, key, value):
 @pytest.mark.parametrize("extra, key", [({"famly": "x"}, "famly"),
                                         ({"k": "zz"}, "k"),
                                         ({"seed": 0}, "seed"),
-                                        ({"graph": "g.graph"}, "graph")])
+                                        ({"graph": "g.graph"}, "graph"),
+                                        ({"f": 2}, "f")])
 def test_a_key_the_family_does_not_read_is_refused_before_the_build(
         monkeypatch, extra, key):
     monkeypatch.setattr(experiments, "_MAX_FILE_VERTICES", 1)
     with pytest.raises(ExperimentError) as exc:
         run_experiment({"family": "cycle", "n": 11, "r": 1} | extra)
     assert exc.value.reason == "bad_spec"
-    assert exc.value.detail == (
-        f"family 'cycle' and algo 'rmds' do not read {key!r}")
+    assert exc.value.detail == f"family 'cycle' does not read {key!r}"
 
 
 def test_a_file_spec_reads_graph_and_nothing_of_the_generated_families(
@@ -72,7 +72,19 @@ def test_a_file_spec_reads_graph_and_nothing_of_the_generated_families(
     assert run_experiment(spec).passed
     with pytest.raises(ExperimentError) as exc:
         run_experiment(spec | {"n": 11})
-    assert exc.value.detail == "family 'file' and algo 'rmds' do not read 'n'"
+    assert exc.value.detail == "family 'file' does not read 'n'"
+
+
+def test_build_instance_refuses_an_unread_key_and_keeps_the_algo_fields():
+    # Which algo reads m or d_source is run_experiment's to judge, so a full
+    # run spec still builds.
+    spec = {"family": "cycle", "n": 11, "r": 1}
+    for extra in ({"m": [0, 3, 6, 9]}, {"algo": "cycle_is", "d_source": "x"},
+                  {"f_r": 2, "allow_low_girth": True}):
+        assert build_instance(spec | extra)[0] == gen_cycle(11)
+    with pytest.raises(ExperimentError) as exc:
+        build_instance(spec | {"seed": 0})
+    assert exc.value.detail == "family 'cycle' does not read 'seed'"
 
 
 def test_every_builtin_spec_reads_all_its_keys():
