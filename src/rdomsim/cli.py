@@ -29,12 +29,13 @@ _NOT_SPEC = ("command", "func", "output", "json", "csv")
 
 
 def _spec_from_args(args) -> Dict:
-    """Every flag given (or with a default) as its spec field; a non-empty
-    ``--graph`` names the file family."""
+    """Every flag given (or with a default) as its spec field.  ``--graph``
+    names the file family unless ``--family`` is given too, and then
+    ``build_instance`` refuses the spec, as it does an empty path."""
     spec = {key: value for key, value in vars(args).items()
             if value is not None and key not in _NOT_SPEC}
-    if spec.pop("graph", None):
-        spec |= {"family": "file", "graph": args.graph}
+    if "graph" in spec:
+        spec.setdefault("family", "file")
     return spec
 
 

@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 from .graphs import Graph, r_balls
@@ -37,6 +38,33 @@ _new_candidate = functools.partial(tuple.__new__, CandidateMsg)
 _new_flood = functools.partial(tuple.__new__, FloodMsg)
 _new_output = functools.partial(tuple.__new__, RmdsOutput)
 
+#: Count values below this share one message each in ``_COUNTS``.
+_COUNT_LIMIT = 1 << 10
+
+
+class _CountTable(dict):
+    """The ``CountMsg`` of each count value, made on first use.
+
+    Counts repeat across the graph, and messages are immutable, so every
+    port may send the same object.  Only values below ``_COUNT_LIMIT`` are
+    kept, so the table stays small whatever the graph; a larger value gets
+    a fresh message each time.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> CountMsg:
+        msg = _new_count((value,))
+        if value < _COUNT_LIMIT:
+            self[value] = msg
+        return msg
+
+
+_COUNTS = _CountTable()
+
+#: The value of a ``CountMsg``, read at C level.
+_value = itemgetter(0)
+
 
 def _bind_radius(cls, r: int):
     """The program ``cls`` at radius ``r``, as ``run_simulation`` takes it."""
@@ -60,19 +88,21 @@ class CountNeighborhoodProgram(NodeProgram):
         the ``CountMsg`` on port p of the inbox, from round 2 on, and is 1
         before that.  Before round r this returns the outbox, which tells
         each neighbor the size of our subtree excluding its own branch; in
-        round 1 that is the degree on every port, one shared message.  At
-        round r it returns the sum of the sizes heard, which equals
-        |N^r(v)| whenever the girth is at least 4r+3.
+        round 1 that is the degree on every port.  Every message comes from
+        ``_COUNTS``, so below ``_COUNT_LIMIT`` each value is one object that
+        all ports sending it share.  At round r it returns the sum of the
+        sizes heard, which equals |N^r(v)| whenever the girth is at least
+        4r+3.
         """
         if t == 1:
             if self.r == 1:
                 return len(inbox)
-            return [_new_count((len(inbox),))] * len(inbox)
-        heard = [msg.value for msg in inbox]
-        total = sum(heard)
+            return [_COUNTS[len(inbox)]] * len(inbox)
+        total = sum(map(_value, inbox))
         if t == self.r:
             return total
-        return [_new_count((1 + total - c,)) for c in heard]
+        total += 1
+        return [_COUNTS[total - c] for c, in inbox]
 
     def step(self, round_index, inbox):
         if round_index < self.r:
@@ -104,8 +134,11 @@ class RmdsProgram(CountNeighborhoodProgram):
     ranking, and each selection send re-sends that one object.  ``recv``
     keeps each absorbed inbox whole, one list per send.  Each field lives
     only for the phases that read it: counting keeps no state beyond the
-    inbox, and ``best``, ``sent`` and ``recv`` are made when selection
-    starts.
+    inbox and sends the shared messages of ``_COUNTS``, ``best``, ``sent``
+    and ``recv`` are made when selection starts, and ``chosen`` when
+    back-propagation does.  A step reads ``best`` and ``chosen`` off the
+    node at most once, into locals.  ``__init__`` sets ``r`` and ``own``
+    itself rather than through the base class.
 
     ``chosen`` is one ID, the lowest-ranked candidate known to be chosen,
     rather than the set of them.  Sends never fall in rank, and each ranks
@@ -121,7 +154,7 @@ class RmdsProgram(CountNeighborhoodProgram):
     __slots__ = ("own", "best", "sent", "recv", "chosen")
 
     def __init__(self, r: int, own_id: int, num_ports: int, params):
-        super().__init__(r, own_id, num_ports, params)
+        self.r = r
         self.own = own_id
 
     def step(self, round_index, inbox):
@@ -129,24 +162,28 @@ class RmdsProgram(CountNeighborhoodProgram):
         if t < r:
             return self._count(t, inbox), False, None
         if t == r:
-            self.best = _new_candidate((self._count(t, inbox), self.own))
+            best = self.best = _new_candidate((self._count(t, inbox),
+                                               self.own))
             self.sent: List[CandidateMsg] = []
             self.recv: List[List[CandidateMsg]] = []
         elif t <= 2 * r:  # absorb selection send t - r
             self.recv.append(inbox)
+            best = self.best
             if inbox:
-                self.best = max(self.best, max(inbox))
-        elif _BACK_BITS[True] in inbox:  # answers to send 3r - t + 1
-            self.chosen = self.sent[3 * r - t].id
+                best = self.best = max(best, max(inbox))
         if t < 2 * r:
-            self.sent.append(self.best)
-            return [self.best] * len(inbox), False, None
+            self.sent.append(best)
+            return [best] * len(inbox), False, None
         if t == 2 * r:
-            self.chosen = self.best.id
+            chosen = self.chosen = best.id
+        elif _BACK_BITS[True] in inbox:  # answers to send 3r - t + 1
+            chosen = self.chosen = self.sent[3 * r - t].id
+        else:
+            chosen = self.chosen
         if t < 3 * r:  # answer selection send 3r - t on every port
-            return ([_BACK_BITS[msg.id == self.chosen]
+            return ([_BACK_BITS[msg.id == chosen]
                      for msg in self.recv[3 * r - t - 1]], False, None)
-        output = _new_output((self.own == self.chosen, self.best.id))
+        output = _new_output((self.own == chosen, self.best.id))
         return [None] * len(inbox), True, output
 
 

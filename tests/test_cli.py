@@ -262,6 +262,31 @@ def test_run_on_graph_file(tmp_path, capsys):
     assert json.loads(stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("command, argv, detail", [
+    ("run", ["--graph", "c23.graph", "--family", "path", "--r", "1"],
+     "family 'path' does not read 'graph'"),
+    ("run", ["--family", "cycle", "--n", "11", "--graph", ""],
+     "family 'cycle' does not read 'graph'"),
+    ("generate", ["--graph", "c23.graph", "--family", "path", "-o", "x.graph"],
+     "family 'path' does not read 'graph'"),
+    ("run", ["--graph", ""], "family 'file' needs 'graph', a file path"),
+])
+def test_graph_with_a_family_or_empty_is_bad_spec(tmp_path, monkeypatch,
+                                                  capsys, command, argv,
+                                                  detail):
+    # --graph names the file family only when no --family is given; the
+    # file exists, so only the spec can be at fault.
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "generate", "--family", "cycle", "--n", "23",
+            "-o", "c23.graph")
+    before = sorted(tmp_path.iterdir())
+    code, stdout = run_cli(capsys, command, *argv)
+    assert code == EXIT_ERROR
+    assert stdout.count("\n") == 1
+    assert json.loads(stdout) == {"error": "bad_spec", "detail": detail}
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_run_without_family_parameter_is_bad_spec(capsys):
     code, stdout = run_cli(capsys, "run", "--family", "cycle")
     assert code == EXIT_ERROR

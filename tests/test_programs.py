@@ -1,13 +1,21 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (ProgramFault, RmdsOutput, build_graph, count_neighborhood_program,
+import rdomsim
+from rdomsim import (NodeProgram, ProgramFault, RmdsOutput, build_graph, count_neighborhood_program,
                      cycle_is_program, gen_cycle, gen_random_tree, girth,
                      id_bits,
                      is_independent, is_r_dominating, rmds_program,
                      rmds_round_budget, run_simulation, selection_oracle)
+from rdomsim.programs import _COUNT_LIMIT, _COUNTS
 
 from _support import ball, graphs, relabelled
 
@@ -50,6 +58,68 @@ def test_count_matches_oracle_on_tree():
     sim = run_count(g, 3)
     for v in g.vertices:
         assert sim.outputs[v] == len(ball(g, v, 3)) - 1
+
+
+class SendLog(NodeProgram):
+    """Steps the node that ``program`` builds and appends each message it
+    sends to ``params``, a list."""
+
+    def __init__(self, program, own_id, num_ports, params):
+        self.node = program(own_id, num_ports, None)
+        self.log = params
+
+    def step(self, round_index, inbox):
+        outbox, halted, output = self.node.step(round_index, inbox)
+        self.log.extend(msg for msg in outbox if msg is not None)
+        return outbox, halted, output
+
+
+def sent_by_value(g, r):
+    """The outputs of counting at radius ``r`` on ``g``, and the messages
+    sent, grouped by value."""
+    sent = []
+    sim = run_simulation(
+        g, functools.partial(SendLog, count_neighborhood_program(r)), sent,
+        round_budget=r - 1)
+    assert sim.outputs == run_count(g, r).outputs
+    by_value = {}
+    for msg in sent:
+        by_value.setdefault(msg.value, []).append(msg)
+    return sim.outputs, by_value
+
+
+def test_count_sends_one_shared_message_per_value():
+    # Messages are immutable, so every port sending a value may send the
+    # one object the table holds for it.
+    _, by_value = sent_by_value(gen_random_tree(4096, 0), 3)
+    assert len(by_value) > 1 and max(by_value) < _COUNT_LIMIT
+    for value, msgs in by_value.items():
+        assert all(msg is _COUNTS[value] for msg in msgs), value
+
+
+@pytest.mark.parametrize("leaves", [_COUNT_LIMIT - 1, _COUNT_LIMIT,
+                                    _COUNT_LIMIT + 1])
+def test_count_keeps_only_values_below_the_limit(leaves):
+    # In round 1 the centre of a star sends its degree on every port.
+    star = build_graph([(0, leaf) for leaf in range(1, leaves + 1)])
+    outputs, by_value = sent_by_value(star, 2)
+    assert outputs == dict.fromkeys(star.vertices, leaves)
+    assert sorted(by_value) == [1, leaves]
+    assert len(by_value[leaves]) == leaves
+    assert (leaves in _COUNTS) == (leaves < _COUNT_LIMIT)
+    assert all(value < _COUNT_LIMIT for value in _COUNTS)
+
+
+def test_count_table_is_empty_after_import():
+    code = ("import rdomsim, rdomsim.cli\n"
+            "print(len(rdomsim.programs._COUNTS))\n")
+    src = str(Path(rdomsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_selection_oracle_c7():
