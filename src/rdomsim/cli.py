@@ -44,7 +44,14 @@ def _m_arg(text: str):
 
 
 def cmd_generate(args) -> int:
+    """Write the spec's graph and its sidecar.  ``r`` is a common spec
+    field, the radius ``run`` checks at, but a graph file has none: only a
+    family that reads ``r`` to build its graph takes ``--r`` here."""
     spec = _spec_from_args(args)
+    family = spec.get("family")
+    if "r" in spec and family is not None and (
+            family not in _FAMILIES or "r" not in _FAMILIES[family][0]):
+        raise ExperimentError("bad_spec", f"family {family!r} does not read 'r'")
     g, (f_r, _) = build_instance(spec)
     write_graph(g, args.output)
     sidecar = spec | {"n": g.vertex_count, "girth": render_girth(girth(g)),
@@ -141,7 +148,7 @@ def _add_family_args(parser) -> None:
         if key != "r":
             parser.add_argument(f"--{key}", type=int,
                                 help=f"read by {', '.join(families)}")
-    parser.add_argument("--r", type=int, default=1)
+    parser.add_argument("--r", type=int)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment end to end")
     _add_family_args(p_run)
+    p_run.set_defaults(r=1)
     p_run.add_argument("--algo", choices=_ALGOS, default="rmds")
     p_run.add_argument("--f-r", dest="f_r", type=int,
                        help="expansion bound f(r) used in the analysis")

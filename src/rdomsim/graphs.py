@@ -319,22 +319,31 @@ def write_graph(g: Graph, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    """Read the interchange text format written by :func:`write_graph`;
-    the header is checked before anything is allocated."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise GraphError("graph file truncated: missing header")
-    n, m = int(tokens[0]), int(tokens[1])
-    if not (0 <= n <= _MAX_FILE_VERTICES and m >= 0):
-        raise GraphError(f"graph file header '{n} {m}' needs m >= 0 and "
-                         f"0 <= n <= {_MAX_FILE_VERTICES}")
-    if len(tokens) != 2 + 2 * m:
-        raise GraphError(f"graph file expects {m} edges, found {(len(tokens) - 2) // 2}")
-    edges = []
-    for i in range(m):
-        u, v = int(tokens[2 + 2 * i]), int(tokens[3 + 2 * i])
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        edges.append((u, v))
-    return build_graph(edges, extra_vertices=range(n))
+    """Read the interchange text format written by :func:`write_graph`.
+    Line 1, ``n m`` alone, is checked before the rest is read; the rest is
+    parsed in one pass and bound-checked in bulk before ``build_graph``."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        header = line.partition(b"\r")[0].decode("ascii").split()
+        if len(header) != 2:
+            raise GraphError("graph file header 'n m' must be alone on line 1"
+                             if header[2:] else "graph file truncated: missing header")
+        n, m = map(int, header)
+        if not (0 <= n <= _MAX_FILE_VERTICES and m >= 0):
+            raise GraphError(f"graph file header '{n} {m}' needs m >= 0 and "
+                             f"0 <= n <= {_MAX_FILE_VERTICES}")
+        tokens = (line + fh.read()).decode("ascii").split()[2:]
+    if len(tokens) != 2 * m:
+        raise GraphError(f"graph file expects {m} edges, found {len(tokens) // 2}")
+    try:
+        ids = list(map(int, tokens))
+    except ValueError:
+        ids = [-1]  # the scan below meets the bad token, or a bad edge before it
+    if ids and not (min(ids) >= 0 and max(ids) < n):
+        ends = map(int, tokens)  # in file order, to name the first fault
+        for u, v in zip(ends, ends):
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+    ends = iter(ids)
+    del tokens, ids  # build_graph's list(edges) exhausts ends, freeing the IDs
+    return build_graph(zip(ends, ends), extra_vertices=range(n))

@@ -50,9 +50,9 @@ def test_generate_writes_graph_and_sidecar(tmp_path, capsys, argv, n, m,
     assert sidecar["girth"] == girth
     assert sidecar["expansion_bound"] == bound
     assert json.loads(stdout)["n"] == n
-    # The sidecar is the spec (r defaults to 1) plus n, girth and the bound.
-    spec = {"r": 1} | {flag[2:]: value if flag == "--family" else int(value)
-                       for flag, value in zip(argv[::2], argv[1::2])}
+    # The sidecar is the spec as given plus n, girth and the bound.
+    spec = {flag[2:]: value if flag == "--family" else int(value)
+            for flag, value in zip(argv[::2], argv[1::2])}
     assert sidecar == spec | {"n": n, "girth": girth, "expansion_bound": bound}
     assert None not in sidecar.values()
 
@@ -63,6 +63,10 @@ def test_generate_writes_graph_and_sidecar(tmp_path, capsys, argv, n, m,
     (["--family", "tree", "--n", "9", "--seed", "3", "--f", "2"], "f"),
     (["--family", "subdivided_k4", "--k", "2", "--n", "16"], "n"),
     (["--family", "tightness", "--f", "2", "--seed", "0"], "seed"),
+    (["--family", "cycle", "--n", "11", "--r", "7"], "r"),
+    (["--family", "path", "--n", "7", "--r", "1"], "r"),
+    (["--family", "tree", "--n", "9", "--seed", "3", "--r", "2"], "r"),
+    (["--family", "subdivided_k4", "--k", "2", "--r", "1"], "r"),
 ])
 def test_generate_refuses_a_flag_the_family_does_not_read(tmp_path, capsys,
                                                           argv, key):
@@ -77,8 +81,8 @@ def test_generate_refuses_a_flag_the_family_does_not_read(tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["generate", "run"])
 def test_family_flags_are_the_family_parameters(command):
-    # One int flag per _FAMILIES parameter, read off the table; --r keeps
-    # its default of 1.
+    # One int flag per _FAMILIES parameter, read off the table; only run's
+    # --r has a default, 1, the radius its checks use.
     sub = build_parser()._subparsers._group_actions[0].choices[command]
     params = {key for params, _, _ in experiments._FAMILIES.values()
               for key in params}
@@ -87,7 +91,8 @@ def test_family_flags_are_the_family_parameters(command):
                    if f"--{key}" in action.option_strings]
         assert len(actions) == 1, key
         assert actions[0].type is int
-        assert actions[0].default == (1 if key == "r" else None)
+        assert actions[0].default == (
+            1 if key == "r" and command == "run" else None)
 
 
 def test_generate_tree_sidecar_reports_infinite_girth(tmp_path, capsys):
@@ -270,6 +275,8 @@ def test_run_on_graph_file(tmp_path, capsys):
     ("generate", ["--graph", "c23.graph", "--family", "path", "-o", "x.graph"],
      "family 'path' does not read 'graph'"),
     ("run", ["--graph", ""], "family 'file' needs 'graph', a file path"),
+    ("generate", ["--graph", "c23.graph", "--r", "1", "-o", "x.graph"],
+     "family 'file' does not read 'r'"),
 ])
 def test_graph_with_a_family_or_empty_is_bad_spec(tmp_path, monkeypatch,
                                                   capsys, command, argv,

@@ -239,8 +239,15 @@ def test_girth_two_cycles_takes_minimum():
     assert girth(g) == 3
 
 
-def test_graph_roundtrip_through_text_format(tmp_path):
-    g = gen_random_tree(30, 7)
+@pytest.mark.parametrize("make", [
+    lambda: gen_random_tree(30, 7),
+    lambda: gen_cycle(17),
+    lambda: gen_path(9),
+    lambda: gen_tightness(TightnessParams(1, 2)).graph,
+    lambda: build_graph([(0, 3), (3, 5)], extra_vertices=range(8)),
+], ids=["tree", "cycle", "path", "tightness", "isolated"])
+def test_graph_roundtrip_through_text_format(tmp_path, make):
+    g = make()
     path = tmp_path / "g.txt"
     write_graph(g, path)
     assert read_graph(path) == g
@@ -251,6 +258,55 @@ def test_read_graph_rejects_out_of_range(tmp_path):
     path.write_text("2 1\n0 5\n")
     with pytest.raises(GraphError):
         read_graph(path)
+
+
+@pytest.mark.parametrize("text, edge", [
+    ("3 2\n0 1\n-1 2\n", "(-1, 2)"),
+    ("3 2\n0 1\n1 3\n", "(1, 3)"),
+    ("3 4\n0 1\n1 2\n2 7\n0 -4\n", "(2, 7)"),
+    ("3 3\n0 1\n2 -1\n0 5\n", "(2, -1)"),
+    # An edge out of range comes before a later token that is no integer.
+    ("3 2\n0 5\n1 x\n", "(0, 5)"),
+])
+def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, edge):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GraphError) as info:
+        read_graph(path)
+    assert str(info.value) == f"edge {edge} out of range for n=3"
+
+
+def test_read_graph_refuses_a_header_not_alone_on_line_one(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 1 0 1\n")
+    with pytest.raises(GraphError, match="alone on line 1"):
+        read_graph(path)
+    # Any of the universal line ends closes line 1.
+    path.write_bytes(b"2 1\r0 1\r")
+    assert read_graph(path) == build_graph([(0, 1)])
+
+
+def test_read_graph_checks_the_header_before_reading_on(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1048577 0\n\xff\xfe 0 1\n")
+    with pytest.raises(GraphError, match="header '1048577 0'"):
+        read_graph(path)
+
+
+@pytest.mark.parametrize("make", [
+    functools.partial(gen_random_tree, 1 << 14, 0),
+    functools.partial(gen_cycle, 1 << 14),
+], ids=["tree", "cycle"])
+def test_read_graph_peak_memory_is_a_small_multiple_of_the_graph(tmp_path,
+                                                                 make):
+    # The file's tokens, its IDs and build_graph's work never all live at
+    # once: about 2.0 times what the graph keeps, against 3.0 when the
+    # reader held every token and its own edge list through the build.
+    path = tmp_path / "g.txt"
+    write_graph(make(), path)
+    g, live, peak = graph_bytes_per_vertex(lambda: read_graph(path))
+    assert g == make()
+    assert peak <= 2.6 * live
 
 
 @pytest.mark.parametrize("header", ["-3 0", "2 -1", "1048577 0",
