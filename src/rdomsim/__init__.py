@@ -8,9 +8,9 @@ analysis that certifies the approximation bound instance by instance.
 from .corpus import builtin_corpus
 from .experiments import (CSV_HEADER, ExperimentError, ExperimentResult,
                           build_instance, run_experiment, run_suite)
-from .generators import (TightnessGraph, TightnessParams, gen_complete,
-                         gen_cycle, gen_path, gen_random_tree, gen_tightness,
-                         subdivide, tightness_dominating_set)
+from .generators import (gen_complete, gen_cycle, gen_path, gen_random_tree,
+                         gen_tightness, subdivide, tightness_dominating_set,
+                         tightness_size)
 from .graphs import (INFINITE, Graph, GraphError, build_graph, distances,
                      girth, read_graph, write_graph)
 from .oracles import (OptimumUnknown, exact_min_rds, greedy_rds,
@@ -20,7 +20,7 @@ from .programs import (RmdsOutput, count_neighborhood_program,
                        selection_oracle)
 from .simulator import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                         FloodMsg, NodeProgram, ProgramFault, SimulationReport,
-                        StepResult, id_bits, message_widths, run_simulation)
+                        id_bits, message_widths, run_simulation)
 from .voronoi import (ApproxReport, NotDominatingError, VoronoiDecomposition,
                       approx_report, boundary_forest, check_structural_lemmas,
                       split_selection, voronoi_decompose)

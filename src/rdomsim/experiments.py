@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .generators import (TightnessParams, gen_complete, gen_cycle, gen_path,
-                         gen_random_tree, gen_tightness, subdivide,
-                         tightness_dominating_set)
+from .generators import (gen_complete, gen_cycle, gen_path, gen_random_tree,
+                         gen_tightness, subdivide, tightness_dominating_set,
+                         tightness_size)
 from .graphs import (_MAX_FILE_VERTICES, Graph, girth, r_balls, read_graph,
                      render_girth)
 from .oracles import (OptimumUnknown, exact_min_rds, is_independent,
@@ -92,16 +92,6 @@ def _int_param(spec: Dict, key: str, default: Optional[int] = None) -> int:
     return _as_int(value, key)
 
 
-def _tightness_size(r: int, f: int) -> int:
-    TightnessParams(r, f)  # its range checks come before the size limit
-    return 4 * f + 8 * r * f ** 2 + 8 * r * f ** 3
-
-
-def _tightness(r: int, f: int) -> Tuple[Graph, Tuple[int, frozenset]]:
-    tg = gen_tightness(TightnessParams(r, f))
-    return tg.graph, (f, tightness_dominating_set(tg))
-
-
 #: family -> (its integer parameters with their defaults, in the order they
 #: are read; the vertex count they give, known before any build; a build
 #: returning the graph and (the default f_r, the family's own dominating set,
@@ -114,7 +104,9 @@ _FAMILIES = {
              lambda n, seed: (gen_random_tree(n, seed), (1, None))),
     "subdivided_k4": ({"k": None}, lambda k: 4 + 6 * k,
                       lambda k: (subdivide(gen_complete(4), k), (3, None))),
-    "tightness": ({"r": 1, "f": None}, _tightness_size, _tightness),
+    "tightness": ({"r": 1, "f": None}, tightness_size,
+                  lambda r, f: (gen_tightness(r, f),
+                                (f, tightness_dominating_set(r, f)))),
 }
 
 

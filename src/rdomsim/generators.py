@@ -8,7 +8,7 @@ of their parameters: byte-identical output across runs and platforms.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from .graphs import Graph, _collector_paused, build_graph
 
@@ -105,78 +105,50 @@ def subdivide(g: Graph, k: int) -> Graph:
     return build_graph(edges, extra_vertices=g.vertices)
 
 
-class TightnessParams(NamedTuple("TightnessParams", [("r", int), ("f", int)])):
-    """Tightness-family parameters, radius r >= 1 and density bound f >= 2:
-    an immutable ``NamedTuple`` that checks both when built or replaced."""
-
-    __slots__ = ()
-
-    def __new__(cls, r: int, f: int):
-        if r < 1:
-            raise ValueError(f"r must be >= 1, got {r}")
-        if f < 2:
-            raise ValueError(f"f must be >= 2, got {f}")
-        return super().__new__(cls, r, f)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # for _replace
+def tightness_size(r: int, f: int) -> int:
+    """The vertex count 4f + 8rf^2 + 8rf^3 of ``gen_tightness(r, f)``,
+    known before the build; radius r >= 1 and density bound f >= 2."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if f < 2:
+        raise ValueError(f"f must be >= 2, got {f}")
+    return 4 * f + 8 * r * f ** 2 + 8 * r * f ** 3
 
 
-class TightnessGraph(NamedTuple):
-    """Subdivided biclique with pendant blocks.
+def gen_tightness(r: int, f: int) -> Graph:
+    """Subdivided biclique with pendant blocks, for radius r >= 1 and
+    density bound f >= 2.
 
     Two sides X and Y of 2f vertices each; every (x, y) pair is joined by a
     path of 2r fresh vertices (so d(x, y) = 2r + 1), and carries a block of
     k = 2rf pendant degree-1 vertices, each attached by a single edge to the
-    path vertex adjacent to x.  ID layout: X ascending, then Y, then path
-    vertices in (x, y)-lexicographic order from the x side, then pendant
-    blocks in the same order.  An immutable ``NamedTuple``.
+    path vertex adjacent to x.  ID layout: X = 0..2f-1, Y = 2f..4f-1, then
+    the paths in (x, y)-lexicographic order, each from the x side, then the
+    pendant blocks in the same order.
     """
-
-    graph: Graph
-    r: int
-    f: int
-    x_side: Tuple[int, ...]
-    y_side: Tuple[int, ...]
-    paths: Dict[Tuple[int, int], Tuple[int, ...]]
-    pendants: Dict[Tuple[int, int], Tuple[int, ...]]
-
-
-def gen_tightness(params: TightnessParams) -> TightnessGraph:
-    """Construct the tightness graph for the given (r, f)."""
-    r, f = params.r, params.f
-    side = 2 * f
-    x_side = tuple(range(side))
-    y_side = tuple(range(side, 2 * side))
+    tightness_size(r, f)
+    side, k = 2 * f, 2 * r * f
     nxt = 2 * side
     edges = []
-    paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for x in x_side:
-        for y in y_side:
-            pv = tuple(range(nxt, nxt + 2 * r))
+    for x in range(side):
+        for y in range(side, 2 * side):
+            chain = (x, *range(nxt, nxt + 2 * r), y)
             nxt += 2 * r
-            paths[(x, y)] = pv
-            chain = (x, *pv, y)
             edges.extend(zip(chain, chain[1:]))
-    k = 2 * r * f
-    pendants: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for x in x_side:
-        for y in y_side:
-            block = tuple(range(nxt, nxt + k))
-            nxt += k
-            pendants[(x, y)] = block
-            anchor = paths[(x, y)][0]
-            edges.extend((anchor, b) for b in block)
-    return TightnessGraph(build_graph(edges), r, f, x_side, y_side, paths, pendants)
+    # Each block hangs off the first vertex of its path, the one next to x.
+    for anchor in range(2 * side, nxt, 2 * r):
+        edges.extend((anchor, b) for b in range(nxt, nxt + k))
+        nxt += k
+    return build_graph(edges)
 
 
-def tightness_dominating_set(tg: TightnessGraph) -> frozenset:
-    """A valid distance-r dominating set of the tightness graph.
+def tightness_dominating_set(r: int, f: int) -> frozenset:
+    """A valid distance-r dominating set of ``gen_tightness(r, f)``.
 
     X union Y suffices for r >= 2.  For r = 1 the pendant vertices sit at
     distance 2 from X, so the x-adjacent path vertex of every path is added
     as well.
     """
-    members = set(tg.x_side) | set(tg.y_side)
-    if tg.r == 1:
-        members.update(pv[0] for pv in tg.paths.values())
-    return frozenset(members)
+    tightness_size(r, f)
+    firsts = range(4 * f, 4 * f + 8 * f * f, 2) if r == 1 else ()
+    return frozenset(range(4 * f)).union(firsts)

@@ -16,7 +16,7 @@ from array import array
 from collections import Counter
 from itertools import accumulate, chain, compress, count, repeat
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Union)
+                    Tuple, Union)
 
 from .graphs import Graph, _collector_paused
 
@@ -79,18 +79,6 @@ def message_widths(n: int) -> Dict[type, int]:
             FloodMsg: 2 * width + 1}
 
 
-class StepResult(NamedTuple):
-    """The ``(outbox, halted, output)`` triple a ``step`` returns.
-
-    The built-in programs return a plain tuple, which is cheaper to build;
-    the simulator reads the triple by position, so either will do.
-    """
-
-    outbox: Sequence[Optional[Message]]
-    halted: bool
-    output: Any = None
-
-
 class NodeProgram:
     """Behavioral contract for one vertex's state machine.
 
@@ -98,7 +86,7 @@ class NodeProgram:
     builds the node; the node keeps its own state, and ``step`` advances it
     by one round.  ``inbox`` holds one message (or None) per port; it is a
     fresh list each round, so the node may keep it.  ``step`` returns the
-    triple ``(outbox, halted, output)``: one message (or None) per port,
+    plain triple ``(outbox, halted, output)``: one message (or None) per port,
     whether the node halts, and its output if it does.  The simulator drops
     its reference to a node as soon as the node halts, within the round, so
     a halted node's state is freed before the next node steps unless its
@@ -114,7 +102,8 @@ class NodeProgram:
     __slots__ = ()
 
     def step(self, round_index: int,
-             inbox: Sequence[Optional[Message]]) -> StepResult:
+             inbox: Sequence[Optional[Message]]
+             ) -> Tuple[Sequence[Optional[Message]], bool, Any]:
         raise NotImplementedError
 
 

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      FloodMsg, Graph, GraphError, NodeProgram,
                      NotDominatingError, OptimumUnknown, ProgramFault,
-                     RmdsOutput, SimulationReport, StepResult,
-                     VoronoiDecomposition, build_graph, distances,
-                     message_widths)
+                     RmdsOutput, SimulationReport, VoronoiDecomposition,
+                     build_graph, distances, message_widths)
 from rdomsim.oracles import _known_optimum
 from rdomsim.simulator import Message
 
@@ -450,8 +449,8 @@ _BACK_BITS = (BackBitMsg(False), BackBitMsg(True))
 class ReferenceRmdsProgram(NodeProgram):
     """Slow rmds oracle: the node program as it was before whole inboxes.
 
-    It keeps one list of received candidates per port, builds a new
-    candidate for every send and returns ``StepResult``s.  The step logic
+    It keeps one list of received candidates per port and builds a new
+    candidate for every send.  The step logic
     and its counting are the earlier ``RmdsProgram`` and
     ``CountNeighborhoodProgram._count``, unchanged.
     """
@@ -480,7 +479,7 @@ class ReferenceRmdsProgram(NodeProgram):
         if t <= r:
             out = self._count(t, inbox)
             if out is not None:
-                return StepResult(out, False)
+                return out, False, None
             self.best = (sum(self.counts), self.own)
         elif t <= 2 * r:  # absorb selection send t - r
             for recv, msg in zip(self.recv, inbox):
@@ -491,15 +490,15 @@ class ReferenceRmdsProgram(NodeProgram):
         if t < 2 * r:
             msg = CandidateMsg(*self.best)
             self.sent.append(msg)
-            return StepResult([msg] * len(inbox), False)
+            return [msg] * len(inbox), False, None
         if t == 2 * r:
             self.chosen = {self.best[1]}
         if t < 3 * r:  # answer selection send 3r - t on every port
             k = 3 * r - t - 1
-            return StepResult([_BACK_BITS[recv[k].id in self.chosen]
-                               for recv in self.recv], False)
+            return [_BACK_BITS[recv[k].id in self.chosen]
+                    for recv in self.recv], False, None
         output = RmdsOutput(self.own in self.chosen, self.best[1])
-        return StepResult([None] * len(inbox), True, output)
+        return [None] * len(inbox), True, output
 
 
 def reference_rmds_program(r: int):

@@ -11,7 +11,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from rdomsim import (TightnessParams, approx_report,
+from rdomsim import (approx_report,
                      count_neighborhood_program, cycle_is_program, exact_min_rds,
                      gen_complete, gen_cycle, gen_path, gen_random_tree,
                      gen_tightness, id_bits, is_independent, is_r_dominating,
@@ -65,9 +65,8 @@ def corpus():
         for r in range(1, _subdivided_rmax(k) + 1):
             instances.append(Instance(f"subk4-{k}-r{r}", base, r, 3, None))
     for r, f in ((1, 2), (2, 2)):
-        tg = gen_tightness(TightnessParams(r, f))
-        instances.append(Instance(f"tight-{r}-{f}", tg.graph, r, f,
-                                  tightness_dominating_set(tg)))
+        instances.append(Instance(f"tight-{r}-{f}", gen_tightness(r, f), r, f,
+                                  tightness_dominating_set(r, f)))
     return tuple(instances)
 
 

@@ -201,6 +201,21 @@ def test_verify_set_size_counts_distinct_vertices(tmp_path, capsys):
                                   "pass": True}
 
 
+@pytest.mark.parametrize("content, detail", [
+    ("x\n", "invalid literal for int() with base 10: 'x'"),
+    ("0 99\n", "unknown vertex 99")])
+def test_verify_bad_set_file_is_bad_input(tmp_path, capsys, content, detail):
+    out = tmp_path / "c11.graph"
+    run_cli(capsys, "generate", "--family", "cycle", "--n", "11",
+            "-o", str(out))
+    s = tmp_path / "s.txt"
+    s.write_text(content)
+    code, stdout = run_cli(capsys, "verify", "--graph", str(out),
+                           "--set", str(s), "--r", "1")
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {"error": "bad_input", "detail": detail}
+
+
 def test_verify_requires_r_for_domination(tmp_path, capsys):
     out = tmp_path / "c9.graph"
     run_cli(capsys, "generate", "--family", "cycle", "--n", "9",
@@ -420,7 +435,9 @@ def test_verify_missing_files_are_bad_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("content, error", [(None, "bad_input"),
                                             ("{not json", "bad_input"),
-                                            ('{"runs": []}', "bad_spec")])
+                                            ('{"runs": []}', "bad_spec"),
+                                            ('[{"family": "bogus"}]',
+                                             "bad_family")])
 def test_suite_unreadable_or_malformed_config_exits_2(tmp_path, capsys,
                                                       content, error):
     config = tmp_path / "suite.json"

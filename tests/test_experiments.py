@@ -188,3 +188,16 @@ def test_a_field_the_algo_does_not_read_is_refused_before_the_build(
     assert exc.value.reason == "bad_spec"
     assert exc.value.detail == (
         f"algo {spec.get('algo', 'rmds')!r} does not read {field!r}")
+
+
+@pytest.mark.parametrize("spec, reason, detail", [
+    ({"family": "bogus"}, "bad_family", "unknown family 'bogus'"),
+    ({"family": "tree", "n": 50, "seed": 1, "r": 1, "algo": "cycle_is"},
+     "bad_spec", "algo cycle_is requires the cycle family"),
+    ({"family": "cycle", "n": 11, "r": 1, "algo": "cycle_is",
+      "d_source": "bogus"}, "bad_spec", "unknown d_source 'bogus'"),
+])
+def test_refusals_name_the_spec_fault(spec, reason, detail):
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment(spec)
+    assert (exc.value.reason, exc.value.detail) == (reason, detail)

@@ -1,10 +1,10 @@
 import pytest
 
-from rdomsim import (INFINITE, TightnessParams, build_graph, distances,
-                     exact_min_rds, gen_complete, gen_cycle, gen_path,
-                     gen_random_tree, gen_tightness, girth, is_r_dominating,
-                     rmds_program, rmds_round_budget, run_simulation,
-                     subdivide, tightness_dominating_set)
+from rdomsim import (INFINITE, build_graph, distances, exact_min_rds,
+                     gen_complete, gen_cycle, gen_path, gen_random_tree,
+                     gen_tightness, girth, is_r_dominating, rmds_program,
+                     rmds_round_budget, run_simulation, subdivide,
+                     tightness_dominating_set, tightness_size)
 
 from _support import (ball, reference_adjacency,
                       reference_random_tree_edges)
@@ -89,45 +89,87 @@ def test_subdivide_girth_scaling():
         assert girth(subdivide(base, k)) == 3 * (k + 1)
 
 
-def test_tightness_params_validation():
-    with pytest.raises(ValueError):
-        TightnessParams(0, 2)
-    with pytest.raises(ValueError):
-        TightnessParams(1, 1)
+def tightness_layout(r, f):
+    """The documented ID layout of ``gen_tightness(r, f)``: X, Y, and the
+    path and pendant block of each (x, y) pair, pairs in lexicographic
+    order."""
+    side, k = 2 * f, 2 * r * f
+    x_side, y_side = range(side), range(side, 2 * side)
+    pairs = [(x, y) for x in x_side for y in y_side]
+    first_block = 2 * side + 2 * r * len(pairs)
+    paths = {pair: range(2 * side + 2 * r * i, 2 * side + 2 * r * (i + 1))
+             for i, pair in enumerate(pairs)}
+    pendants = {pair: range(first_block + k * i, first_block + k * (i + 1))
+                for i, pair in enumerate(pairs)}
+    return x_side, y_side, paths, pendants
+
+
+@pytest.mark.parametrize("make", [tightness_size, gen_tightness,
+                                  tightness_dominating_set])
+def test_tightness_range_checks(make):
+    with pytest.raises(ValueError, match=r"^r must be >= 1, got 0$"):
+        make(0, 2)
+    with pytest.raises(ValueError, match=r"^f must be >= 2, got 1$"):
+        make(1, 1)
+    # r is checked first.
+    with pytest.raises(ValueError, match=r"^r must be >= 1, got 0$"):
+        make(0, 1)
+
+
+@pytest.mark.parametrize("r, f", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 4)])
+def test_tightness_follows_its_documented_layout(r, f):
+    g = gen_tightness(r, f)
+    x_side, y_side, paths, pendants = tightness_layout(r, f)
+    assert g.vertex_count == tightness_size(r, f) == 4 * f + 8 * r * f ** 2 \
+        + 8 * r * f ** 3
+    assert [*x_side, *y_side, *(v for p in paths.values() for v in p),
+            *(v for b in pendants.values() for v in b)] == list(g.vertices)
+    expected = {v: set() for v in g.vertices}
+    for (x, y), path in paths.items():
+        chain = (x, *path, y)
+        for u, v in [*zip(chain, chain[1:]),
+                     *((path[0], b) for b in pendants[(x, y)])]:
+            expected[u].add(v)
+            expected[v].add(u)
+    assert {v: g.neighbors(v) for v in g.vertices} == {
+        v: tuple(sorted(ns)) for v, ns in expected.items()}
 
 
 def test_tightness_r1_f2_shape():
-    tg = gen_tightness(TightnessParams(1, 2))
-    g = tg.graph
+    g = gen_tightness(1, 2)
+    x_side, y_side, _, pendants = tightness_layout(1, 2)
     assert g.vertex_count == 8 + 16 * 2 + 16 * 4 == 104
     assert girth(g) == 12
-    for x in tg.x_side:
-        for y in tg.y_side:
+    for x in x_side:
+        for y in y_side:
             assert distances(g, (x,))[y] == 3
         assert len(ball(g, x, 1)) - 1 == 4
-    for block in tg.pendants.values():
+    for block in pendants.values():
         assert all(len(g.neighbors(b)) == 1 for b in block)
 
 
 def test_tightness_r2_f2_shape():
-    tg = gen_tightness(TightnessParams(2, 2))
-    g = tg.graph
+    g = gen_tightness(2, 2)
+    x_side, y_side, _, _ = tightness_layout(2, 2)
     assert g.vertex_count == 8 + 16 * 4 + 16 * 8 == 200
     assert girth(g) == 20 >= 4 * (2 * 2 + 1)
-    for x in tg.x_side:
-        for y in tg.y_side:
+    for x in x_side:
+        for y in y_side:
             assert distances(g, (x,))[y] == 5
     # X union Y dominates at distance 2.
-    assert is_r_dominating(g, set(tg.x_side) | set(tg.y_side), 2)
+    assert is_r_dominating(g, set(x_side) | set(y_side), 2)
 
 
 def test_tightness_dominating_set_is_valid():
     for r, f in ((1, 2), (2, 2), (1, 3)):
-        tg = gen_tightness(TightnessParams(r, f))
-        m = tightness_dominating_set(tg)
-        assert is_r_dominating(tg.graph, m, r)
+        x_side, y_side, paths, _ = tightness_layout(r, f)
+        m = tightness_dominating_set(r, f)
+        assert is_r_dominating(gen_tightness(r, f), m, r)
         if r >= 2:
-            assert m == frozenset(tg.x_side) | frozenset(tg.y_side)
+            assert m == frozenset(x_side) | frozenset(y_side)
+        else:
+            assert m == frozenset(x_side) | frozenset(y_side) | frozenset(
+                path[0] for path in paths.values())
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -135,9 +177,8 @@ def test_tightness_dominating_set_is_valid():
 def test_tightness_ratio_is_exactly_one_plus_r_f(r, f):
     # From r = 2 on, X union Y (4f vertices) is a minimum r-dominating set
     # and rmds selects 1 + r*f times as many vertices.
-    tg = gen_tightness(TightnessParams(r, f))
-    g = tg.graph
-    m = tightness_dominating_set(tg)
+    g = gen_tightness(r, f)
+    m = tightness_dominating_set(r, f)
     assert len(m) == 4 * f
     assert len(exact_min_rds(g, r, vertex_cap=g.vertex_count)) == len(m)
     sim = run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r))
@@ -146,7 +187,16 @@ def test_tightness_ratio_is_exactly_one_plus_r_f(r, f):
 
 
 def test_tightness_determinism():
-    a = gen_tightness(TightnessParams(2, 2))
-    b = gen_tightness(TightnessParams(2, 2))
-    assert a.graph.edges() == b.graph.edges()
-    assert a.paths == b.paths and a.pendants == b.pendants
+    a = gen_tightness(2, 2)
+    b = gen_tightness(2, 2)
+    assert a.edges() == b.edges()
+    assert list(a._adj.items()) == list(b._adj.items())
+
+
+def test_complete_and_subdivide_refuse_bad_sizes():
+    with pytest.raises(ValueError) as info:
+        gen_complete(0)
+    assert str(info.value) == "K_n needs at least 1 vertex, got 0"
+    with pytest.raises(ValueError) as info:
+        subdivide(gen_cycle(3), -1)
+    assert str(info.value) == "k must be non-negative"

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (INFINITE, GraphError, TightnessParams, build_graph,
-                     distances, gen_complete, gen_cycle, gen_path,
-                     gen_random_tree, gen_tightness, girth, read_graph,
-                     subdivide, write_graph)
+from rdomsim import (INFINITE, GraphError, build_graph, distances,
+                     gen_complete, gen_cycle, gen_path, gen_random_tree,
+                     gen_tightness, girth, read_graph, subdivide, write_graph)
 
 from rdomsim.graphs import _peel, r_balls
 
@@ -243,7 +242,7 @@ def test_girth_two_cycles_takes_minimum():
     lambda: gen_random_tree(30, 7),
     lambda: gen_cycle(17),
     lambda: gen_path(9),
-    lambda: gen_tightness(TightnessParams(1, 2)).graph,
+    lambda: gen_tightness(1, 2),
     lambda: build_graph([(0, 3), (3, 5)], extra_vertices=range(8)),
 ], ids=["tree", "cycle", "path", "tightness", "isolated"])
 def test_graph_roundtrip_through_text_format(tmp_path, make):
@@ -251,6 +250,21 @@ def test_graph_roundtrip_through_text_format(tmp_path, make):
     path = tmp_path / "g.txt"
     write_graph(g, path)
     assert read_graph(path) == g
+
+
+def test_read_graph_counts_the_edges_the_header_promises(tmp_path):
+    path = tmp_path / "short.txt"
+    path.write_text("2 2\n0 1\n")
+    with pytest.raises(GraphError) as info:
+        read_graph(path)
+    assert str(info.value) == "graph file expects 2 edges, found 1"
+
+
+def test_write_graph_refuses_ids_that_are_not_contiguous(tmp_path):
+    with pytest.raises(GraphError) as info:
+        write_graph(build_graph([(0, 2)]), tmp_path / "g.txt")
+    assert str(info.value) == ("text format requires contiguous vertex IDs "
+                               "0..n-1")
 
 
 def test_read_graph_rejects_out_of_range(tmp_path):
@@ -422,7 +436,7 @@ def test_girth_subdivided_k4(k):
 
 @pytest.mark.parametrize("r, f", [(1, 2), (2, 2), (1, 3)])
 def test_girth_tightness_family(r, f):
-    g = gen_tightness(TightnessParams(r, f)).graph
+    g = gen_tightness(r, f)
     # Subdivided K_{2f,2f}: every 4-cycle becomes 4 paths of 2r+1 edges.
     assert girth(g) == 4 * (2 * r + 1) == reference_girth(g)
 
@@ -486,8 +500,8 @@ def _with_hanging_trees(g, seed, trees=3):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("base", [
     *(subdivide(gen_complete(4), k) for k in range(1, 7)),
-    gen_tightness(TightnessParams(2, 2)).graph,
-    gen_tightness(TightnessParams(3, 2)).graph,
+    gen_tightness(2, 2),
+    gen_tightness(3, 2),
 ], ids=[*(f"subdivided-k4-{k}" for k in range(1, 7)),
         "tightness-2-2", "tightness-3-2"])
 def test_girth_of_branched_high_girth_core_with_hanging_trees(base, seed):

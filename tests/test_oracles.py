@@ -297,3 +297,14 @@ def test_known_optimum_small_cases(g, r, k):
 ])
 def test_known_optimum_is_none_beyond_trees_and_cycles(g):
     assert _known_optimum(g, 1) is None
+
+
+@pytest.mark.parametrize("solver", [greedy_rds, exact_min_rds])
+def test_solvers_refuse_r_below_one(solver):
+    with pytest.raises(ValueError) as info:
+        solver(gen_cycle(5), 0)
+    assert str(info.value) == "r must be >= 1"
+
+
+def test_exact_on_the_empty_graph_is_the_empty_set():
+    assert exact_min_rds(build_graph([]), 1) == frozenset()

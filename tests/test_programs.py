@@ -302,3 +302,16 @@ def test_cycle_is_properties(n, r):
     assert 2 * len(joined) >= n - len(d_set)
     assert sim.rounds_executed <= 2 * r + 1
     assert not (joined & d_set)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: selection_oracle(gen_cycle(5), 0),
+    lambda: rmds_program(0),
+    lambda: count_neighborhood_program(0),
+    lambda: cycle_is_program(0),
+], ids=["selection_oracle", "rmds_program", "count_neighborhood_program",
+        "cycle_is_program"])
+def test_r_below_one_is_refused(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == "r must be >= 1"

@@ -1,0 +1,26 @@
+"""The package's public names, pinned: adding or removing an export is a
+deliberate edit of this list."""
+
+import rdomsim
+
+PUBLIC = [
+    "ApproxReport", "BackBitMsg", "BudgetExceeded", "CSV_HEADER",
+    "CandidateMsg", "CountMsg", "ExperimentError", "ExperimentResult",
+    "FloodMsg", "Graph", "GraphError", "INFINITE", "NodeProgram",
+    "NotDominatingError", "OptimumUnknown", "ProgramFault", "RmdsOutput",
+    "SimulationReport", "VoronoiDecomposition", "approx_report",
+    "boundary_forest", "build_graph", "build_instance", "builtin_corpus",
+    "check_structural_lemmas", "corpus", "count_neighborhood_program",
+    "cycle_is_program", "distances", "exact_min_rds", "experiments",
+    "gen_complete", "gen_cycle", "gen_path", "gen_random_tree",
+    "gen_tightness", "generators", "girth", "graphs", "greedy_rds", "id_bits",
+    "is_independent", "is_r_dominating", "message_widths", "oracles",
+    "programs", "read_graph", "rmds_program", "rmds_round_budget",
+    "run_experiment", "run_simulation", "run_suite", "selection_oracle",
+    "simulator", "split_selection", "subdivide", "tightness_dominating_set",
+    "tightness_size", "voronoi", "voronoi_decompose", "write_graph",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(rdomsim.__all__) == PUBLIC

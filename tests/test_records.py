@@ -13,9 +13,8 @@ import pytest
 
 import rdomsim
 from rdomsim import (ApproxReport, ExperimentResult, SimulationReport,
-                     TightnessGraph, TightnessParams, VoronoiDecomposition,
-                     gen_cycle, gen_tightness, rmds_program, run_experiment,
-                     run_simulation, voronoi_decompose)
+                     VoronoiDecomposition, gen_cycle, rmds_program,
+                     run_experiment, run_simulation, voronoi_decompose)
 
 #: Each record's fields, in order.
 FIELDS = {
@@ -27,11 +26,8 @@ FIELDS = {
                    "opt_source", "ratio", "bound", "quotient_edges",
                    "boundary_size", "di_size", "do_size", "rounds_executed",
                    "max_message_bits", "checks"),
-    TightnessGraph: ("graph", "r", "f", "x_side", "y_side", "paths",
-                     "pendants"),
     ExperimentResult: ("spec", "passed", "failures", "row", "report",
                        "detail"),
-    TightnessParams: ("r", "f"),
 }
 
 
@@ -44,10 +40,8 @@ def _records():
         run_simulation(g, rmds_program(1), round_budget=2),
         voronoi_decompose(g, [0, 4, 8]),
         result.report,
-        gen_tightness(TightnessParams(2, 2)),
         result,
         count,
-        TightnessParams(3, 2),
     ]
 
 
@@ -89,13 +83,6 @@ def test_record_attributes_cannot_be_set(rec):
         setattr(rec, first, getattr(rec, first))
     with pytest.raises(AttributeError):
         rec.extra = 1
-
-
-def test_tightness_params_checks_survive_rebuilding():
-    with pytest.raises(ValueError, match="r must be >= 1, got 0"):
-        TightnessParams(2, 2)._replace(r=0)
-    with pytest.raises(ValueError, match="f must be >= 2, got 1"):
-        TightnessParams(r=2, f=1)
 
 
 def test_messages_per_round_defaults_to_an_empty_tuple():

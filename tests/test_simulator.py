@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
-                     FloodMsg, NodeProgram, ProgramFault, StepResult,
-                     build_graph, count_neighborhood_program, cycle_is_program,
+                     FloodMsg, NodeProgram, ProgramFault, build_graph,
+                     count_neighborhood_program, cycle_is_program,
                      gen_cycle, gen_path, gen_random_tree, id_bits,
                      message_widths, rmds_program, rmds_round_budget,
                      run_simulation, selection_oracle)
@@ -29,7 +29,7 @@ class NeverHalts(NodeProgram):
         pass
 
     def step(self, round_index, inbox):
-        return StepResult([CountMsg(1)] * len(inbox), False)
+        return [CountMsg(1)] * len(inbox), False, None
 
 
 class EchoDegreeSum(NodeProgram):
@@ -40,9 +40,9 @@ class EchoDegreeSum(NodeProgram):
 
     def step(self, round_index, inbox):
         if round_index == 1:
-            return StepResult([CountMsg(self.ports)] * self.ports, False)
+            return [CountMsg(self.ports)] * self.ports, False, None
         total = sum(m.value for m in inbox if m is not None)
-        return StepResult([None] * self.ports, True, total)
+        return [None] * self.ports, True, total
 
 
 def test_message_bit_schema():
@@ -73,7 +73,7 @@ def test_outbox_length_mismatch_is_a_program_fault():
             pass
 
         def step(self, round_index, inbox):
-            return StepResult([], True, None)
+            return [], True, None
 
     with pytest.raises(ProgramFault):
         run_simulation(gen_cycle(3), Bad, round_budget=0)
@@ -85,7 +85,7 @@ def test_unknown_message_type_is_a_program_fault():
             pass
 
         def step(self, round_index, inbox):
-            return StepResult([7] * len(inbox), True)
+            return [7] * len(inbox), True, None
 
     with pytest.raises(ProgramFault, match="unknown message type int"):
         run_simulation(gen_cycle(3), SendsInt, round_budget=0)
@@ -120,10 +120,10 @@ class PortProbe(NodeProgram):
 
     def step(self, round_index, inbox):
         if round_index == 1:
-            return StepResult([CandidateMsg(q, self.own_id)
-                               for q in range(self.num_ports)], False)
-        return StepResult([None] * self.num_ports, True,
-                          [(msg.id, msg.prio) for msg in inbox])
+            return [CandidateMsg(q, self.own_id)
+                    for q in range(self.num_ports)], False, None
+        return ([None] * self.num_ports, True,
+                [(msg.id, msg.prio) for msg in inbox])
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,7 +184,7 @@ class Staggered(NodeProgram):
                 out = [7] * self.ports
             elif self.fault == "short":
                 out = out[1:]
-        return StepResult(out, halted, [m and m.value for m in inbox])
+        return out, halted, [m and m.value for m in inbox]
 
 
 @st.composite

@@ -23,6 +23,12 @@ _ALGO_READS = {"rmds": ("m",), "count": (), "cycle_is": ("d_source",)}
 _COMMON_READS = ("family", "algo", "r", "f_r", "allow_low_girth")
 
 
+def _read_fields(spec):
+    """The fields a built-in spec reads: common, family and algo fields."""
+    return (_COMMON_READS + _FAMILY_READS[spec["family"]]
+            + _ALGO_READS[spec.get("algo", "rmds")])
+
+
 def _suite_exit(specs):
     """Exit code and last stdout line of ``rdomsim suite`` on ``specs``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -41,13 +47,27 @@ def _suite_exit(specs):
                             "famly", "F_r", "r ", ""]) | st.text(max_size=6),
        value=st.sampled_from(["zz", 0, 3, True, None, [0], {}]))
 def test_a_builtin_spec_with_one_unread_key_is_refused(spec, key, value):
-    read = (_COMMON_READS + _FAMILY_READS[spec["family"]]
-            + _ALGO_READS[spec.get("algo", "rmds")])
-    assume(key not in read)
+    assume(key not in _read_fields(spec))
     code, line = _suite_exit([spec | {key: value}])
     assert code == EXIT_ERROR
     assert line["error"] == "bad_spec"
     assert repr(key) in line["detail"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec_field=st.sampled_from(builtin_corpus()).flatmap(
+           lambda spec: st.tuples(st.just(spec),
+                                  st.sampled_from(_read_fields(spec)))),
+       value=st.sampled_from([None, True, 1.5, "x", "", [], [0, "a"], {}, -1,
+                              10 ** 30]))
+def test_a_builtin_spec_with_one_bad_value_exits_cleanly(spec_field, value):
+    # Never a traceback: a run that passes, fails a check, or is refused
+    # with one JSON error line.
+    spec, field = spec_field
+    code, line = _suite_exit([spec | {field: value}])
+    assert code in (0, 1, 2)
+    if code == EXIT_ERROR:
+        assert line["error"] in ("bad_spec", "bad_family", "bad_input")
 
 
 @pytest.mark.parametrize("extra, key", [({"famly": "x"}, "famly"),
@@ -89,6 +109,4 @@ def test_build_instance_refuses_an_unread_key_and_keeps_the_algo_fields():
 
 def test_every_builtin_spec_reads_all_its_keys():
     for spec in builtin_corpus():
-        read = (_COMMON_READS + _FAMILY_READS[spec["family"]]
-                + _ALGO_READS[spec.get("algo", "rmds")])
-        assert set(spec) <= set(read), spec
+        assert set(spec) <= set(_read_fields(spec)), spec

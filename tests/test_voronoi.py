@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (NotDominatingError, OptimumUnknown, RmdsOutput, SimulationReport, TightnessParams, approx_report,
+from rdomsim import (GraphError, NotDominatingError, OptimumUnknown, RmdsOutput, SimulationReport, approx_report,
                      boundary_forest, build_graph, check_structural_lemmas,
                      exact_min_rds, gen_cycle, gen_path, gen_random_tree,
                      gen_tightness, greedy_rds, rmds_program, rmds_round_budget,
@@ -97,12 +97,12 @@ def test_boundary_forest_walks_inside_its_cell_on_ties():
 
 
 def test_boundary_forest_tightness_family():
-    tg = gen_tightness(TightnessParams(1, 2))
-    centers = frozenset(tg.x_side) | frozenset(tg.y_side)
+    g = gen_tightness(1, 2)
+    centers = frozenset(range(8))  # X = 0..3 and Y = 4..7
     # X union Y misses the pendant vertices at r=1; the decomposition is
     # still well-defined and the bound still holds.
-    dec = voronoi_decompose(tg.graph, centers)
-    assert len(boundary_forest(tg.graph, dec)) <= (1 + 2 * 1 * 2) * 8 == 40
+    dec = voronoi_decompose(g, centers)
+    assert len(boundary_forest(g, dec)) <= (1 + 2 * 1 * 2) * 8 == 40
 
 
 def test_boundary_forest_rejects_cyclic_cell():
@@ -146,9 +146,9 @@ def test_approx_report_single_vertex():
 
 
 def test_approx_report_tightness_lower_bound():
-    tg = gen_tightness(TightnessParams(1, 2))
-    report = approx_report(tg.graph, 1, 2, run_rmds(tg.graph, 1),
-                           tightness_dominating_set(tg), "supplied")
+    g = gen_tightness(1, 2)
+    report = approx_report(g, 1, 2, run_rmds(g, 1),
+                           tightness_dominating_set(1, 2), "supplied")
     assert report.opt_source == "supplied"
     assert report.alg_size >= 1 * 4 * 2 * 2  # at least r * 4 * f^2 selected
     assert report.alg_size / (4 * 2) >= 1 * 2  # ratio against |M| <= 4f
@@ -316,3 +316,9 @@ def test_lemmas_and_forest_match_networkx(g, data):
                                  for b in boundary)))
         assert forest & cell == trees[-1]
     assert forest == frozenset().union(*trees)
+
+
+def test_voronoi_refuses_an_unknown_center():
+    with pytest.raises(GraphError) as info:
+        voronoi_decompose(gen_cycle(5), [99])
+    assert str(info.value) == "unknown center 99"
