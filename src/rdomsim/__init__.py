@@ -5,6 +5,8 @@ its companion programs, exact sequential oracles, and the Voronoi-cell
 analysis that certifies the approximation bound instance by instance.
 """
 
+from types import ModuleType as _ModuleType
+
 from .corpus import builtin_corpus
 from .experiments import (CSV_HEADER, ExperimentError, ExperimentResult,
                           build_instance, run_experiment, run_suite)
@@ -25,5 +27,8 @@ from .voronoi import (ApproxReport, NotDominatingError, VoronoiDecomposition,
                       approx_report, boundary_forest, check_structural_lemmas,
                       split_selection, voronoi_decompose)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Each submodule binds itself here as it loads.  It stays reachable as an
+# attribute, ``rdomsim.graphs``, but a star import does not bind it.
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

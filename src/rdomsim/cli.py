@@ -115,9 +115,17 @@ def cmd_verify(args) -> int:
     g, _ = build_instance({"family": "file", "graph": args.graph})
     with open(args.set, "r", encoding="ascii") as fh:
         try:
-            members = {int(tok) for tok in fh.read().split()}
-        except ValueError as exc:
+            tokens = fh.read().split()
+        except ValueError as exc:  # a byte that is not ASCII
             raise ExperimentError("bad_input", str(exc)) from None
+    members = set()
+    for i, tok in enumerate(tokens, 1):
+        try:
+            members.add(int(tok))
+        except ValueError:
+            raise ExperimentError(
+                "bad_input", f"set file {args.set}: token {i} is not an "
+                f"integer: {tok!r}") from None
     unknown = sorted(members.difference(g.vertices))
     if unknown:
         raise ExperimentError("bad_input", f"unknown vertex {unknown[0]}")

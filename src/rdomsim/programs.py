@@ -132,11 +132,17 @@ class RmdsProgram(CountNeighborhoodProgram):
 
     ``best`` is a ``CandidateMsg``, whose tuple order is the (count, ID)
     ranking, and each selection send re-sends that one object.  ``recv``
-    keeps each absorbed inbox whole, one list per send.  Each field lives
-    only for the phases that read it: counting keeps no state beyond the
-    inbox and sends the shared messages of ``_COUNTS``, ``best``, ``sent``
-    and ``recv`` are made when selection starts, and ``chosen`` when
-    back-propagation does.  A step reads ``best`` and ``chosen`` off the
+    is one flat list, the log [in_1, s_2, in_2, ..., s_r, in_r], where in_k
+    is the inbox of send k, whole, and s_k the candidate this node sent in
+    send k.  With w the degree plus one, send k's inbox is
+    ``recv[(k-1)*w:k*w-1]`` and s_(k+1) is ``recv[k*w-1]``.  The first
+    absorb keeps its inbox, a fresh list, as the log; each later one
+    appends the candidate of the send it absorbs, then its inbox.  Send 1
+    is not logged: it carries the node's own ID.  Each field lives only for
+    the phases that read it: counting keeps no state beyond the inbox and
+    sends the shared messages of ``_COUNTS``, ``best`` is made when
+    selection starts, ``recv`` at its first absorb, and ``chosen`` when
+    back-propagation starts.  A step reads ``best`` and ``chosen`` off the
     node at most once, into locals.  ``__init__`` sets ``r`` and ``own``
     itself rather than through the base class.
 
@@ -151,7 +157,7 @@ class RmdsProgram(CountNeighborhoodProgram):
     first and lowest send carried.
     """
 
-    __slots__ = ("own", "best", "sent", "recv", "chosen")
+    __slots__ = ("own", "best", "recv", "chosen")
 
     def __init__(self, r: int, own_id: int, num_ports: int, params):
         self.r = r
@@ -164,25 +170,31 @@ class RmdsProgram(CountNeighborhoodProgram):
         if t == r:
             best = self.best = _new_candidate((self._count(t, inbox),
                                                self.own))
-            self.sent: List[CandidateMsg] = []
-            self.recv: List[List[CandidateMsg]] = []
         elif t <= 2 * r:  # absorb selection send t - r
-            self.recv.append(inbox)
             best = self.best
+            if t == r + 1:
+                self.recv = inbox
+            else:
+                log = self.recv
+                log.append(best)  # what this node sent in send t - r
+                log += inbox
             if inbox:
-                best = self.best = max(best, max(inbox))
+                heard = max(inbox)
+                if heard > best:
+                    best = self.best = heard
         if t < 2 * r:
-            self.sent.append(best)
             return [best] * len(inbox), False, None
+        # This round answers send j; w is the log's stride (docstring).
+        j, w = 3 * r - t, len(inbox) + 1
         if t == 2 * r:
             chosen = self.chosen = best.id
-        elif _BACK_BITS[True] in inbox:  # answers to send 3r - t + 1
-            chosen = self.chosen = self.sent[3 * r - t].id
+        elif _BACK_BITS[True] in inbox:  # answers to send j + 1
+            chosen = self.chosen = self.recv[j * w - 1].id if j else self.own
         else:
             chosen = self.chosen
-        if t < 3 * r:  # answer selection send 3r - t on every port
+        if j:  # answer selection send j on every port
             return ([_BACK_BITS[msg.id == chosen]
-                     for msg in self.recv[3 * r - t - 1]], False, None)
+                     for msg in self.recv[j * w - w:j * w - 1]], False, None)
         output = _new_output((self.own == chosen, self.best.id))
         return [None] * len(inbox), True, output
 

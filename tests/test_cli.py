@@ -202,7 +202,8 @@ def test_verify_set_size_counts_distinct_vertices(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content, detail", [
-    ("x\n", "invalid literal for int() with base 10: 'x'"),
+    ("x\n", "set file {}: token 1 is not an integer: 'x'"),
+    ("0 1.5\n3\n", "set file {}: token 2 is not an integer: '1.5'"),
     ("0 99\n", "unknown vertex 99")])
 def test_verify_bad_set_file_is_bad_input(tmp_path, capsys, content, detail):
     out = tmp_path / "c11.graph"
@@ -213,7 +214,8 @@ def test_verify_bad_set_file_is_bad_input(tmp_path, capsys, content, detail):
     code, stdout = run_cli(capsys, "verify", "--graph", str(out),
                            "--set", str(s), "--r", "1")
     assert code == EXIT_ERROR
-    assert json.loads(stdout) == {"error": "bad_input", "detail": detail}
+    assert json.loads(stdout) == {"error": "bad_input",
+                                  "detail": detail.format(s)}
 
 
 def test_verify_requires_r_for_domination(tmp_path, capsys):

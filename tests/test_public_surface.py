@@ -10,15 +10,14 @@ PUBLIC = [
     "NotDominatingError", "OptimumUnknown", "ProgramFault", "RmdsOutput",
     "SimulationReport", "VoronoiDecomposition", "approx_report",
     "boundary_forest", "build_graph", "build_instance", "builtin_corpus",
-    "check_structural_lemmas", "corpus", "count_neighborhood_program",
-    "cycle_is_program", "distances", "exact_min_rds", "experiments",
-    "gen_complete", "gen_cycle", "gen_path", "gen_random_tree",
-    "gen_tightness", "generators", "girth", "graphs", "greedy_rds", "id_bits",
-    "is_independent", "is_r_dominating", "message_widths", "oracles",
-    "programs", "read_graph", "rmds_program", "rmds_round_budget",
+    "check_structural_lemmas", "count_neighborhood_program",
+    "cycle_is_program", "distances", "exact_min_rds", "gen_complete",
+    "gen_cycle", "gen_path", "gen_random_tree", "gen_tightness", "girth",
+    "greedy_rds", "id_bits", "is_independent", "is_r_dominating",
+    "message_widths", "read_graph", "rmds_program", "rmds_round_budget",
     "run_experiment", "run_simulation", "run_suite", "selection_oracle",
-    "simulator", "split_selection", "subdivide", "tightness_dominating_set",
-    "tightness_size", "voronoi", "voronoi_decompose", "write_graph",
+    "split_selection", "subdivide", "tightness_dominating_set",
+    "tightness_size", "voronoi_decompose", "write_graph",
 ]
 
 
