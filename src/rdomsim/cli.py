@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 from .corpus import builtin_corpus
 from .experiments import (_ALGOS, _FAMILIES, ExperimentError, build_instance,
                           run_suite)
-from .graphs import girth, render_girth, write_graph
+from .graphs import _token_ints, girth, render_girth, write_graph
 from .oracles import is_independent, is_r_dominating
 
 EXIT_OK = 0
@@ -114,18 +114,11 @@ def cmd_verify(args) -> int:
                               "--check independent does not read --r")
     g, _ = build_instance({"family": "file", "graph": args.graph})
     with open(args.set, "r", encoding="ascii") as fh:
-        try:
-            tokens = fh.read().split()
-        except ValueError as exc:  # a byte that is not ASCII
+        try:  # a byte that is not ASCII, or a token that is not an integer
+            members = set(_token_ints(f"set file {args.set}",
+                                      fh.read().split()))
+        except ValueError as exc:
             raise ExperimentError("bad_input", str(exc)) from None
-    members = set()
-    for i, tok in enumerate(tokens, 1):
-        try:
-            members.add(int(tok))
-        except ValueError:
-            raise ExperimentError(
-                "bad_input", f"set file {args.set}: token {i} is not an "
-                f"integer: {tok!r}") from None
     unknown = sorted(members.difference(g.vertices))
     if unknown:
         raise ExperimentError("bad_input", f"unknown vertex {unknown[0]}")

@@ -318,6 +318,18 @@ def write_graph(g: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def _token_ints(source: str, tokens, first: int = 1):
+    """Yield ``tokens`` as integers.  They are tokens ``first``, ``first`` +
+    1, ... (1-based) of the file ``source`` names, and the first that is not
+    an integer is a ``GraphError`` giving its position."""
+    for i, tok in enumerate(tokens, first):
+        try:
+            yield int(tok)
+        except ValueError:
+            raise GraphError(f"{source}: token {i} is not an integer: "
+                             f"{tok!r}") from None
+
+
 def read_graph(path) -> Graph:
     """Read the interchange text format written by :func:`write_graph`.
     Line 1, ``n m`` alone, is checked before the rest is read; the rest is
@@ -328,7 +340,7 @@ def read_graph(path) -> Graph:
         if len(header) != 2:
             raise GraphError("graph file header 'n m' must be alone on line 1"
                              if header[2:] else "graph file truncated: missing header")
-        n, m = map(int, header)
+        n, m = _token_ints(f"graph file {path}", header)
         if not (0 <= n <= _MAX_FILE_VERTICES and m >= 0):
             raise GraphError(f"graph file header '{n} {m}' needs m >= 0 and "
                              f"0 <= n <= {_MAX_FILE_VERTICES}")
@@ -340,7 +352,8 @@ def read_graph(path) -> Graph:
     except ValueError:
         ids = [-1]  # the scan below meets the bad token, or a bad edge before it
     if ids and not (min(ids) >= 0 and max(ids) < n):
-        ends = map(int, tokens)  # in file order, to name the first fault
+        # In file order, to name the first fault; the body starts at token 3.
+        ends = _token_ints(f"graph file {path}", tokens, 3)
         for u, v in zip(ends, ends):
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")

@@ -213,9 +213,11 @@ class CycleIsProgram(NodeProgram):
 
     ``params['d_member']`` is the dominating set (each vertex reads only its
     own membership).  Dominating vertices flood (hops, id) in both
-    directions and output False; every gap vertex learns the two adjacent
-    dominating vertices, takes the lower-ID one as representor, and joins
-    the independent set iff its distance to the representor is odd.
+    directions, flagged on port 0 only, and output False; every gap vertex
+    learns the two adjacent dominating vertices, takes the lower-ID one as
+    representor, and joins the independent set iff its distance to the
+    representor is odd.  When both are the same vertex, the distance is
+    the flagged flood's, so distances run 1..n-1 along one side.
     """
 
     __slots__ = ("r", "own", "is_d", "first0", "first1")
@@ -239,8 +241,8 @@ class CycleIsProgram(NodeProgram):
 
     def step(self, round_index, inbox):
         if self.is_d:
-            msg = _new_flood((1, self.own, True))
-            return [msg, msg], True, False
+            return [_new_flood((1, self.own, True)),
+                    _new_flood((1, self.own, False))], True, False
         # Each port forwards what the other heard, one hop further.
         in0, in1 = inbox
         out = [None if in1 is None
@@ -253,13 +255,10 @@ class CycleIsProgram(NodeProgram):
             self.first1 = in1
         a, b = self.first0, self.first1
         if a is not None and b is not None:
-            # The representor is the lower ID; when both ends are the same
-            # vertex, the nearer way counts.
-            if a.id == b.id:
-                dist = min(a.hops, b.hops)
-            else:
-                dist = a.hops if a.id < b.id else b.hops
-            return out, True, dist % 2 == 1
+            # The representor is the lower ID.  When both ends are the same
+            # vertex the flagged way counts: the nearer way ties mid-gap.
+            way = a if (a.id, not a.flag) < (b.id, not b.flag) else b
+            return out, True, way.hops % 2 == 1
         if round_index > 2 * self.r + 1:
             raise ProgramFault(
                 "flood incomplete after 2r+1 rounds; the supplied set is not "

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -157,13 +157,8 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
         flat = list(chain.from_iterable(adjacency))
         mate = array("q", sorted(range(len(flat)), key=flat.__getitem__))
         del adjacency, flat  # the rounds need neither; free them first
-        # The live nodes, as parallel lists: vertex IDs, nodes, and each
-        # node's slots starts[i]..ends[i]-1.  A node that halts leaves
-        # ``nodes`` at once, so its state is freed before the next node
-        # steps; the lists are compacted after any round in which one did.
-        ids = verts
-        starts, ends = lo[:-1], lo[1:]
-        del lo
+        # A node that halts is replaced by None at once, so its state is
+        # freed before the next node steps.
         nodes = list(map(program, verts, degrees, repeat(params)))
         del degrees
         widths = message_widths(n)
@@ -172,24 +167,27 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
         messages_per_round: List[int] = []
         max_bits = 0
         t = 0
-        while nodes:
+        while len(outputs) < n:
             t += 1
+            live = n - len(outputs)
             if t > round_budget + 1:
                 raise BudgetExceeded(
-                    f"{len(nodes)} node(s) not halted after {round_budget} "
+                    f"{live} node(s) not halted after {round_budget} "
                     f"communication rounds")
             out: List[Optional[Message]] = [None] * len(mate)
-            done = len(outputs)
-            for i, node, a, hi in zip(count(), nodes, starts, ends):
+            for i, v, node, a, hi in zip(count(), verts, nodes, lo,
+                                         islice(lo, 1, None)):
+                if node is None:
+                    continue
                 # The slice is a fresh list, so the node may keep it.
                 outbox, halted, output = node.step(t, inbox[a:hi])
                 if len(outbox) != hi - a:
                     raise ProgramFault(
-                        f"vertex {ids[i]} produced outbox of length "
+                        f"vertex {v} produced outbox of length "
                         f"{len(outbox)}, expected {hi - a}")
                 out[a:hi] = outbox
                 if halted:
-                    outputs[ids[i]] = output
+                    outputs[v] = output
                     nodes[i] = node = None
             # Charge every message sent this round, those to halted nodes too.
             kinds = Counter(map(type, out))
@@ -205,16 +203,11 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
             messages_per_round.append(sent)
             max_bits = max(max_bits, bits_max)
             if trace is not None:
-                trace.write(json.dumps({"round": t, "live": len(nodes),
+                trace.write(json.dumps({"round": t, "live": live,
                                         "sent": sent, "bits_max": bits_max,
                                         "bits_total": bits_total}) + "\n")
-            if len(outputs) != done:
-                if len(outputs) == n:
-                    break  # no node is live, so no inbox is needed
-                keep = [node is not None for node in nodes]
-                ids, nodes, starts, ends = (list(compress(seq, keep))
-                                            for seq in (ids, nodes, starts,
-                                                        ends))
+            if len(outputs) == n:
+                break  # no node is live, so no inbox is needed
             # Slot s receives what the facing slot sent.  Halted nodes are
             # never stepped again, so what reaches their slots is discarded.
             # At most two port buffers exist at once: this round's inbox

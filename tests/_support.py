@@ -550,13 +550,14 @@ def reference_count_program(r: int):
 
 class ReferenceCycleIsProgram(NodeProgram):
     """Cycle independent-set oracle: the program as it was while it looped
-    over its ports and kept an (id, hops) tuple per port, unchanged.
+    over its ports and kept a tuple per port, with the flagged tie rule.
 
     ``params['d_member']`` is the dominating set (each vertex reads only its
     own membership).  Dominating vertices flood (hops, id) in both
-    directions and output False; every gap vertex learns the two adjacent
-    dominating vertices, takes the lower-ID one as representor, and joins
-    the independent set iff its distance to the representor is odd.
+    directions, flagged on port 0 only, and output False; every gap vertex
+    learns the two adjacent dominating vertices, takes the lower-ID one as
+    representor, and joins the independent set iff its distance to the
+    representor is odd, along the flagged flood when both are the same.
     """
 
     __slots__ = ("r", "own", "is_d", "got")
@@ -573,21 +574,22 @@ class ReferenceCycleIsProgram(NodeProgram):
                 "cycle_is_program requires params['d_member'], the "
                 "dominating set") from None
         self.is_d = own_id in d_member
-        self.got: List[Optional[Tuple[int, int]]] = [None, None]
+        self.got: List[Optional[Tuple[int, int, bool]]] = [None, None]
 
     def step(self, round_index, inbox):
         if self.is_d:
-            msg = _new_flood((1, self.own, True))
-            return [msg, msg], True, False
+            return [_new_flood((1, self.own, p == 0)) for p in range(2)], \
+                True, False
         out: List[Optional[Message]] = [None, None]
         for p, msg in enumerate(inbox):
             if msg is not None:
                 if self.got[p] is None:
-                    self.got[p] = (msg.id, msg.hops)
+                    self.got[p] = (msg.id, msg.hops, msg.flag)
                 out[1 - p] = _new_flood((msg.hops + 1, msg.id, msg.flag))
         if self.got[0] is not None and self.got[1] is not None:
             representor = min(self.got[0][0], self.got[1][0])
-            dist = min(h for i, h in self.got if i == representor)
+            # The flagged flood's hops win when both ends are the same.
+            dist = max((f, h) for i, h, f in self.got if i == representor)[1]
             return out, True, dist % 2 == 1
         if round_index > 2 * self.r + 1:
             raise ProgramFault(

@@ -404,6 +404,17 @@ def test_bad_graph_header_is_bad_input_for_run_and_verify(tmp_path, capsys,
         assert json.loads(stdout)["error"] == "bad_input"
 
 
+def test_graph_token_that_is_not_an_integer_is_bad_input(tmp_path, capsys):
+    graph = tmp_path / "bad.graph"
+    graph.write_text("2 1\n0 x\n")
+    code, stdout = run_cli(capsys, "run", "--graph", str(graph), "--r", "1")
+    assert code == EXIT_ERROR
+    assert len(stdout.splitlines()) == 1
+    assert json.loads(stdout) == {
+        "error": "bad_input",
+        "detail": f"graph file {graph}: token 4 is not an integer: 'x'"}
+
+
 def test_suite_spec_without_family_parameter_is_bad_spec(tmp_path, capsys):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([{"family": "cycle", "r": 1}]))

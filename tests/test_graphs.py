@@ -290,6 +290,24 @@ def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, edge):
     assert str(info.value) == f"edge {edge} out of range for n=3"
 
 
+@pytest.mark.parametrize("text, i, tok", [
+    ("x 1\n0 1\n", 1, "x"),
+    ("2 1.0\n0 1\n", 2, "1.0"),
+    ("2 1\n0 x\n", 4, "x"),
+    ("2 1\n0 1.0\n", 4, "1.0"),
+    # A token that is no integer comes before a later edge out of range.
+    ("3 2\n0 x\n1 5\n", 4, "x"),
+])
+def test_read_graph_names_a_token_that_is_not_an_integer(tmp_path, text, i,
+                                                         tok):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GraphError) as info:
+        read_graph(path)
+    assert str(info.value) == \
+        f"graph file {path}: token {i} is not an integer: '{tok}'"
+
+
 def test_read_graph_refuses_a_header_not_alone_on_line_one(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1 0 1\n")

@@ -270,7 +270,24 @@ def test_cycle_is_single_member_serves_both_directions():
     sim = run_cycle_is(g, 2, {0})
     joined = frozenset(v for v, out in sim.outputs.items() if out)
     assert is_independent(g, joined)
-    assert joined == frozenset({1, 4})  # odd distance to 0 in either direction
+    # Odd distance to 0 along the flagged flood, sent on port 0 (toward 1).
+    assert joined == frozenset({1, 3})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cycle_is_single_member_gives_an_independent_set(data):
+    # One vertex dominates C_n when n <= 2r+1, and both floods then name it.
+    # Taking the nearer way gave the two middle vertices of the gap the
+    # same distance, so for n = 3 (mod 4) both joined.
+    r = data.draw(st.integers(1, 12))
+    g = data.draw(relabelled(st.integers(3, 2 * r + 1).map(gen_cycle)))
+    d = data.draw(st.sampled_from(g.vertices))
+    sim = run_cycle_is(g, r, {d})
+    joined = frozenset(v for v, out in sim.outputs.items() if out)
+    assert is_independent(g, joined)
+    assert 2 * len(joined) >= g.vertex_count - 1
+    assert d not in joined
 
 
 def test_cycle_is_rejects_invalid_dominating_set():
