@@ -119,7 +119,8 @@ def cmd_verify(args) -> int:
                                       fh.read().split()))
         except ValueError as exc:
             raise ExperimentError("bad_input", str(exc)) from None
-    unknown = sorted(members.difference(g.vertices))
+    # A signed token, kept as its text, names no vertex.
+    unknown = sorted(members.difference(g.vertices), key=int)
     if unknown:
         raise ExperimentError("bad_input", f"unknown vertex {unknown[0]}")
     ok = True

@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .generators import (gen_complete, gen_cycle, gen_path, gen_random_tree,
                          gen_tightness, subdivide, tightness_dominating_set,
                          tightness_size)
-from .graphs import (_MAX_FILE_VERTICES, Graph, girth, r_balls, read_graph,
+from .graphs import (_MAX_FILE_VERTICES, Graph, distances, girth, read_graph,
                      render_girth)
 from .oracles import (OptimumUnknown, exact_min_rds, is_independent,
                       is_r_dominating)
@@ -213,7 +213,8 @@ def _rmds(spec, g, own_m, r, f_r, premise):
 
 def _count(spec, g, own_m, r, f_r, premise):
     sim = run_simulation(g, count_neighborhood_program(r), round_budget=r - 1)
-    exact = sim.outputs == {v: len(b) - 1 for v, b in r_balls(g, r).items()}
+    exact = sim.outputs == {v: len(distances(g, (v,), r)) - 1
+                            for v in g.vertices}
     verdicts = [("count_equiv", exact or not premise),
                 ("rounds", sim.rounds_executed == r - 1),
                 ("bits", _bits_ok(g, sim))]

@@ -319,21 +319,24 @@ def write_graph(g: Graph, path) -> None:
 
 
 def _token_ints(source: str, tokens, first: int = 1):
-    """Yield ``tokens`` as integers.  They are tokens ``first``, ``first`` +
-    1, ... (1-based) of the file ``source`` names, and the first that is not
-    an integer is a ``GraphError`` giving its position."""
+    """Yield ``tokens``, tokens ``first``, ``first`` + 1, ... (1-based) of
+    the file ``source`` names: a run of ASCII digits, the one spelling
+    ``write_graph`` writes, as its ``int``; such a run behind a '-', which
+    names no count or vertex, as the token itself, a ``str``.  The first
+    token of any other spelling is a ``GraphError`` giving its position."""
     for i, tok in enumerate(tokens, first):
-        try:
-            yield int(tok)
-        except ValueError:
+        if not tok.removeprefix("-").isdigit():
             raise GraphError(f"{source}: token {i} is not an integer: "
-                             f"{tok!r}") from None
+                             f"{tok!r}")
+        yield int(tok) if tok.isdigit() else tok
 
 
 def read_graph(path) -> Graph:
     """Read the interchange text format written by :func:`write_graph`.
     Line 1, ``n m`` alone, is checked before the rest is read; the rest is
-    parsed in one pass and bound-checked in bulk before ``build_graph``."""
+    parsed in one pass and checked in bulk before ``build_graph``.  A body
+    that fails the bulk check always has a fault that the file-order scan
+    names."""
     with open(path, "rb") as fh:
         line = fh.readline()
         header = line.partition(b"\r")[0].decode("ascii").split()
@@ -341,21 +344,18 @@ def read_graph(path) -> Graph:
             raise GraphError("graph file header 'n m' must be alone on line 1"
                              if header[2:] else "graph file truncated: missing header")
         n, m = _token_ints(f"graph file {path}", header)
-        if not (0 <= n <= _MAX_FILE_VERTICES and m >= 0):
+        if str in map(type, (n, m)) or n > _MAX_FILE_VERTICES:
             raise GraphError(f"graph file header '{n} {m}' needs m >= 0 and "
                              f"0 <= n <= {_MAX_FILE_VERTICES}")
         tokens = (line + fh.read()).decode("ascii").split()[2:]
     if len(tokens) != 2 * m:
         raise GraphError(f"graph file expects {m} edges, found {len(tokens) // 2}")
-    try:
-        ids = list(map(int, tokens))
-    except ValueError:
-        ids = [-1]  # the scan below meets the bad token, or a bad edge before it
-    if ids and not (min(ids) >= 0 and max(ids) < n):
+    ids = list(map(int, tokens)) if all(map(str.isdigit, tokens)) else None
+    if ids is None or ids and max(ids) >= n:
         # In file order, to name the first fault; the body starts at token 3.
         ends = _token_ints(f"graph file {path}", tokens, 3)
         for u, v in zip(ends, ends):
-            if not (0 <= u < n and 0 <= v < n):
+            if str in map(type, (u, v)) or max(u, v) >= n:
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
     ends = iter(ids)
     del tokens, ids  # build_graph's list(edges) exhausts ends, freeing the IDs

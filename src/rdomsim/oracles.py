@@ -6,19 +6,11 @@ import heapq
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from .graphs import Graph, GraphError, _peel, distances, r_balls
+from .graphs import Graph, _peel, distances, r_balls
 
 
 class OptimumUnknown(RuntimeError):
     """The exact solver ran out of budget; no answer is returned."""
-
-
-def _check_subset(g: Graph, vs: Iterable[int]) -> Set[int]:
-    members = set(vs)
-    for v in members:
-        if v not in g:
-            raise GraphError(f"unknown vertex {v}")
-    return members
 
 
 def is_r_dominating(g: Graph, dominators: Iterable[int], r: int) -> bool:
@@ -30,9 +22,12 @@ def is_r_dominating(g: Graph, dominators: Iterable[int], r: int) -> bool:
 
 
 def is_independent(g: Graph, candidates: Iterable[int]) -> bool:
-    """True iff no edge has both endpoints in the set."""
-    members = _check_subset(g, candidates)
-    return not any(u in members and v in members for u, v in g.edges())
+    """True iff no edge has both endpoints in the set: one pass over the
+    members' neighbors, O(sum of their degrees).  Every member is looked
+    up before any is judged, so an unknown one always raises."""
+    members = set(candidates)
+    rows = list(map(g.neighbors, members))
+    return all(map(members.isdisjoint, rows))
 
 
 def greedy_rds(g: Graph, r: int) -> FrozenSet[int]:

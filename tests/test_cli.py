@@ -204,7 +204,13 @@ def test_verify_set_size_counts_distinct_vertices(tmp_path, capsys):
 @pytest.mark.parametrize("content, detail", [
     ("x\n", "set file {}: token 1 is not an integer: 'x'"),
     ("0 1.5\n3\n", "set file {}: token 2 is not an integer: '1.5'"),
-    ("0 99\n", "unknown vertex 99")])
+    ("0 99\n", "unknown vertex 99"),
+    # Only runs of digits name vertices: int() would read 1, 10 and 0.
+    ("0 +1 1_0\n", "set file {}: token 2 is not an integer: '+1'"),
+    ("1_0\n", "set file {}: token 1 is not an integer: '1_0'"),
+    ("3 -0\n", "unknown vertex -0"),
+    # A signed token sorts below every vertex, and -5 below -0.
+    ("99 -0 -5\n", "unknown vertex -5")])
 def test_verify_bad_set_file_is_bad_input(tmp_path, capsys, content, detail):
     out = tmp_path / "c11.graph"
     run_cli(capsys, "generate", "--family", "cycle", "--n", "11",

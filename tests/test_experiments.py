@@ -50,6 +50,40 @@ def test_selection_equiv_fails_on_either_half(monkeypatch, field):
     assert "selection_equiv" in result.failures
 
 
+def test_count_equiv_fails_on_one_wrong_count(monkeypatch):
+    # A tree meets the girth premise, so every count must be exact.
+    simulate = experiments.run_simulation
+
+    def simulate_off_by_one(g, program, **kwargs):
+        sim = simulate(g, program, **kwargs)
+        outputs = dict(sim.outputs)
+        outputs[0] += 1
+        return sim._replace(outputs=outputs)
+
+    monkeypatch.setattr(experiments, "run_simulation", simulate_off_by_one)
+    result = run_experiment({"family": "tree", "n": 30, "seed": 1, "r": 2,
+                             "algo": "count"})
+    assert result.failures == ["count_equiv"]
+
+
+def test_count_experiment_never_builds_the_r_balls(monkeypatch):
+    calls = []
+    real = graphs.r_balls
+
+    def counted(g, r):
+        calls.append((g.vertex_count, r))
+        return real(g, r)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rdomsim") and getattr(module, "r_balls",
+                                                  None) is real:
+            monkeypatch.setattr(module, "r_balls", counted)
+    result = run_experiment({"family": "tree", "n": 50, "seed": 3, "r": 2,
+                             "algo": "count"})
+    assert result.passed
+    assert calls == []
+
+
 def test_failures_keep_the_check_order():
     # Subdivided K4 at f_r = 1 exceeds the quotient and boundary bounds.
     result = run_experiment({"family": "subdivided_k4", "k": 2, "r": 1,

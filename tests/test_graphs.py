@@ -281,6 +281,9 @@ def test_read_graph_rejects_out_of_range(tmp_path):
     ("3 3\n0 1\n2 -1\n0 5\n", "(2, -1)"),
     # An edge out of range comes before a later token that is no integer.
     ("3 2\n0 5\n1 x\n", "(0, 5)"),
+    # A signed token names no vertex; int() would read '-0' as 0.
+    ("3 1\n0 -0\n", "(0, -0)"),
+    ("3 2\n-0 1\n1 +2\n", "(-0, 1)"),
 ])
 def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, edge):
     path = tmp_path / "bad.txt"
@@ -297,6 +300,12 @@ def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, edge):
     ("2 1\n0 1.0\n", 4, "1.0"),
     # A token that is no integer comes before a later edge out of range.
     ("3 2\n0 x\n1 5\n", 4, "x"),
+    # Only runs of digits are counts or IDs: int() reads '1_0' as 10 and
+    # '+1' as 1, which write_graph never writes.
+    ("1_0 0\n", 1, "1_0"),
+    ("+2 1\n0 +1\n", 1, "+2"),
+    ("11 1\n0 1_0\n", 4, "1_0"),
+    ("2 1\n0 +1\n", 4, "+1"),
 ])
 def test_read_graph_names_a_token_that_is_not_an_integer(tmp_path, text, i,
                                                          tok):
@@ -342,12 +351,14 @@ def test_read_graph_peak_memory_is_a_small_multiple_of_the_graph(tmp_path,
 
 
 @pytest.mark.parametrize("header", ["-3 0", "2 -1", "1048577 0",
-                                    "1000000000 0"])
+                                    "1000000000 0", "-0 0", "3 -0"])
 def test_read_graph_rejects_negative_or_oversized_header(tmp_path, header):
     path = tmp_path / "bad.txt"
     path.write_text(header + "\n")
-    with pytest.raises(GraphError, match="header|limit"):
+    with pytest.raises(GraphError) as info:
         read_graph(path)
+    assert str(info.value) == (f"graph file header '{header}' needs m >= 0 "
+                               "and 0 <= n <= 1048576")
 
 
 @given(graphs())

@@ -123,6 +123,23 @@ def test_is_independent_examples():
     assert is_independent(c9, set())
 
 
+@settings(max_examples=300, deadline=None)
+@given(relabelled(graphs()), st.data())
+def test_is_independent_matches_networkx(g, data):
+    G = nx.Graph(g.edges())
+    G.add_nodes_from(g.vertices)
+    candidates = data.draw(st.lists(st.sampled_from(g.vertices)))
+    assert is_independent(g, candidates) == (
+        G.subgraph(candidates).number_of_edges() == 0)
+
+
+def test_is_independent_looks_up_every_member_before_judging():
+    # {0, 1} alone is not independent on C4, but 99 is no vertex of it.
+    with pytest.raises(GraphError) as info:
+        is_independent(gen_cycle(4), {0, 1, 99})
+    assert str(info.value) == "unknown vertex 99"
+
+
 def test_greedy_c9():
     assert greedy_rds(gen_cycle(9), 1) == frozenset({0, 3, 6})
 
