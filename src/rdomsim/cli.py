@@ -10,7 +10,7 @@ from typing import Dict, List, Optional
 
 from .corpus import builtin_corpus
 from .experiments import (_ALGOS, _FAMILIES, ExperimentError, build_instance,
-                          run_suite)
+                          run_experiment, run_suite)
 from .graphs import _token_ints, girth, render_girth, write_graph
 from .oracles import is_independent, is_r_dominating
 
@@ -25,7 +25,7 @@ def _emit(obj: Dict) -> None:
 
 
 #: Parsed arguments that are not spec fields.
-_NOT_SPEC = ("command", "func", "output", "json", "csv")
+_NOT_SPEC = ("command", "func", "output")
 
 
 def _spec_from_args(args) -> Dict:
@@ -52,7 +52,7 @@ def cmd_generate(args) -> int:
     if "r" in spec and family is not None and (
             family not in _FAMILIES or "r" not in _FAMILIES[family][0]):
         raise ExperimentError("bad_spec", f"family {family!r} does not read 'r'")
-    g, (f_r, _) = build_instance(spec)
+    g, f_r = build_instance(spec)
     write_graph(g, args.output)
     sidecar = spec | {"n": g.vertex_count, "girth": render_girth(girth(g)),
                       "expansion_bound": f_r}
@@ -65,16 +65,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    [result], csv_text = run_suite([_spec_from_args(args)])
-    payload = result.to_dict()
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-    _emit(payload)
+    result = run_experiment(_spec_from_args(args))
+    _emit(result.to_dict())
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
@@ -184,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--d-source", dest="d_source",
                        choices=["rmds", "trivial"])
     p_run.add_argument("--allow-low-girth", action="store_true", default=None)
-    p_run.add_argument("--json", help="write the full report as JSON")
-    p_run.add_argument("--csv", help="write a one-row CSV")
     p_run.set_defaults(func=cmd_run)
 
     p_suite = sub.add_parser("suite", help="run an experiment corpus")

@@ -94,29 +94,29 @@ def _int_param(spec: Dict, key: str, default: Optional[int] = None) -> int:
 
 #: family -> (its integer parameters with their defaults, in the order they
 #: are read; the vertex count they give, known before any build; a build
-#: returning the graph and (the default f_r, the family's own dominating set,
-#: the one m: "family" names, or None)).  The builds look the generators up
-#: when called.
+#: returning the graph and the default f_r).  The builds look the generators
+#: up when called.
 _FAMILIES = {
-    "cycle": ({"n": None}, lambda n: n, lambda n: (gen_cycle(n), (1, None))),
-    "path": ({"n": None}, lambda n: n, lambda n: (gen_path(n), (1, None))),
+    "cycle": ({"n": None}, lambda n: n, lambda n: (gen_cycle(n), 1)),
+    "path": ({"n": None}, lambda n: n, lambda n: (gen_path(n), 1)),
     "tree": ({"n": None, "seed": None}, lambda n, seed: n,
-             lambda n, seed: (gen_random_tree(n, seed), (1, None))),
+             lambda n, seed: (gen_random_tree(n, seed), 1)),
     "subdivided_k4": ({"k": None}, lambda k: 4 + 6 * k,
-                      lambda k: (subdivide(gen_complete(4), k), (3, None))),
+                      lambda k: (subdivide(gen_complete(4), k), 3)),
     "tightness": ({"r": 1, "f": None}, tightness_size,
-                  lambda r, f: (gen_tightness(r, f),
-                                (f, tightness_dominating_set(r, f)))),
+                  lambda r, f: (gen_tightness(r, f), f)),
 }
 
 
-def build_instance(spec: Dict) -> Tuple[Graph, Tuple[int, Optional[frozenset]]]:
-    """The spec's graph and its family's ``(default f_r, own dominating set
-    or None)``.  Before anything is built, a key outside the common fields,
-    the ``_ALGOS`` fields and the family's parameters (``graph`` for
-    "file") is a ``bad_spec`` error naming the family and the key; so are a
-    missing or invalid family parameter and a graph of more than ``2**20``
-    vertices.  An unreadable graph file is ``bad_input``."""
+def build_instance(spec: Dict) -> Tuple[Graph, int]:
+    """The spec's graph and its family's default f_r.  Before anything is
+    built, a key outside the common fields, the ``_ALGOS`` fields and the
+    family's parameters (``graph`` for "file") is a ``bad_spec`` error
+    naming the family and the key; so are a non-boolean
+    ``allow_low_girth``, algo cycle_is off the cycle family, ``m: "family"``
+    off the tightness family, a missing or invalid family parameter and a
+    graph of more than ``2**20`` vertices.  An unreadable graph file is
+    ``bad_input``."""
     family = spec.get("family")
     if family == "file":
         params = ("graph",)
@@ -129,13 +129,24 @@ def build_instance(spec: Dict) -> Tuple[Graph, Tuple[int, Optional[frozenset]]]:
         if key not in read:
             raise ExperimentError(
                 "bad_spec", f"family {family!r} does not read {key!r}")
+    allow_low_girth = spec.get("allow_low_girth", False)
+    if not isinstance(allow_low_girth, bool):
+        raise ExperimentError(
+            "bad_spec", f"allow_low_girth must be true or false, "
+                        f"got {allow_low_girth!r}")
+    if spec.get("algo") == "cycle_is" and family != "cycle":
+        raise ExperimentError("bad_spec",
+                              "algo cycle_is requires the cycle family")
+    if spec.get("m") == "family" and family != "tightness":
+        raise ExperimentError(
+            "bad_spec", 'm: "family" is only defined for the tightness family')
     if family == "file":
         path = spec.get("graph")
         if not path or not isinstance(path, str):
             raise ExperimentError("bad_spec",
                                   "family 'file' needs 'graph', a file path")
         try:
-            return read_graph(path), (1, None)
+            return read_graph(path), 1
         except (OSError, ValueError) as exc:
             raise ExperimentError("bad_input", str(exc)) from None
     args = [_int_param(spec, key, default) for key, default in params.items()]
@@ -150,22 +161,19 @@ def build_instance(spec: Dict) -> Tuple[Graph, Tuple[int, Optional[frozenset]]]:
                     f"more than {_MAX_FILE_VERTICES}")
 
 
-def _resolve_comparison_set(spec: Dict, g: Graph, r: int,
-                            own_m: Optional[frozenset]
+def _resolve_comparison_set(spec: Dict, g: Graph, r: int
                             ) -> Tuple[Optional[frozenset], str]:
     """``(M, source)``: "exact", ``(None, "unknown")`` where the solver gives
-    up, or "supplied"; a malformed or unknown vertex list is ``bad_spec``."""
+    up, or "supplied": the tightness family's own set, made here, or a
+    vertex list; a malformed or unknown vertex list is ``bad_spec``."""
     source = spec.get("m", "exact")
     if source == "exact":
         try:
             return exact_min_rds(g, r), "exact"
         except OptimumUnknown:
             return None, "unknown"
-    if source == "family":
-        if own_m is None:
-            raise ExperimentError(
-                "bad_spec", 'm: "family" is only defined for the tightness family')
-        return own_m, "supplied"
+    if source == "family":  # build_instance allows it on tightness only
+        return tightness_dominating_set(r, _int_param(spec, "f")), "supplied"
     if not isinstance(source, list) or not source:
         raise ExperimentError(
             "bad_spec", f'm must be "exact", "family" or a non-empty list of '
@@ -186,8 +194,8 @@ def _simulate_rmds(g: Graph, r: int) -> SimulationReport:
     return run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r))
 
 
-def _rmds(spec, g, own_m, r, f_r, premise):
-    opt, opt_source = _resolve_comparison_set(spec, g, r, own_m)
+def _rmds(spec, g, r, f_r, premise):
+    opt, opt_source = _resolve_comparison_set(spec, g, r)
     sim = _simulate_rmds(g, r)
     report = approx_report(g, r, f_r, sim, opt, opt_source)
     checks = report.checks
@@ -211,7 +219,7 @@ def _rmds(spec, g, own_m, r, f_r, premise):
     return verdicts, fields, report, None
 
 
-def _count(spec, g, own_m, r, f_r, premise):
+def _count(spec, g, r, f_r, premise):
     sim = run_simulation(g, count_neighborhood_program(r), round_budget=r - 1)
     exact = sim.outputs == {v: len(distances(g, (v,), r)) - 1
                             for v in g.vertices}
@@ -223,10 +231,7 @@ def _count(spec, g, own_m, r, f_r, premise):
              "max_message_bits": sim.max_message_bits})
 
 
-def _cycle_is(spec, g, own_m, r, f_r, premise):
-    if spec.get("family") != "cycle":
-        raise ExperimentError("bad_spec",
-                              "algo cycle_is requires the cycle family")
+def _cycle_is(spec, g, r, f_r, premise):
     n = g.vertex_count
     source = spec.get("d_source", "rmds")
     if source == "rmds":
@@ -252,7 +257,7 @@ def _cycle_is(spec, g, own_m, r, f_r, premise):
              "max_message_bits": sim.max_message_bits})
 
 
-#: algo -> (fn(spec, g, own_m, r, f_r, premise) returning (verdicts, CSV
+#: algo -> (fn(spec, g, r, f_r, premise) returning (verdicts, CSV
 #: fields, ApproxReport or None, detail or None), which of m and d_source it
 #: reads).  ``verdicts`` lists (check name, passed) in failure order.
 _ALGOS = {"rmds": (_rmds, "m"), "count": (_count, None),
@@ -274,29 +279,24 @@ def run_experiment(spec: Dict) -> ExperimentResult:
         if field in spec and field != reads:
             raise ExperimentError("bad_spec",
                                   f"algo {algo!r} does not read {field!r}")
-    g, (family_f_r, own_m) = build_instance(spec)
+    g, family_f_r = build_instance(spec)
     if not g.vertex_count:
         raise ExperimentError("bad_input", "graph has no vertices")
     f_r = _int_param(spec, "f_r", family_f_r)
     if f_r < 1:
         raise ExperimentError("bad_spec", f"f_r must be >= 1, got {f_r}")
-    allow_low_girth = spec.get("allow_low_girth", False)
-    if not isinstance(allow_low_girth, bool):
-        raise ExperimentError(
-            "bad_spec", f"allow_low_girth must be true or false, "
-                        f"got {allow_low_girth!r}")
     # An r above n names the same balls as r = n and only adds rounds.
     if r > g.vertex_count:
         raise ExperimentError(
             "bad_spec", f"r must be <= n = {g.vertex_count}, got {r}")
     girth_value = girth(g)
     premise = girth_value >= 4 * r + 3
-    if not premise and not allow_low_girth:
+    if not premise and not spec.get("allow_low_girth"):
         raise ExperimentError(
             "girth_premise",
             f"girth {render_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
             f"set allow_low_girth for negative controls")
-    verdicts, fields, report, detail = run(spec, g, own_m, r, f_r, premise)
+    verdicts, fields, report, detail = run(spec, g, r, f_r, premise)
     failures = [name for name, ok in verdicts if not ok]
     passed = not failures
     row = dict.fromkeys(_COLUMNS, "") | {

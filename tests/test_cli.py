@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -111,16 +112,25 @@ def test_generate_rejects_bad_spec(tmp_path, capsys):
     assert json.loads(stdout)["error"] == "bad_spec"
 
 
-def test_run_rmds_cycle_passes(tmp_path, capsys):
-    json_out = tmp_path / "r.json"
+def test_run_rmds_cycle_passes(capsys):
     code, stdout = run_cli(capsys, "run", "--family", "cycle", "--n", "23",
-                           "--r", "2", "--algo", "rmds",
-                           "--json", str(json_out))
+                           "--r", "2", "--algo", "rmds")
     assert code == EXIT_OK
     payload = json.loads(stdout)
     assert payload["passed"] is True
     assert payload["report"]["rounds_executed"] == 5
-    assert json.loads(json_out.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_run_writes_no_report_file(tmp_path, monkeypatch, capsys, flag):
+    # run prints its report once, on stdout; suite --csv writes the CSV.
+    monkeypatch.chdir(tmp_path)
+    code, stdout = run_cli(capsys, "run", "--family", "cycle", "--n", "11",
+                           flag, "x")
+    assert code == EXIT_ERROR
+    assert stdout.count("\n") == 1
+    assert json.loads(stdout)["error"] == "bad_spec"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (4, 2)])
@@ -155,16 +165,6 @@ def test_run_cycle_is_with_trivial_d(capsys):
                            "--d-source", "trivial")
     assert code == EXIT_OK
     assert json.loads(stdout)["passed"] is True
-
-
-def test_run_writes_single_row_csv(tmp_path, capsys):
-    csv_out = tmp_path / "row.csv"
-    code, _ = run_cli(capsys, "run", "--family", "cycle", "--n", "11",
-                      "--r", "1", "--csv", str(csv_out))
-    assert code == EXIT_OK
-    lines = csv_out.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 2 and lines[1].startswith("cycle,11,1,")
 
 
 def test_verify_dominating_and_independent(tmp_path, capsys):
@@ -563,13 +563,10 @@ def test_run_comparison_set_missing_a_component_fails_opt_dominating(
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--family", "cycle", "--n", "11", "--json", "{missing}/r.json"],
-    ["run", "--family", "cycle", "--n", "11", "--csv", "{missing}/r.csv"],
     ["suite", "{config}", "--csv", "{missing}/s.csv"],
     ["generate", "--family", "cycle", "--n", "11", "-o", "{missing}/c.graph"],
     ["generate", "--graph", "{missing}/in.graph", "-o", "{tmp}/c.graph"],
-], ids=["run-json", "run-csv", "suite-csv", "generate-output",
-        "generate-graph"])
+], ids=["suite-csv", "generate-output", "generate-graph"])
 def test_unreadable_or_unwritable_path_is_bad_input(tmp_path, capsys, argv):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([{"family": "cycle", "n": 11, "r": 1}]))
@@ -600,3 +597,23 @@ def test_closed_stdout_exits_2_quietly(argv):
         os.close(write_end)
     assert proc.returncode == EXIT_ERROR
     assert proc.stderr == b""
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # Every rdomsim line of the fenced block under README's "## Command
+    # line" exits 0 with one JSON line, so the docs name no removed flag.
+    # d.txt 2-dominates C_23 and is independent.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("rdomsim ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if argv[0] == "verify":
+            (tmp_path / "d.txt").write_text("0 5 10 15 20\n")
+        code, stdout = run_cli(capsys, *argv)
+        assert code == EXIT_OK, (argv, stdout)
+        assert stdout.count("\n") == 1, argv
+        json.loads(stdout)

@@ -235,3 +235,62 @@ def test_refusals_name_the_spec_fault(spec, reason, detail):
     with pytest.raises(ExperimentError) as exc:
         run_experiment(spec)
     assert (exc.value.reason, exc.value.detail) == (reason, detail)
+
+
+#: One valid spec per family, "file" included, with no algo and no m.
+_FAMILY_SPECS = {
+    "cycle": {"n": 11}, "path": {"n": 7}, "tree": {"n": 9, "seed": 3},
+    "subdivided_k4": {"k": 2}, "tightness": {"f": 2},
+    "file": {"graph": "g.graph"},
+}
+
+
+def _spec_refusals():
+    """(spec, detail) for every family each spec-only refusal covers."""
+    cases = []
+    for family, params in _FAMILY_SPECS.items():
+        spec = {"family": family, "r": 1} | params
+        faults = [({"allow_low_girth": value},
+                   f"allow_low_girth must be true or false, got {value!r}")
+                  for value in ("false", 1, None)]
+        if family != "cycle":
+            faults.append(({"algo": "cycle_is"},
+                           "algo cycle_is requires the cycle family"))
+        if family != "tightness":
+            faults.append(({"m": "family"}, 'm: "family" is only defined '
+                                            'for the tightness family'))
+        cases += [pytest.param(spec | fault, detail,
+                               id=f"{family}-{fault}".replace(" ", ""))
+                  for fault, detail in faults]
+    return cases
+
+
+@pytest.mark.parametrize("spec, detail", _spec_refusals())
+def test_spec_only_refusals_come_before_any_build(monkeypatch, spec, detail):
+    def no_build(*args):
+        raise AssertionError("a graph was built or read")
+
+    for name in ("gen_cycle", "gen_path", "gen_random_tree", "gen_complete",
+                 "subdivide", "gen_tightness", "read_graph"):
+        monkeypatch.setattr(experiments, name, no_build)
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment(spec)
+    assert (exc.value.reason, exc.value.detail) == ("bad_spec", detail)
+
+
+@pytest.mark.parametrize("m, calls", [
+    ("family", [(2, 2)]), ("exact", []),
+    (sorted(experiments.tightness_dominating_set(2, 2)), []),
+], ids=["family", "exact", "vertex-list"])
+def test_only_m_family_makes_the_tightness_set(monkeypatch, m, calls):
+    made = []
+    real = experiments.tightness_dominating_set
+
+    def counted(r, f):
+        made.append((r, f))
+        return real(r, f)
+
+    monkeypatch.setattr(experiments, "tightness_dominating_set", counted)
+    result = run_experiment({"family": "tightness", "r": 2, "f": 2, "m": m})
+    assert result.passed
+    assert made == calls
