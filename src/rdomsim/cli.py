@@ -9,8 +9,8 @@ import sys
 from typing import Dict, List, Optional
 
 from .corpus import builtin_corpus
-from .experiments import (_ALGOS, _FAMILIES, ExperimentError, build_instance,
-                          run_experiment, run_suite)
+from .experiments import (_ALGOS, _D_SOURCES, _FAMILIES, ExperimentError,
+                          build_instance, run_experiment, run_suite)
 from .graphs import _token_ints, girth, render_girth, write_graph
 from .oracles import is_independent, is_r_dominating
 
@@ -173,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="expansion bound f(r) used in the analysis")
     p_run.add_argument("--m", type=_m_arg,
                        help='"exact", "family", or comma-separated IDs')
-    p_run.add_argument("--d-source", dest="d_source",
-                       choices=["rmds", "trivial"])
+    p_run.add_argument("--d-source", dest="d_source", choices=_D_SOURCES)
     p_run.add_argument("--allow-low-girth", action="store_true", default=None)
     p_run.set_defaults(func=cmd_run)
 

@@ -95,7 +95,8 @@ def _int_param(spec: Dict, key: str, default: Optional[int] = None) -> int:
 #: family -> (its integer parameters with their defaults, in the order they
 #: are read; the vertex count they give, known before any build; a build
 #: returning the graph and the default f_r).  The builds look the generators
-#: up when called.
+#: up when called.  subdivided_k4's f_r is 3: its shallow minors are planar,
+#: like it, and a simple planar graph on n vertices has fewer than 3n edges.
 _FAMILIES = {
     "cycle": ({"n": None}, lambda n: n, lambda n: (gen_cycle(n), 1)),
     "path": ({"n": None}, lambda n: n, lambda n: (gen_path(n), 1)),
@@ -234,13 +235,11 @@ def _count(spec, g, r, f_r, premise):
 def _cycle_is(spec, g, r, f_r, premise):
     n = g.vertex_count
     source = spec.get("d_source", "rmds")
-    if source == "rmds":
-        d_set = frozenset(v for v, out in _simulate_rmds(g, r).outputs.items()
-                          if out.member)
-    elif source == "trivial":
-        d_set = frozenset(range(0, n, 2 * r + 1))
-    else:
+    if source not in _D_SOURCES:
         raise ExperimentError("bad_spec", f"unknown d_source {source!r}")
+    d_set = (frozenset(range(0, n, 2 * r + 1)) if source == "trivial" else
+             frozenset(v for v, out in _simulate_rmds(g, r).outputs.items()
+                       if out.member))
 
     sim = run_simulation(g, cycle_is_program(r), params={"d_member": d_set},
                          round_budget=2 * r + 1)
@@ -264,6 +263,8 @@ _ALGOS = {"rmds": (_rmds, "m"), "count": (_count, None),
           "cycle_is": (_cycle_is, "d_source")}
 #: Spec fields that every family and algo read.
 _COMMON_FIELDS = ("family", "algo", "r", "f_r", "allow_low_girth")
+#: cycle_is's sources of D: the rmds output, or every (2r+1)-th vertex.
+_D_SOURCES = ("rmds", "trivial")
 
 
 def run_experiment(spec: Dict) -> ExperimentResult:

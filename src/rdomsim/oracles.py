@@ -106,16 +106,20 @@ def _packing_lower_bound(uncovered: FrozenSet[int],
     return count
 
 
-def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
-                  node_budget: int = 10_000_000) -> FrozenSet[int]:
+#: exact_min_rds gives up past these; no corpus spec needs 1000 nodes.
+_VERTEX_CAP = 200
+_NODE_BUDGET = 100_000
+
+
+def exact_min_rds(g: Graph, r: int) -> FrozenSet[int]:
     """Minimum-cardinality distance-r dominating set via branch and bound.
 
     Set cover over closed r-balls: branch on an uncovered vertex with the
     fewest remaining candidate coverers, prune with the greedy upper bound
     and the larger of a disjoint-ball packing bound and
     ceil(uncovered / max ball size).  Which optimum is returned is
-    unspecified; only the cardinality is canonical.  Raises OptimumUnknown
-    when the node budget is exhausted, never a wrong answer.
+    unspecified; only the cardinality is canonical.  Raises OptimumUnknown,
+    never a wrong answer, past ``_VERTEX_CAP`` or ``_NODE_BUDGET``.
 
     When every component is a tree or a cycle the optimum size k is known
     beforehand (see ``_known_optimum``).  The greedy set is then returned
@@ -137,9 +141,9 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if g.vertex_count > vertex_cap:
-        raise OptimumUnknown(
-            f"instance has {g.vertex_count} vertices, above cap {vertex_cap}")
+    if g.vertex_count > _VERTEX_CAP:
+        raise OptimumUnknown(f"instance has {g.vertex_count} vertices, "
+                             f"above cap {_VERTEX_CAP}")
     if g.vertex_count == 0:
         return frozenset()
     balls = {v: frozenset(b) for v, b in r_balls(g, r).items()}
@@ -158,8 +162,8 @@ def exact_min_rds(g: Graph, r: int, *, vertex_cap: int = 200,
         """True once ``best`` has k vertices, which ends the search."""
         nonlocal best, nodes
         nodes += 1
-        if nodes > node_budget:
-            raise OptimumUnknown(f"search node budget {node_budget} exhausted")
+        if nodes > _NODE_BUDGET:
+            raise OptimumUnknown(f"search node budget {_NODE_BUDGET} exhausted")
         if not uncovered:
             if len(chosen) < len(best):
                 best = sorted(chosen)

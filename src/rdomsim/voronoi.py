@@ -193,7 +193,6 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
     """
     outputs: Dict[int, RmdsOutput] = sim.outputs
     selected = frozenset(v for v, out in outputs.items() if out.member)
-    girth_value = girth(g)
     checks: Dict[str, Optional[bool]] = dict.fromkeys(
         ("dominating", "opt_dominating", "cells_tree", "single_edge",
          "quotient_bound", "t_bound", "di_in_T", "di_bound", "do_bound",
@@ -236,13 +235,10 @@ def approx_report(g: Graph, r: int, f_r: int, sim: SimulationReport,
                     d in forest for d in d_inside
                     if dec.assignment[d] in bounded)
 
-    return ApproxReport(n=g.vertex_count, r=r, f_r=f_r,
-                        girth_value=girth_value, alg_size=len(selected),
-                        opt_size=opt_size, opt_source=opt_source, ratio=ratio,
-                        bound=bound,
-                        quotient_edges=quotient_edges,
-                        boundary_size=boundary_size,
-                        di_size=di_size, do_size=do_size,
-                        rounds_executed=sim.rounds_executed,
-                        max_message_bits=sim.max_message_bits,
-                        checks=checks)
+    return ApproxReport(
+        n=g.vertex_count, r=r, f_r=f_r, girth_value=girth(g),
+        alg_size=len(selected), opt_size=opt_size, opt_source=opt_source,
+        ratio=ratio, bound=bound, quotient_edges=quotient_edges,
+        boundary_size=boundary_size, di_size=di_size, do_size=do_size,
+        rounds_executed=sim.rounds_executed,
+        max_message_bits=sim.max_message_bits, checks=checks)

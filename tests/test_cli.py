@@ -290,6 +290,23 @@ def test_run_on_graph_file(tmp_path, capsys):
     assert json.loads(stdout)["passed"] is True
 
 
+def test_run_spider_exceeds_one_plus_r_f(tmp_path, capsys):
+    # Three legs of four edges from centre 12.  At r = 1 rmds selects 10
+    # vertices against an optimum of 4: a ratio of 2.5, above the
+    # 1 + r*f_r = 2 the tightness family reaches and under the bound of 5.
+    edges = [(0, 2), (0, 3), (1, 5), (1, 8), (3, 11), (4, 6), (4, 7),
+             (5, 10), (7, 9), (9, 12), (10, 12), (11, 12)]
+    spider = tmp_path / "spider.graph"
+    spider.write_text("13 12\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, stdout = run_cli(capsys, "run", "--graph", str(spider), "--r", "1")
+    assert code == EXIT_OK
+    report = json.loads(stdout)["report"]
+    assert report["opt_source"] == "exact"
+    assert (report["opt_size"], report["alg_size"]) == (4, 10)
+    assert (report["ratio"], report["bound"]) == (2.5, 5)
+    assert all(ok is True for ok in report["checks"].values())
+
+
 @pytest.mark.parametrize("command, argv, detail", [
     ("run", ["--graph", "c23.graph", "--family", "path", "--r", "1"],
      "family 'path' does not read 'graph'"),

@@ -5,6 +5,7 @@ from rdomsim import (INFINITE, build_graph, distances, exact_min_rds,
                      gen_tightness, girth, is_r_dominating, rmds_program,
                      rmds_round_budget, run_simulation, subdivide,
                      tightness_dominating_set, tightness_size)
+from rdomsim import oracles
 
 from _support import (ball, reference_adjacency,
                       reference_random_tree_edges)
@@ -174,13 +175,14 @@ def test_tightness_dominating_set_is_valid():
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 @pytest.mark.parametrize("f", [2, 3, 4])
-def test_tightness_ratio_is_exactly_one_plus_r_f(r, f):
+def test_tightness_ratio_is_exactly_one_plus_r_f(monkeypatch, r, f):
     # From r = 2 on, X union Y (4f vertices) is a minimum r-dominating set
     # and rmds selects 1 + r*f times as many vertices.
     g = gen_tightness(r, f)
     m = tightness_dominating_set(r, f)
     assert len(m) == 4 * f
-    assert len(exact_min_rds(g, r, vertex_cap=g.vertex_count)) == len(m)
+    monkeypatch.setattr(oracles, "_VERTEX_CAP", g.vertex_count)
+    assert len(exact_min_rds(g, r)) == len(m)
     sim = run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r))
     selected = sum(out.member for out in sim.outputs.values())
     assert selected == (1 + r * f) * len(m)

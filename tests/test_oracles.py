@@ -1,4 +1,6 @@
+import inspect
 import random
+from unittest.mock import patch
 
 import networkx as nx
 import pytest
@@ -9,6 +11,7 @@ from rdomsim import (GraphError, OptimumUnknown, build_graph, distances,
                      exact_min_rds, gen_complete, gen_cycle, gen_path,
                      gen_random_tree, greedy_rds, is_independent,
                      is_r_dominating, subdivide)
+from rdomsim import oracles
 from rdomsim.oracles import _known_optimum
 
 from _support import (enumerate_min_rds, graphs, reference_exact_min_rds,
@@ -164,14 +167,23 @@ def test_exact_cycle_optimum_is_every_2r_plus_1_th(r, m):
     assert is_r_dominating(gen_cycle(n), result, r)
 
 
-def test_exact_respects_vertex_cap():
+def test_exact_respects_vertex_cap(monkeypatch):
     with pytest.raises(OptimumUnknown):
-        exact_min_rds(gen_random_tree(50, 1), 1, vertex_cap=40)
+        exact_min_rds(gen_path(201), 1)
+    monkeypatch.setattr(oracles, "_VERTEX_CAP", 40)
+    with pytest.raises(OptimumUnknown):
+        exact_min_rds(gen_random_tree(50, 1), 1)
 
 
-def test_exact_reports_unknown_on_tiny_node_budget():
+def test_exact_reports_unknown_on_tiny_node_budget(monkeypatch):
+    monkeypatch.setattr(oracles, "_NODE_BUDGET", 1)
     with pytest.raises(OptimumUnknown):
-        exact_min_rds(gen_random_tree(120, 5), 2, node_budget=1)
+        exact_min_rds(gen_random_tree(120, 5), 2)
+
+
+def test_exact_takes_only_the_graph_and_the_radius():
+    # Its limits are module constants that a test patches, not options.
+    assert list(inspect.signature(exact_min_rds).parameters) == ["g", "r"]
 
 
 def test_exact_is_deterministic():
@@ -204,13 +216,14 @@ def test_solvers_return_the_reference_sets(g, r):
         expected = reference_exact_min_rds(g, r, node_budget=20_000)
     except OptimumUnknown:
         return
-    assert exact_min_rds(g, r, node_budget=20_000) == expected
+    with patch.object(oracles, "_NODE_BUDGET", 20_000):
+        assert exact_min_rds(g, r) == expected
 
 
-def _outcome(solver, g, r, budget):
-    """The set ``solver`` returns, or OptimumUnknown if it gives up."""
+def _outcome(solve):
+    """The set ``solve()`` returns, or OptimumUnknown if it gives up."""
     try:
-        return solver(g, r, node_budget=budget)
+        return solve()
     except OptimumUnknown:
         return OptimumUnknown
 
@@ -219,8 +232,10 @@ def _assert_same_search(g, r):
     # A node budget of b gives up at node b + 1, so agreeing at every
     # small budget means visiting the same first nodes.
     for budget in (1, 2, 4, 8, 16, 32, 64):
-        assert (_outcome(exact_min_rds, g, r, budget)
-                == _outcome(rescanning_exact_min_rds, g, r, budget))
+        with patch.object(oracles, "_NODE_BUDGET", budget):
+            fast = _outcome(lambda: exact_min_rds(g, r))
+        assert fast == _outcome(
+            lambda: rescanning_exact_min_rds(g, r, node_budget=budget))
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,7 +301,8 @@ def test_known_optimum_matches_enumeration(g, r):
     assert k == len(enumerate_min_rds(g, r))
     greedy = greedy_rds(g, r)
     if len(greedy) == k:  # nothing to search: the greedy set is optimal
-        assert exact_min_rds(g, r, node_budget=0) == greedy
+        with patch.object(oracles, "_NODE_BUDGET", 0):
+            assert exact_min_rds(g, r) == greedy
 
 
 @pytest.mark.parametrize("g, r, k", [
