@@ -10,7 +10,7 @@ from typing import Dict, List, Optional
 
 from .corpus import builtin_corpus
 from .experiments import (_ALGOS, _D_SOURCES, _FAMILIES, ExperimentError,
-                          build_instance, run_experiment, run_suite)
+                          _as_int, build_instance, run_experiment, run_suite)
 from .graphs import _token_ints, girth, render_girth, write_graph
 from .oracles import is_independent, is_r_dominating
 
@@ -41,6 +41,13 @@ def _spec_from_args(args) -> Dict:
 
 def _m_arg(text: str):
     return text if text in ("exact", "family") else text.split(",")
+
+
+def _int_arg(text: str) -> int:
+    try:  # spelt as a spec's integer; argparse names the flag
+        return _as_int(text, "")
+    except ExperimentError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def cmd_generate(args) -> int:
@@ -77,7 +84,7 @@ def cmd_suite(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # deep nesting
                 raise ExperimentError("bad_input", str(exc)) from None
         specs = loaded.get("experiments") if isinstance(loaded, dict) else loaded
         if not (isinstance(specs, list)
@@ -140,9 +147,9 @@ def _add_family_args(parser) -> None:
             readers.setdefault(key, []).append(family)
     for key, families in readers.items():
         if key != "r":
-            parser.add_argument(f"--{key}", type=int,
+            parser.add_argument(f"--{key}", type=_int_arg,
                                 help=f"read by {', '.join(families)}")
-    parser.add_argument("--r", type=int)
+    parser.add_argument("--r", type=_int_arg)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p_run)
     p_run.set_defaults(r=1)
     p_run.add_argument("--algo", choices=_ALGOS, default="rmds")
-    p_run.add_argument("--f-r", dest="f_r", type=int,
+    p_run.add_argument("--f-r", dest="f_r", type=_int_arg,
                        help="expansion bound f(r) used in the analysis")
     p_run.add_argument("--m", type=_m_arg,
                        help='"exact", "family", or comma-separated IDs')
@@ -188,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--graph", required=True)
     p_verify.add_argument("--set", required=True,
                           help="file with whitespace-separated vertex IDs")
-    p_verify.add_argument("--r", type=int)
+    p_verify.add_argument("--r", type=_int_arg)
     p_verify.add_argument("--check",
                           choices=["dominating", "independent", "both"],
                           default="both")

@@ -13,15 +13,15 @@ An experiment spec is a plain dict (JSON-friendly):
     allow_low_girth:  true to opt out of the girth >= 4r+3 guard (negative
                       controls)
 
-Integer fields take integers or integer strings, never booleans or floats.
-Every command that builds a graph goes through ``build_instance``, which
-refuses as ``bad_spec``, before any build, a key that is not a common field,
-an ``_ALGOS`` field or a parameter of the family; ``run_experiment`` also
-refuses an ``_ALGOS`` field that the spec's own algo does not read.
+An integer field is an int that is not a bool, or a run of ASCII digits
+with an optional leading '-', as graph files spell IDs.  Every fault the
+spec shows on its own is ``bad_spec`` before anything is built or read:
+``run_experiment`` judges the run fields, ``build_instance`` the family's.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .generators import (gen_complete, gen_cycle, gen_path, gen_random_tree,
@@ -74,13 +74,14 @@ class ExperimentResult(NamedTuple):
 
 
 def _as_int(value, what: str) -> int:
-    """``value`` as an int: ints and integer strings only, never a boolean
-    or a float."""
-    if not isinstance(value, (bool, float)):
-        try:
+    """``value`` as an int: an int that is not a bool, or a run of ASCII
+    digits with an optional leading '-'."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and (
+            value.removeprefix("-").isdigit()):
+        with contextlib.suppress(ValueError):  # more digits than int() takes
             return int(value)
-        except (TypeError, ValueError):
-            pass
     raise ExperimentError("bad_spec", f"{what} must be an integer, got {value!r}")
 
 
@@ -110,14 +111,10 @@ _FAMILIES = {
 
 
 def build_instance(spec: Dict) -> Tuple[Graph, int]:
-    """The spec's graph and its family's default f_r.  Before anything is
-    built, a key outside the common fields, the ``_ALGOS`` fields and the
-    family's parameters (``graph`` for "file") is a ``bad_spec`` error
-    naming the family and the key; so are a non-boolean
-    ``allow_low_girth``, algo cycle_is off the cycle family, ``m: "family"``
-    off the tightness family, a missing or invalid family parameter and a
-    graph of more than ``2**20`` vertices.  An unreadable graph file is
-    ``bad_input``."""
+    """The spec's graph and its family's default f_r.  A fault of the
+    family's fields, such as a key the family does not read or more than
+    ``2**20`` vertices, is ``bad_spec`` before anything is built or read;
+    an unreadable graph file is ``bad_input``."""
     family = spec.get("family")
     if family == "file":
         params = ("graph",)
@@ -165,8 +162,8 @@ def build_instance(spec: Dict) -> Tuple[Graph, int]:
 def _resolve_comparison_set(spec: Dict, g: Graph, r: int
                             ) -> Tuple[Optional[frozenset], str]:
     """``(M, source)``: "exact", ``(None, "unknown")`` where the solver gives
-    up, or "supplied": the tightness family's own set, made here, or a
-    vertex list; a malformed or unknown vertex list is ``bad_spec``."""
+    up, or "supplied": the tightness family's own set, made here, or the
+    IDs ``run_experiment`` judged; an ID outside ``g`` is ``bad_spec``."""
     source = spec.get("m", "exact")
     if source == "exact":
         try:
@@ -175,15 +172,10 @@ def _resolve_comparison_set(spec: Dict, g: Graph, r: int
             return None, "unknown"
     if source == "family":  # build_instance allows it on tightness only
         return tightness_dominating_set(r, _int_param(spec, "f")), "supplied"
-    if not isinstance(source, list) or not source:
-        raise ExperimentError(
-            "bad_spec", f'm must be "exact", "family" or a non-empty list of '
-                        f"vertex IDs, got {source!r}")
-    m = frozenset(_as_int(v, "each vertex ID in m") for v in source)
-    unknown = sorted(m.difference(g.vertices))
+    unknown = sorted(source.difference(g.vertices))
     if unknown:
         raise ExperimentError("bad_spec", f"m names unknown vertices {unknown}")
-    return m, "supplied"
+    return source, "supplied"
 
 
 def _bits_ok(g: Graph, sim: SimulationReport) -> bool:
@@ -235,8 +227,6 @@ def _count(spec, g, r, f_r, premise):
 def _cycle_is(spec, g, r, f_r, premise):
     n = g.vertex_count
     source = spec.get("d_source", "rmds")
-    if source not in _D_SOURCES:
-        raise ExperimentError("bad_spec", f"unknown d_source {source!r}")
     d_set = (frozenset(range(0, n, 2 * r + 1)) if source == "trivial" else
              frozenset(v for v, out in _simulate_rmds(g, r).outputs.items()
                        if out.member))
@@ -280,12 +270,23 @@ def run_experiment(spec: Dict) -> ExperimentResult:
         if field in spec and field != reads:
             raise ExperimentError("bad_spec",
                                   f"algo {algo!r} does not read {field!r}")
+    f_r = _int_param(spec, "f_r", 1)
+    if f_r < 1:
+        raise ExperimentError("bad_spec", f"f_r must be >= 1, got {f_r}")
+    source = spec.get("d_source", "rmds")
+    if source not in _D_SOURCES:
+        raise ExperimentError("bad_spec", f"unknown d_source {source!r}")
+    m = spec.get("m", "exact")
+    if m not in ("exact", "family"):
+        if not isinstance(m, list) or not m:
+            raise ExperimentError(
+                "bad_spec", f'm must be "exact", "family" or a non-empty list '
+                            f"of vertex IDs, got {m!r}")
+        m = frozenset(_as_int(v, "each vertex ID in m") for v in m)
     g, family_f_r = build_instance(spec)
     if not g.vertex_count:
         raise ExperimentError("bad_input", "graph has no vertices")
-    f_r = _int_param(spec, "f_r", family_f_r)
-    if f_r < 1:
-        raise ExperimentError("bad_spec", f"f_r must be >= 1, got {f_r}")
+    f_r = f_r if "f_r" in spec else family_f_r
     # An r above n names the same balls as r = n and only adds rounds.
     if r > g.vertex_count:
         raise ExperimentError(
@@ -297,7 +298,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
             "girth_premise",
             f"girth {render_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
             f"set allow_low_girth for negative controls")
-    verdicts, fields, report, detail = run(spec, g, r, f_r, premise)
+    verdicts, fields, report, detail = run(spec | {"m": m}, g, r, f_r, premise)
     failures = [name for name, ok in verdicts if not ok]
     passed = not failures
     row = dict.fromkeys(_COLUMNS, "") | {

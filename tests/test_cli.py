@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import rdomsim
 from rdomsim import CSV_HEADER, experiments, read_graph
+from rdomsim import cli
 from rdomsim.cli import (EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, build_parser,
                          main)
 
@@ -91,7 +92,7 @@ def test_family_flags_are_the_family_parameters(command):
         actions = [action for action in sub._actions
                    if f"--{key}" in action.option_strings]
         assert len(actions) == 1, key
-        assert actions[0].type is int
+        assert actions[0].type is cli._int_arg
         assert actions[0].default == (
             1 if key == "r" and command == "run" else None)
 
@@ -518,6 +519,68 @@ def test_suite_bad_m_or_f_r_is_bad_spec(tmp_path, capsys, extra):
     code, stdout = run_cli(capsys, "suite", str(config))
     assert code == EXIT_ERROR
     assert json.loads(stdout)["error"] == "bad_spec"
+
+
+#: Integer spellings that a graph file refuses: all but the last are ones
+#: that int() takes; the last is a digit run longer than int() converts.
+_NOT_INTEGERS = pytest.mark.parametrize(
+    "text", ["1_1", " 11 ", "+11", "\u0661\u0661", "9" * 5000],
+    ids=["underscore", "spaces", "plus", "arabic-indic", "5000-digits"])
+
+
+@_NOT_INTEGERS
+@pytest.mark.parametrize("family, field", [
+    ("cycle", "n"), ("cycle", "r"), ("cycle", "f_r"), ("tree", "seed"),
+    ("subdivided_k4", "k"), ("tightness", "f"), ("cycle", "m")])
+def test_suite_integer_fields_take_only_digit_runs(tmp_path, capsys, text,
+                                                   family, field):
+    params = {"cycle": {"n": 11}, "tree": {"n": 9, "seed": 3},
+              "subdivided_k4": {"k": 2}, "tightness": {"f": 2}}[family]
+    spec = {"family": family, "r": 1} | params | {
+        field: [0, text] if field == "m" else text}
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps([spec]))
+    code, stdout = run_cli(capsys, "suite", str(config))
+    assert code == EXIT_ERROR
+    [line] = stdout.splitlines()
+    what = "each vertex ID in m" if field == "m" else field
+    assert json.loads(line) == {
+        "error": "bad_spec", "detail": f"{what} must be an integer, got {text!r}"}
+
+
+@_NOT_INTEGERS
+@pytest.mark.parametrize("argv", [
+    ["run", "--family", "cycle", "--n"],
+    ["run", "--family", "cycle", "--n", "11", "--r"],
+    ["run", "--family", "cycle", "--n", "11", "--f-r"],
+    ["run", "--family", "tree", "--n", "9", "--seed"],
+    ["run", "--family", "subdivided_k4", "--k"],
+    ["generate", "-o", "unwritten.graph", "--family", "tightness", "--f"],
+    ["verify", "--graph", "g", "--set", "s", "--r"],
+    ["run", "--family", "cycle", "--n", "11", "--m"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_integer_flags_take_only_digit_runs(capsys, text, argv):
+    code, stdout = run_cli(capsys, *argv, f"0,{text}" if argv[-1] == "--m"
+                           else text)
+    assert code == EXIT_ERROR
+    [line] = stdout.splitlines()
+    detail = (f"each vertex ID in m must be an integer, got {text!r}"
+              if argv[-1] == "--m"
+              else f"argument {argv[-1]}: invalid int value: {text!r}")
+    assert json.loads(line) == {"error": "bad_spec", "detail": detail}
+
+
+@pytest.mark.parametrize("config", [
+    "[" * 100_000 + "]" * 100_000,
+    '[{"family": "cycle", "n": 11, "m": ' + "[" * 100_000 + "]" * 100_000
+    + "}]"], ids=["config", "m"])
+def test_suite_deeply_nested_config_is_bad_input(tmp_path, capsys, config):
+    path = tmp_path / "suite.json"
+    path.write_text(config)
+    code, stdout = run_cli(capsys, "suite", str(path))
+    assert code == EXIT_ERROR
+    [line] = stdout.splitlines()
+    assert json.loads(line)["error"] == "bad_input"
 
 
 def test_run_non_dominating_comparison_set_fails(capsys):

@@ -259,6 +259,18 @@ def _spec_refusals():
         if family != "tightness":
             faults.append(({"m": "family"}, 'm: "family" is only defined '
                                             'for the tightness family'))
+        # The run fields are judged before the family's, so cycle_is off
+        # the cycle names its bad d_source first.
+        faults += [({"f_r": 0}, "f_r must be >= 1, got 0"),
+                   ({"f_r": "x"}, "f_r must be an integer, got 'x'"),
+                   ({"f_r": True}, "f_r must be an integer, got True"),
+                   ({"algo": "cycle_is", "d_source": "bogus"},
+                    "unknown d_source 'bogus'")]
+        faults += [({"m": m}, 'm must be "exact", "family" or a non-empty '
+                              f"list of vertex IDs, got {m!r}")
+                   for m in ("bogus", [])]
+        faults += [({"m": [v]}, f"each vertex ID in m must be an integer, "
+                                f"got {v!r}") for v in ("x", True)]
         cases += [pytest.param(spec | fault, detail,
                                id=f"{family}-{fault}".replace(" ", ""))
                   for fault, detail in faults]
@@ -276,6 +288,16 @@ def test_spec_only_refusals_come_before_any_build(monkeypatch, spec, detail):
     with pytest.raises(ExperimentError) as exc:
         run_experiment(spec)
     assert (exc.value.reason, exc.value.detail) == ("bad_spec", detail)
+
+
+def test_integer_strings_and_negative_digit_runs_still_parse():
+    plain = {"family": "cycle", "n": 11, "r": 1, "f_r": 1, "m": [0, 3, 6, 9]}
+    spelt = {"family": "cycle", "n": "11", "r": "1", "f_r": "1",
+             "m": ["0", "3", "6", "9"]}
+    assert run_experiment(spelt).row == run_experiment(plain).row
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment(plain | {"r": "-1"})
+    assert exc.value.detail == "r must be >= 1, got -1"
 
 
 @pytest.mark.parametrize("m, calls", [
