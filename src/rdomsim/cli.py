@@ -78,9 +78,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    if bool(args.config) == args.builtin:
+        raise ExperimentError("bad_spec",
+                              "pass either a config path or --builtin")
     if args.builtin:
         specs = builtin_corpus()
-    elif args.config:
+    else:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
@@ -92,8 +95,6 @@ def cmd_suite(args) -> int:
             raise ExperimentError(
                 "bad_spec", 'config must be a list of spec objects or '
                             '{"experiments": [...]}')
-    else:
-        raise ExperimentError("bad_spec", "pass a config path or --builtin")
     results, csv_text = run_suite(specs)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
@@ -108,7 +109,11 @@ def cmd_suite(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.check == "independent" and args.r is not None:
+    dominating = args.check != "independent"
+    if dominating and (args.r is None or args.r < 1):
+        raise ExperimentError(
+            "bad_spec", "--r >= 1 is required for the dominating check")
+    if not dominating and args.r is not None:
         raise ExperimentError("bad_spec",
                               "--check independent does not read --r")
     g, _ = build_instance({"family": "file", "graph": args.graph})
@@ -122,20 +127,15 @@ def cmd_verify(args) -> int:
     unknown = sorted(members.difference(g.vertices), key=int)
     if unknown:
         raise ExperimentError("bad_input", f"unknown vertex {unknown[0]}")
-    ok = True
-    outcome: Dict = {"n": g.vertex_count, "set_size": len(members)}
-    if args.check in ("dominating", "both"):
-        if args.r is None or args.r < 1:
-            raise ExperimentError(
-                "bad_spec", "--r >= 1 is required for the dominating check")
-        outcome["dominating"] = is_r_dominating(g, members, args.r)
-        ok = ok and outcome["dominating"]
-    if args.check in ("independent", "both"):
-        outcome["independent"] = is_independent(g, members)
-        ok = ok and outcome["independent"]
-    outcome["pass"] = ok
-    _emit(outcome)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    verdicts = {}
+    if dominating:
+        verdicts["dominating"] = is_r_dominating(g, members, args.r)
+    if args.check != "dominating":
+        verdicts["independent"] = is_independent(g, members)
+    passed = all(verdicts.values())
+    _emit({"n": g.vertex_count, "set_size": len(members), **verdicts,
+           "pass": passed})
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _add_family_args(parser) -> None:

@@ -85,14 +85,6 @@ def _as_int(value, what: str) -> int:
     raise ExperimentError("bad_spec", f"{what} must be an integer, got {value!r}")
 
 
-def _int_param(spec: Dict, key: str, default: Optional[int] = None) -> int:
-    value = spec.get(key, default)
-    if value is None:
-        raise ExperimentError(
-            "bad_spec", f"family {spec.get('family')!r} needs parameter {key!r}")
-    return _as_int(value, key)
-
-
 #: family -> (its integer parameters with their defaults, in the order they
 #: are read; the vertex count they give, known before any build; a build
 #: returning the graph and the default f_r).  The builds look the generators
@@ -147,7 +139,13 @@ def build_instance(spec: Dict) -> Tuple[Graph, int]:
             return read_graph(path), 1
         except (OSError, ValueError) as exc:
             raise ExperimentError("bad_input", str(exc)) from None
-    args = [_int_param(spec, key, default) for key, default in params.items()]
+    args = []
+    for key, default in params.items():
+        value = spec.get(key, default)
+        if value is None:
+            raise ExperimentError(
+                "bad_spec", f"family {family!r} needs parameter {key!r}")
+        args.append(_as_int(value, key))
     try:
         count = size(*args)
         if count <= _MAX_FILE_VERTICES:
@@ -164,14 +162,14 @@ def _resolve_comparison_set(spec: Dict, g: Graph, r: int
     """``(M, source)``: "exact", ``(None, "unknown")`` where the solver gives
     up, or "supplied": the tightness family's own set, made here, or the
     IDs ``run_experiment`` judged; an ID outside ``g`` is ``bad_spec``."""
-    source = spec.get("m", "exact")
+    source = spec["m"]
     if source == "exact":
         try:
             return exact_min_rds(g, r), "exact"
         except OptimumUnknown:
             return None, "unknown"
     if source == "family":  # build_instance allows it on tightness only
-        return tightness_dominating_set(r, _int_param(spec, "f")), "supplied"
+        return tightness_dominating_set(r, _as_int(spec["f"], "f")), "supplied"
     unknown = sorted(source.difference(g.vertices))
     if unknown:
         raise ExperimentError("bad_spec", f"m names unknown vertices {unknown}")
@@ -226,7 +224,7 @@ def _count(spec, g, r, f_r, premise):
 
 def _cycle_is(spec, g, r, f_r, premise):
     n = g.vertex_count
-    source = spec.get("d_source", "rmds")
+    source = spec["d_source"]
     d_set = (frozenset(range(0, n, 2 * r + 1)) if source == "trivial" else
              frozenset(v for v, out in _simulate_rmds(g, r).outputs.items()
                        if out.member))
@@ -248,7 +246,8 @@ def _cycle_is(spec, g, r, f_r, premise):
 
 #: algo -> (fn(spec, g, r, f_r, premise) returning (verdicts, CSV
 #: fields, ApproxReport or None, detail or None), which of m and d_source it
-#: reads).  ``verdicts`` lists (check name, passed) in failure order.
+#: reads).  The spec it gets holds both, resolved by ``run_experiment``;
+#: ``verdicts`` lists (check name, passed) in failure order.
 _ALGOS = {"rmds": (_rmds, "m"), "count": (_count, None),
           "cycle_is": (_cycle_is, "d_source")}
 #: Spec fields that every family and algo read.
@@ -260,7 +259,7 @@ _D_SOURCES = ("rmds", "trivial")
 def run_experiment(spec: Dict) -> ExperimentResult:
     """Run one spec end to end and judge every applicable check."""
     algo = spec.get("algo", "rmds")
-    r = _int_param(spec, "r", 1)
+    r = _as_int(spec.get("r", 1), "r")
     if r < 1:
         raise ExperimentError("bad_spec", f"r must be >= 1, got {r}")
     if not isinstance(algo, str) or algo not in _ALGOS:
@@ -270,7 +269,7 @@ def run_experiment(spec: Dict) -> ExperimentResult:
         if field in spec and field != reads:
             raise ExperimentError("bad_spec",
                                   f"algo {algo!r} does not read {field!r}")
-    f_r = _int_param(spec, "f_r", 1)
+    f_r = _as_int(spec.get("f_r", 1), "f_r")
     if f_r < 1:
         raise ExperimentError("bad_spec", f"f_r must be >= 1, got {f_r}")
     source = spec.get("d_source", "rmds")
@@ -298,7 +297,8 @@ def run_experiment(spec: Dict) -> ExperimentResult:
             "girth_premise",
             f"girth {render_girth(girth_value)} < 4r+3 = {4 * r + 3}; "
             f"set allow_low_girth for negative controls")
-    verdicts, fields, report, detail = run(spec | {"m": m}, g, r, f_r, premise)
+    verdicts, fields, report, detail = run(
+        spec | {"m": m, "d_source": source}, g, r, f_r, premise)
     failures = [name for name, ok in verdicts if not ok]
     passed = not failures
     row = dict.fromkeys(_COLUMNS, "") | {

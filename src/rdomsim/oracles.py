@@ -117,9 +117,10 @@ def exact_min_rds(g: Graph, r: int) -> FrozenSet[int]:
     Set cover over closed r-balls: branch on an uncovered vertex with the
     fewest remaining candidate coverers, prune with the greedy upper bound
     and the larger of a disjoint-ball packing bound and
-    ceil(uncovered / max ball size).  Which optimum is returned is
-    unspecified; only the cardinality is canonical.  Raises OptimumUnknown,
-    never a wrong answer, past ``_VERTEX_CAP`` or ``_NODE_BUDGET``.
+    ceil(uncovered / max ball size).  The optimum returned is a
+    deterministic function of the graph and r, and the reports depend on
+    which set it is, not only on its size.  Raises OptimumUnknown, never a
+    wrong answer, past ``_VERTEX_CAP`` or ``_NODE_BUDGET``.
 
     When every component is a tree or a cycle the optimum size k is known
     beforehand (see ``_known_optimum``).  The greedy set is then returned

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
-from .graphs import Graph, GraphError, distances, girth, render_girth
+from .graphs import Graph, distances, girth, render_girth
 from .oracles import is_r_dominating
 from .programs import RmdsOutput
 from .simulator import SimulationReport
@@ -53,17 +53,15 @@ def voronoi_decompose(g: Graph, centers: Iterable[int]) -> VoronoiDecomposition:
     one step nearer; those carry, by induction, the smallest center at
     their own distance, and every center at distance d from the vertex is
     at distance d - 1 from one of them, so this is the smallest center at
-    the vertex's distance.  O(n + m) for any number of centers.  A vertex
-    unreachable from every center is an error.  Each vertex joins the cell
-    of a neighbor, so a cell is connected and induces a tree exactly when
-    the pass over the edges counts |cell| - 1 edges inside it.
+    the vertex's distance.  O(n + m) for any number of centers.  A center
+    not in ``g`` is a ``GraphError`` naming the smallest such ID; a vertex
+    unreachable from every center is a ``NotDominatingError``.  Each vertex
+    joins the cell of a neighbor, so a cell is connected and induces a tree
+    exactly when the pass over the edges counts |cell| - 1 edges inside it.
     """
     center_set = frozenset(centers)
     if not center_set:
         raise NotDominatingError("center set is empty")
-    for m in center_set:
-        if m not in g:
-            raise GraphError(f"unknown center {m}")
     ordered = sorted(center_set)
     dist = distances(g, ordered)
     missing = g.vertex_count - len(dist)

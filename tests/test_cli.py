@@ -237,6 +237,18 @@ def test_verify_requires_r_for_domination(tmp_path, capsys):
     assert json.loads(stdout)["error"] == "bad_spec"
 
 
+@pytest.mark.parametrize("check", ["dominating", "both"])
+@pytest.mark.parametrize("r", [[], ["--r", "0"]], ids=["no-r", "r0"])
+def test_verify_judges_r_before_reading_any_file(tmp_path, capsys, check, r):
+    missing = str(tmp_path / "missing")
+    code, stdout = run_cli(capsys, "verify", "--graph", missing,
+                           "--set", missing, "--check", check, *r)
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {
+        "error": "bad_spec",
+        "detail": "--r >= 1 is required for the dominating check"}
+
+
 def test_verify_independent_check_refuses_r(tmp_path, capsys):
     out = tmp_path / "c9.graph"
     run_cli(capsys, "generate", "--family", "cycle", "--n", "9",
@@ -279,6 +291,20 @@ def test_suite_without_source_is_an_error(capsys):
     code, stdout = run_cli(capsys, "suite")
     assert code == EXIT_ERROR
     assert json.loads(stdout)["error"] == "bad_spec"
+
+
+def test_suite_refuses_a_config_with_builtin(tmp_path, capsys, monkeypatch):
+    def no_run(spec):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(experiments, "run_experiment", no_run)
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps([{"family": "cycle", "n": 11}]))
+    code, stdout = run_cli(capsys, "suite", str(config), "--builtin")
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {
+        "error": "bad_spec",
+        "detail": "pass either a config path or --builtin"}
 
 
 def test_run_on_graph_file(tmp_path, capsys):

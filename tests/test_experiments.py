@@ -261,7 +261,11 @@ def _spec_refusals():
                                             'for the tightness family'))
         # The run fields are judged before the family's, so cycle_is off
         # the cycle names its bad d_source first.
-        faults += [({"f_r": 0}, "f_r must be >= 1, got 0"),
+        # A null run field is named as that field, also where the family
+        # reads it too (tightness reads r).
+        faults += [({"r": None}, "r must be an integer, got None"),
+                   ({"f_r": None}, "f_r must be an integer, got None"),
+                   ({"f_r": 0}, "f_r must be >= 1, got 0"),
                    ({"f_r": "x"}, "f_r must be an integer, got 'x'"),
                    ({"f_r": True}, "f_r must be an integer, got True"),
                    ({"algo": "cycle_is", "d_source": "bogus"},
@@ -274,6 +278,10 @@ def _spec_refusals():
         cases += [pytest.param(spec | fault, detail,
                                id=f"{family}-{fault}".replace(" ", ""))
                   for fault, detail in faults]
+    missing_n = "family 'cycle' needs parameter 'n'"
+    cases += [pytest.param({"family": "cycle"}, missing_n, id="cycle-no-n"),
+              pytest.param({"family": "cycle", "n": None}, missing_n,
+                           id="cycle-null-n")]
     return cases
 
 
