@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 from .corpus import builtin_corpus
 from .experiments import (_ALGOS, _D_SOURCES, _FAMILIES, ExperimentError,
                           _as_int, build_instance, run_experiment, run_suite)
-from .graphs import _token_ints, girth, render_girth, write_graph
+from .graphs import GraphError, _token_ints, girth, render_girth, write_graph
 from .oracles import is_independent, is_r_dominating
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if bool(args.config) == args.builtin:
+    if args.config == "" or (args.config is not None) == args.builtin:
         raise ExperimentError("bad_spec",
                               "pass either a config path or --builtin")
     if args.builtin:
@@ -88,7 +88,8 @@ def cmd_suite(args) -> int:
             try:
                 loaded = json.load(fh)
             except (ValueError, RecursionError) as exc:  # deep nesting
-                raise ExperimentError("bad_input", str(exc)) from None
+                raise ExperimentError(
+                    "bad_input", f"config file {args.config}: {exc}") from None
         specs = loaded.get("experiments") if isinstance(loaded, dict) else loaded
         if not (isinstance(specs, list)
                 and all(isinstance(spec, dict) for spec in specs)):
@@ -117,14 +118,12 @@ def cmd_verify(args) -> int:
         raise ExperimentError("bad_spec",
                               "--check independent does not read --r")
     g, _ = build_instance({"family": "file", "graph": args.graph})
-    with open(args.set, "r", encoding="ascii") as fh:
-        try:  # a byte that is not ASCII, or a token that is not an integer
-            members = set(_token_ints(f"set file {args.set}",
-                                      fh.read().split()))
-        except ValueError as exc:
-            raise ExperimentError("bad_input", str(exc)) from None
-    # A signed token, kept as its text, names no vertex.
-    unknown = sorted(members.difference(g.vertices), key=int)
+    with open(args.set, "rb") as fh:
+        try:
+            members = set(_token_ints(fh.read().split()))
+        except GraphError as exc:
+            raise ExperimentError("bad_input", f"set file {args.set}: {exc}") from None
+    unknown = sorted(members.difference(g.vertices))
     if unknown:
         raise ExperimentError("bad_input", f"unknown vertex {unknown[0]}")
     verdicts = {}

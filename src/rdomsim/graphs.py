@@ -311,24 +311,22 @@ def write_graph(g: Graph, path) -> None:
     n = g.vertex_count
     if g.vertices != tuple(range(n)):
         raise GraphError("text format requires contiguous vertex IDs 0..n-1")
-    edges = g.edges()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{n} {len(edges)}\n")
-        for u, v in edges:
+        fh.write(f"{n} {g.edge_count}\n")
+        for u, v in g.edges():
             fh.write(f"{u} {v}\n")
 
 
-def _token_ints(source: str, tokens, first: int = 1):
-    """Yield ``tokens``, tokens ``first``, ``first`` + 1, ... (1-based) of
-    the file ``source`` names: a run of ASCII digits, the one spelling
-    ``write_graph`` writes, as its ``int``; such a run behind a '-', which
-    names no count or vertex, as the token itself, a ``str``.  The first
-    token of any other spelling is a ``GraphError`` giving its position."""
+def _token_ints(tokens, first: int = 1):
+    """Yield the ``bytes`` ``tokens``, token ``first`` (1-based) on, as ``int``s:
+    each must be a run of ASCII digits, the spelling ``write_graph`` writes, and
+    no longer than ``int()`` converts, or it is a ``GraphError`` naming its position."""
     for i, tok in enumerate(tokens, first):
-        if not tok.removeprefix("-").isdigit():
-            raise GraphError(f"{source}: token {i} is not an integer: "
-                             f"{tok!r}")
-        yield int(tok) if tok.isdigit() else tok
+        with contextlib.suppress(ValueError):  # more digits than int() takes
+            if tok.isdigit():
+                yield int(tok)
+                continue
+        raise GraphError(f"token {i} is not a count or vertex ID: {repr(tok)[1:]}")
 
 
 def read_graph(path) -> Graph:
@@ -336,27 +334,30 @@ def read_graph(path) -> Graph:
     Line 1, ``n m`` alone, is checked before the rest is read; the rest is
     parsed in one pass and checked in bulk before ``build_graph``.  A body
     that fails the bulk check always has a fault that the file-order scan
-    names."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        header = line.partition(b"\r")[0].decode("ascii").split()
-        if len(header) != 2:
-            raise GraphError("graph file header 'n m' must be alone on line 1"
-                             if header[2:] else "graph file truncated: missing header")
-        n, m = _token_ints(f"graph file {path}", header)
-        if str in map(type, (n, m)) or n > _MAX_FILE_VERTICES:
-            raise GraphError(f"graph file header '{n} {m}' needs m >= 0 and "
-                             f"0 <= n <= {_MAX_FILE_VERTICES}")
-        tokens = (line + fh.read()).decode("ascii").split()[2:]
-    if len(tokens) != 2 * m:
-        raise GraphError(f"graph file expects {m} edges, found {len(tokens) // 2}")
-    ids = list(map(int, tokens)) if all(map(str.isdigit, tokens)) else None
-    if ids is None or ids and max(ids) >= n:
-        # In file order, to name the first fault; the body starts at token 3.
-        ends = _token_ints(f"graph file {path}", tokens, 3)
-        for u, v in zip(ends, ends):
-            if str in map(type, (u, v)) or max(u, v) >= n:
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-    ends = iter(ids)
-    del tokens, ids  # build_graph's list(edges) exhausts ends, freeing the IDs
-    return build_graph(zip(ends, ends), extra_vertices=range(n))
+    names.  Every refusal is a ``GraphError`` that names the file."""
+    try:
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            header = line.partition(b"\r")[0].split()
+            if len(header) != 2:
+                raise GraphError("line 1 must be the header 'n m' alone")
+            n, m = _token_ints(header)
+            if n > _MAX_FILE_VERTICES:
+                raise GraphError(f"header '{n} {m}' needs n <= {_MAX_FILE_VERTICES}")
+            tokens = (line + fh.read()).split()[2:]
+        if len(tokens) != 2 * m:
+            raise GraphError(f"expects {m} edges, 2 IDs each, found {len(tokens)} IDs")
+        ids = None
+        with contextlib.suppress(ValueError):  # more digits than int() takes
+            ids = list(map(int, tokens)) if all(map(bytes.isdigit, tokens)) else None
+        if ids is None or ids and max(ids) >= n:
+            # In file order, to name the first fault; the body starts at token 3.
+            ends = _token_ints(tokens, 3)
+            for u, v in zip(ends, ends):
+                if max(u, v) >= n:
+                    raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        ends = iter(ids)
+        del tokens, ids  # build_graph's list(edges) exhausts ends, freeing the IDs
+        return build_graph(zip(ends, ends), extra_vertices=range(n))
+    except GraphError as exc:
+        raise GraphError(f"graph file {path}: {exc}") from None

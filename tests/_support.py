@@ -4,6 +4,8 @@ import functools
 import itertools
 import json
 import math
+import re
+import sys
 from collections import deque
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -41,6 +43,39 @@ def relabelled(draw, graph_strategy, max_id=1000):
     new = dict(zip(g.vertices, ids))
     return build_graph([(new[u], new[v]) for u, v in g.edges()],
                        extra_vertices=ids)
+
+
+@st.composite
+def spoilt(draw, tokens: List[bytes], max_id: int) -> List[bytes]:
+    """The tokens of a graph or set file body, as given or with one or two
+    replaced by: a digit run of up to 5000 digits (or an ID up to
+    ``max_id``), such a run behind a '-', one of ``+1``, ``1_0`` and
+    ``1.0``, which int() reads, or a byte that is not ASCII, alone or
+    behind a digit."""
+    lengths = st.integers(1, 5000) | st.sampled_from([4300, 4301, 5000])
+    runs = (st.integers(0, max_id).map(lambda v: str(v).encode())
+            | lengths.map(lambda k: b"7" * k))
+    other = st.one_of(
+        runs, runs.map(b"-".__add__), st.sampled_from([b"+1", b"1_0", b"1.0"]),
+        st.tuples(st.sampled_from([b"", b"1"]), st.integers(128, 255)).map(
+            lambda t: t[0] + bytes([t[1]])))
+    tokens = list(tokens)
+    if tokens:
+        places = st.lists(st.integers(0, len(tokens) - 1), min_size=1,
+                          max_size=2)
+        for i in draw(st.just(()) | places):
+            tokens[i] = draw(other)
+    return tokens
+
+
+def reference_ids(tokens) -> Optional[List[int]]:
+    """The IDs that ``tokens`` spell when each is a run of ASCII digits
+    that int() converts, else None."""
+    limit = sys.get_int_max_str_digits() or math.inf
+    if all(re.fullmatch(rb"[0-9]+", tok) and len(tok) <= limit
+           for tok in tokens):
+        return [int(tok) for tok in tokens]
+    return None
 
 
 def ball(g: Graph, v: int, r: int) -> FrozenSet[int]:

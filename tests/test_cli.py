@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdomsim
-from rdomsim import CSV_HEADER, experiments, read_graph
+from rdomsim import CSV_HEADER, experiments, gen_cycle, read_graph, write_graph
 from rdomsim import cli
 from rdomsim.cli import (EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, build_parser,
                          main)
+
+from _support import reference_ids, spoilt
 
 
 def run_cli(capsys, *argv):
@@ -203,21 +205,27 @@ def test_verify_set_size_counts_distinct_vertices(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content, detail", [
-    ("x\n", "set file {}: token 1 is not an integer: 'x'"),
-    ("0 1.5\n3\n", "set file {}: token 2 is not an integer: '1.5'"),
+    ("x\n", "set file {}: token 1 is not a count or vertex ID: 'x'"),
+    ("0 1.5\n3\n", "set file {}: token 2 is not a count or vertex ID: '1.5'"),
     ("0 99\n", "unknown vertex 99"),
     # Only runs of digits name vertices: int() would read 1, 10 and 0.
-    ("0 +1 1_0\n", "set file {}: token 2 is not an integer: '+1'"),
-    ("1_0\n", "set file {}: token 1 is not an integer: '1_0'"),
-    ("3 -0\n", "unknown vertex -0"),
-    # A signed token sorts below every vertex, and -5 below -0.
-    ("99 -0 -5\n", "unknown vertex -5")])
+    ("0 +1 1_0\n", "set file {}: token 2 is not a count or vertex ID: '+1'"),
+    ("1_0\n", "set file {}: token 1 is not a count or vertex ID: '1_0'"),
+    ("3 -0\n", "set file {}: token 2 is not a count or vertex ID: '-0'"),
+    # A signed token is refused at its position, before any unknown vertex.
+    ("99 -0 -5\n", "set file {}: token 2 is not a count or vertex ID: '-0'"),
+    ("0 \xff\n", "set file {}: token 2 is not a count or vertex ID: '\\xff'"),
+    # More digits than int() converts, signed or not.
+    pytest.param("0 -" + "7" * 5000, "set file {}: token 2 is not a count or "
+                 "vertex ID: '-" + "7" * 5000 + "'", id="signed-5000-digits"),
+    pytest.param("7" * 5000, "set file {}: token 1 is not a count or vertex "
+                 "ID: '" + "7" * 5000 + "'", id="5000-digits")])
 def test_verify_bad_set_file_is_bad_input(tmp_path, capsys, content, detail):
     out = tmp_path / "c11.graph"
     run_cli(capsys, "generate", "--family", "cycle", "--n", "11",
             "-o", str(out))
     s = tmp_path / "s.txt"
-    s.write_text(content)
+    s.write_bytes(content.encode("latin-1"))
     code, stdout = run_cli(capsys, "verify", "--graph", str(out),
                            "--set", str(s), "--r", "1")
     assert code == EXIT_ERROR
@@ -305,6 +313,57 @@ def test_suite_refuses_a_config_with_builtin(tmp_path, capsys, monkeypatch):
     assert json.loads(stdout) == {
         "error": "bad_spec",
         "detail": "pass either a config path or --builtin"}
+
+
+def test_suite_refuses_an_empty_config_path(capsys, monkeypatch):
+    # An empty path is a config argument given, so it does not combine
+    # with --builtin, and alone it names no config.
+    def no_run(spec):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(experiments, "run_experiment", no_run)
+    for argv in (["suite", "", "--builtin"], ["suite", ""]):
+        code, stdout = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert json.loads(stdout) == {
+            "error": "bad_spec",
+            "detail": "pass either a config path or --builtin"}
+
+
+@pytest.mark.parametrize("content, detail", [
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: "
+              "invalid start byte"),
+    (b"{not json", "Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)"),
+], ids=["not-utf-8", "not-json"])
+def test_suite_unreadable_config_names_the_file(tmp_path, capsys, content,
+                                                detail):
+    config = tmp_path / "suite.json"
+    config.write_bytes(content)
+    code, stdout = run_cli(capsys, "suite", str(config))
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {"error": "bad_input",
+                                  "detail": f"config file {config}: {detail}"}
+
+
+def test_graph_file_carries_no_f_r(tmp_path, capsys):
+    # run --graph judges at f_r = 1 unless --f-r is given: a subdivided K_4
+    # needs its sidecar's expansion_bound, 3, as its family run has.
+    out = tmp_path / "k4.graph"
+    run_cli(capsys, "generate", "--family", "subdivided_k4", "--k", "2",
+            "-o", str(out))
+    assert json.loads((tmp_path / "k4.graph.json").read_text())[
+        "expansion_bound"] == 3
+    code, stdout = run_cli(capsys, "run", "--graph", str(out), "--r", "1")
+    assert code == EXIT_CHECK_FAILED
+    payload = json.loads(stdout)
+    assert payload["failures"] == ["quotient_bound", "t_bound"]
+    assert payload["report"]["f_r"] == 1
+    for argv in (["--graph", str(out), "--f-r", "3"],
+                 ["--family", "subdivided_k4", "--k", "2"]):
+        code, stdout = run_cli(capsys, "run", *argv, "--r", "1")
+        assert code == EXIT_OK
+        assert json.loads(stdout)["report"]["f_r"] == 3
 
 
 def test_run_on_graph_file(tmp_path, capsys):
@@ -462,7 +521,57 @@ def test_graph_token_that_is_not_an_integer_is_bad_input(tmp_path, capsys):
     assert len(stdout.splitlines()) == 1
     assert json.loads(stdout) == {
         "error": "bad_input",
-        "detail": f"graph file {graph}: token 4 is not an integer: 'x'"}
+        "detail": f"graph file {graph}: token 4 is not a count or vertex ID: "
+                  "'x'"}
+
+
+@pytest.mark.parametrize("content, i, tok", [
+    (b"2 1\n0 \xe9\n", 4, "'\\xe9'"),
+    (b"7" * 5000 + b" 1\n0 1\n", 1, "'" + "7" * 5000 + "'"),
+    (b"2 1\n0 " + b"7" * 5000 + b"\n", 4, "'" + "7" * 5000 + "'"),
+], ids=["not-ascii", "5000-digit-header", "5000-digit-body"])
+def test_graph_token_refusal_names_file_and_position(tmp_path, capsys,
+                                                     content, i, tok):
+    graph, members = tmp_path / "bad.graph", tmp_path / "empty.set"
+    graph.write_bytes(content)
+    members.write_text("")
+    for argv in (["run", "--graph", str(graph), "--r", "1"],
+                 ["verify", "--graph", str(graph), "--set", str(members),
+                  "--r", "1"]):
+        code, stdout = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        [line] = stdout.splitlines()
+        assert json.loads(line) == {
+            "error": "bad_input",
+            "detail": f"graph file {graph}: token {i} is not a count or "
+                      f"vertex ID: {tok}"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_fuzz_set_file_exits_cleanly_with_one_json_line(
+        tmp_path_factory, data):
+    # The set file's tokens are drawn as a graph file's are; 5 names no
+    # vertex of C_5.
+    tmp = tmp_path_factory.mktemp("verify")
+    graph, members = tmp / "c5.graph", tmp / "s.txt"
+    write_graph(gen_cycle(5), graph)
+    ids = data.draw(st.lists(st.integers(0, 5), max_size=6))
+    tokens = data.draw(spoilt([str(v).encode() for v in ids], 5))
+    members.write_bytes(b" ".join(tokens))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--graph", str(graph), "--set", str(members),
+                     "--r", "1"])
+    [line] = out.getvalue().splitlines()
+    payload = json.loads(line)
+    ids = reference_ids(tokens)
+    if ids is None or max(ids, default=0) >= 5:
+        assert code == EXIT_ERROR
+        assert payload["error"] == "bad_input"
+    else:
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert payload["set_size"] == len(set(ids))
 
 
 def test_suite_spec_without_family_parameter_is_bad_spec(tmp_path, capsys):

@@ -17,7 +17,7 @@ from rdomsim import (INFINITE, GraphError, build_graph, distances,
 from rdomsim.graphs import _peel, r_balls
 
 from _support import (ball, graphs, reference_adjacency, reference_girth,
-                      relabelled)
+                      reference_ids, relabelled, spoilt)
 
 
 def test_build_path_on_three_vertices():
@@ -257,7 +257,14 @@ def test_read_graph_counts_the_edges_the_header_promises(tmp_path):
     path.write_text("2 2\n0 1\n")
     with pytest.raises(GraphError) as info:
         read_graph(path)
-    assert str(info.value) == "graph file expects 2 edges, found 1"
+    assert str(info.value) == (f"graph file {path}: expects 2 edges, "
+                               "2 IDs each, found 2 IDs")
+    # An odd count of IDs is named as it is, not rounded down to edges.
+    path.write_text("3 1\n0 1 2\n")
+    with pytest.raises(GraphError) as info:
+        read_graph(path)
+    assert str(info.value) == (f"graph file {path}: expects 1 edges, "
+                               "2 IDs each, found 3 IDs")
 
 
 def test_write_graph_refuses_ids_that_are_not_contiguous(tmp_path):
@@ -275,22 +282,19 @@ def test_read_graph_rejects_out_of_range(tmp_path):
 
 
 @pytest.mark.parametrize("text, edge", [
-    ("3 2\n0 1\n-1 2\n", "(-1, 2)"),
     ("3 2\n0 1\n1 3\n", "(1, 3)"),
+    # An edge out of range comes before a later signed token.
     ("3 4\n0 1\n1 2\n2 7\n0 -4\n", "(2, 7)"),
-    ("3 3\n0 1\n2 -1\n0 5\n", "(2, -1)"),
     # An edge out of range comes before a later token that is no integer.
     ("3 2\n0 5\n1 x\n", "(0, 5)"),
-    # A signed token names no vertex; int() would read '-0' as 0.
-    ("3 1\n0 -0\n", "(0, -0)"),
-    ("3 2\n-0 1\n1 +2\n", "(-0, 1)"),
 ])
 def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, edge):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(GraphError) as info:
         read_graph(path)
-    assert str(info.value) == f"edge {edge} out of range for n=3"
+    assert str(info.value) == \
+        f"graph file {path}: edge {edge} out of range for n=3"
 
 
 @pytest.mark.parametrize("text, i, tok", [
@@ -306,6 +310,16 @@ def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, edge):
     ("+2 1\n0 +1\n", 1, "+2"),
     ("11 1\n0 1_0\n", 4, "1_0"),
     ("2 1\n0 +1\n", 4, "+1"),
+    # A signed token is no count or ID, at its position; int() would read
+    # '-0' as 0.
+    ("3 2\n0 1\n-1 2\n", 5, "-1"),
+    ("3 3\n0 1\n2 -1\n0 5\n", 6, "-1"),
+    ("3 1\n0 -0\n", 4, "-0"),
+    ("3 2\n-0 1\n1 +2\n", 3, "-0"),
+    # More digits than int() converts, in the header and in the body.
+    pytest.param("9" * 5000 + " 0\n", 1, "9" * 5000, id="5000-digit-n"),
+    pytest.param("2 1\n0 " + "9" * 5000 + "\n", 4, "9" * 5000,
+                 id="5000-digit-id"),
 ])
 def test_read_graph_names_a_token_that_is_not_an_integer(tmp_path, text, i,
                                                          tok):
@@ -314,14 +328,26 @@ def test_read_graph_names_a_token_that_is_not_an_integer(tmp_path, text, i,
     with pytest.raises(GraphError) as info:
         read_graph(path)
     assert str(info.value) == \
-        f"graph file {path}: token {i} is not an integer: '{tok}'"
+        f"graph file {path}: token {i} is not a count or vertex ID: '{tok}'"
+
+
+def test_read_graph_names_a_byte_that_is_not_ascii_as_a_token(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"2 1\n0 \xff1\n")
+    with pytest.raises(GraphError) as info:
+        read_graph(path)
+    assert str(info.value) == (f"graph file {path}: token 4 is not a count "
+                               "or vertex ID: '\\xff1'")
 
 
 def test_read_graph_refuses_a_header_not_alone_on_line_one(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("2 1 0 1\n")
-    with pytest.raises(GraphError, match="alone on line 1"):
-        read_graph(path)
+    for text in ("2 1 0 1\n", "2\n1 0 1\n", ""):
+        path.write_text(text)
+        with pytest.raises(GraphError) as info:
+            read_graph(path)
+        assert str(info.value) == \
+            f"graph file {path}: line 1 must be the header 'n m' alone"
     # Any of the universal line ends closes line 1.
     path.write_bytes(b"2 1\r0 1\r")
     assert read_graph(path) == build_graph([(0, 1)])
@@ -350,15 +376,56 @@ def test_read_graph_peak_memory_is_a_small_multiple_of_the_graph(tmp_path,
     assert peak <= 2.6 * live
 
 
-@pytest.mark.parametrize("header", ["-3 0", "2 -1", "1048577 0",
-                                    "1000000000 0", "-0 0", "3 -0"])
-def test_read_graph_rejects_negative_or_oversized_header(tmp_path, header):
+# A signed count is refused at its position, an oversized n by the header.
+@pytest.mark.parametrize("header, detail", [
+    pytest.param(header, detail, id=header) for header, detail in [
+        ("-3 0", "token 1 is not a count or vertex ID: '-3'"),
+        ("2 -1", "token 2 is not a count or vertex ID: '-1'"),
+        ("1048577 0", "header '1048577 0' needs n <= 1048576"),
+        ("1000000000 0", "header '1000000000 0' needs n <= 1048576"),
+        ("-0 0", "token 1 is not a count or vertex ID: '-0'"),
+        ("3 -0", "token 2 is not a count or vertex ID: '-0'")]])
+def test_read_graph_rejects_negative_or_oversized_header(tmp_path, header,
+                                                         detail):
     path = tmp_path / "bad.txt"
     path.write_text(header + "\n")
     with pytest.raises(GraphError) as info:
         read_graph(path)
-    assert str(info.value) == (f"graph file header '{header}' needs m >= 0 "
-                               "and 0 <= n <= 1048576")
+    assert str(info.value) == f"graph file {path}: {detail}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), extra=st.just(0) | st.sampled_from([-2, -1, 1, 2]),
+       data=st.data())
+def test_read_graph_fuzz_matches_networkx_or_names_the_file(
+        tmp_path_factory, n, extra, data):
+    # After a valid header, a body of drawn tokens reads to the graph that
+    # networkx builds from the same pairs, or is a GraphError naming the
+    # file: never another exception.  A pair may be the self-loop (0, 0),
+    # a spoilt token may repeat an edge, and ``extra`` drops or adds tokens.
+    ends = [(u, v) for u, v in itertools.product(range(n), repeat=2) if u != v]
+    pairs = data.draw(st.lists(st.sampled_from(ends + [(0, 0)]),
+                               unique_by=frozenset, max_size=6))
+    body = [str(v).encode() for v in itertools.chain.from_iterable(pairs)]
+    body = body[:len(body) + extra] if extra < 0 else body + [b"0"] * extra
+    tokens = data.draw(spoilt(body, n))
+    path = tmp_path_factory.mktemp("fuzz") / "g.txt"
+    path.write_bytes(f"{n} {len(pairs)}\n".encode() + b"\n".join(tokens))
+    ids = reference_ids(tokens) if len(tokens) == 2 * len(pairs) else None
+    edges = list(zip(ids[::2], ids[1::2])) if ids is not None else []
+    valid = (ids is not None and all(u < n and v < n and u != v
+                                     for u, v in edges)
+             and len(set(map(frozenset, edges))) == len(edges))
+    if not valid:
+        with pytest.raises(GraphError) as info:
+            read_graph(path)
+        assert str(info.value).startswith(f"graph file {path}: ")
+        return
+    nxg = nx.Graph(edges)
+    nxg.add_nodes_from(range(n))
+    g = read_graph(path)
+    assert {v: g.neighbors(v) for v in g.vertices} == {
+        v: tuple(sorted(nxg[v])) for v in sorted(nxg)}
 
 
 @given(graphs())
