@@ -123,17 +123,19 @@ def cmd_verify(args) -> int:
             members = set(_token_ints(fh.read().split()))
         except GraphError as exc:
             raise ExperimentError("bad_input", f"set file {args.set}: {exc}") from None
-    unknown = sorted(members.difference(g.vertices))
-    if unknown:
-        raise ExperimentError("bad_input", f"unknown vertex {unknown[0]}")
+    n = g.vertex_count
+    beyond = [v for v in members if v >= n]
+    if beyond:
+        raise ExperimentError(
+            "bad_input", f"set file {args.set}: vertex {min(beyond)} out of "
+                         f"range for n={n}")
     verdicts = {}
     if dominating:
         verdicts["dominating"] = is_r_dominating(g, members, args.r)
     if args.check != "dominating":
         verdicts["independent"] = is_independent(g, members)
     passed = all(verdicts.values())
-    _emit({"n": g.vertex_count, "set_size": len(members), **verdicts,
-           "pass": passed})
+    _emit({"n": n, "set_size": len(members), **verdicts, "pass": passed})
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

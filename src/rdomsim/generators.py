@@ -21,8 +21,8 @@ _LCG_MASK = (1 << 64) - 1
 
 # Cycles, paths and random trees cannot make a self-loop, a duplicate edge
 # or a bad ID, so they skip ``build_graph`` and its checks: each builds the
-# ``{v: sorted neighbor tuple}`` that ``build_graph`` would, in ascending
-# order, from one ``int`` object per ID (the entries of ``ids``).
+# list of sorted neighbor tuples that ``build_graph`` would, from one
+# ``int`` object per ID (the entries of ``ids``).
 
 
 def gen_cycle(n: int) -> Graph:
@@ -47,10 +47,9 @@ def _chain(ids: List[int], first: Tuple[int, ...],
     ``ids[i-1]`` and ``ids[i+1]``, and the end vertices neighbor ``first``
     and ``last``."""
     with _collector_paused():
-        adj = {ids[0]: first}
-        adj.update(zip(ids[1:], zip(ids, ids[2:])))
-        adj[ids[-1]] = last
-        return Graph(adj)
+        adj = [first, *zip(ids, ids[2:]), last]
+        del adj[len(ids):]  # a one-vertex path has one end
+        return Graph(adj, ids)
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:
@@ -77,32 +76,31 @@ def gen_random_tree(n: int, seed: int) -> Graph:
         # holds every list and every tuple at once.
         for i, ns in enumerate(adj):
             adj[i] = tuple(ns)
-        return Graph(dict(zip(ids, adj)))
+        return Graph(adj, ids)
 
 
 def gen_complete(n: int) -> Graph:
     """Complete graph K_n (subdivision base for planar test instances)."""
     if n < 1:
         raise ValueError(f"K_n needs at least 1 vertex, got {n}")
-    return build_graph([(i, j) for i in range(n) for j in range(i + 1, n)],
-                       extra_vertices=[0])
+    return build_graph([(i, j) for i in range(n) for j in range(i + 1, n)], n)
 
 
 def subdivide(g: Graph, k: int) -> Graph:
     """Replace every edge by a path with k internal fresh vertices.
 
-    Fresh IDs start above the largest existing ID and are assigned in
-    sorted edge order.  Multiplies the girth by k+1.
+    Fresh IDs start at n and are assigned in sorted edge order.  Multiplies
+    the girth by k+1.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    nxt = max(g.vertices, default=-1) + 1
+    nxt = g.vertex_count
     edges = []
     for u, v in g.edges():
         chain = [u, *range(nxt, nxt + k), v]
         nxt += k
         edges.extend(zip(chain, chain[1:]))
-    return build_graph(edges, extra_vertices=g.vertices)
+    return build_graph(edges, nxt)
 
 
 def tightness_size(r: int, f: int) -> int:
@@ -139,7 +137,7 @@ def gen_tightness(r: int, f: int) -> Graph:
     for anchor in range(2 * side, nxt, 2 * r):
         edges.extend((anchor, b) for b in range(nxt, nxt + k))
         nxt += k
-    return build_graph(edges)
+    return build_graph(edges, nxt)
 
 
 def tightness_dominating_set(r: int, f: int) -> frozenset:

@@ -25,17 +25,20 @@ def render_girth(value):
 
 
 class GraphError(ValueError):
-    """Malformed graph input: self-loop, duplicate edge, or unknown vertex."""
+    """Malformed graph input: an ID out of range, a self-loop, a duplicate
+    edge, or an unknown vertex."""
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists.
+    """Simple undirected graph on the vertices 0..n-1.
 
-    Instances are immutable after construction and safe to share across
-    threads.  Vertex IDs are arbitrary non-negative integers; they need not
-    be contiguous.  Each ID is stored once, as one ``int`` object shared by
-    its key in the adjacency, every neighbor tuple that holds it and
-    ``vertices``.
+    ``_adj[v]`` is the sorted tuple of v's neighbors, so a per-vertex table
+    is a list indexed by vertex.  Callers with other IDs relabel them to
+    0..n-1 first.  Each ID is one ``int`` object, shared by ``vertices``,
+    the tuple 0..n-1, and every neighbor tuple that holds it, so a dict
+    keyed by vertex, such as a simulation's outputs, makes no ``int`` of
+    its own.  Instances are immutable after construction and safe to
+    share across threads.
 
     Facts derived from the graph alone (``girth``, ``r_balls`` and the
     2-core peel ``_peel``) are memoized in ``_memo``, computed at the first
@@ -46,9 +49,9 @@ class Graph:
 
     __slots__ = ("_adj", "_vertices", "_memo")
 
-    def __init__(self, adjacency: Dict[int, Tuple[int, ...]]):
+    def __init__(self, adjacency: List[Tuple[int, ...]], ids: Sequence[int]):
         self._adj = adjacency
-        self._vertices = tuple(sorted(adjacency))
+        self._vertices = tuple(ids)
         self._memo: Dict = {}
 
     @property
@@ -57,47 +60,53 @@ class Graph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self._adj)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self._adj.values()) // 2
+        return sum(map(len, self._adj)) // 2
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._adj
+    def __contains__(self, v) -> bool:
+        return isinstance(v, int) and 0 <= v < len(self._adj)
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        try:
+        if v in self:
             return self._adj[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex {v}") from None
+        raise GraphError(f"unknown vertex {v}")
 
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in self._vertices for v in self._adj[u] if u < v]
+        return [(u, v) for u, ns in zip(self._vertices, self._adj)
+                for v in ns if u < v]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._adj.items())))
+        return hash(tuple(self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def build_graph(edges: Iterable[Sequence[int]],
-                extra_vertices: Iterable[int] = ()) -> Graph:
-    """Build a graph from an edge list: any iterable, read once, of edges
-    that are each a sequence of two IDs.
+def build_graph(edges: Iterable[Sequence[int]], n: Optional[int] = None) -> Graph:
+    """Build the graph on 0..n-1 from an edge list: any iterable, read once,
+    of edges that are each a sequence of two IDs.  ``n`` defaults to one
+    more than the largest ID; the rest are isolated vertices.
 
-    Self-loops and duplicate edges (in either orientation) are hard errors:
-    generators are expected to produce clean instances, and silent repair
-    would mask their bugs.  ``extra_vertices`` adds isolated vertices.  A
-    vertex ID is a non-negative ``int`` other than a ``bool``.
+    A vertex ID is an ``int`` in 0..n-1 other than a ``bool``.  A bad ID,
+    a self-loop and a duplicate edge (in either orientation) are hard
+    errors: generators are expected to produce clean instances, and silent
+    repair would mask their bugs.
     """
-    with _collector_paused():
-        return Graph(_adjacency(list(edges), extra_vertices))
+    edges = list(edges)
+    ends = list(itertools.chain.from_iterable(edges))
+    if n is None:
+        n = 1 + max((w for w in ends if type(w) is int), default=-1)
+    if set(map(len, edges)) - {2}:
+        _first_fault(edges, n)  # an earlier fault, or the unpacking fails
+    del edges
+    return _build(ends, n)
 
 
 @contextlib.contextmanager
@@ -119,57 +128,49 @@ def _collector_paused():
             gc.enable()
 
 
-def _adjacency(edges: List[Sequence[int]],
-               extra_vertices: Iterable[int]) -> Dict[int, Tuple[int, ...]]:
-    """``build_graph``'s ``{v: sorted neighbor tuple}``.
+def _build(ends: List[int], n: int) -> Graph:
+    """The graph on 0..n-1 whose edge i is ``(ends[2i], ends[2i+1])``, a
+    flat list, so that no tuple per edge is made.
 
-    Each ID is kept as one object, the first one seen for its value.  While
-    the lists fill, each starts with its own vertex's object, and one pass
-    over the edges appends each end's object, read from there, to the
-    other end's list.  The checks then run in bulk; only when one fails
-    does ``_first_fault`` rescan the edges in order, so the error names the
-    first fault in the input.
+    Indexing by a negative ID or a ``bool`` would not fail, so the IDs are
+    checked in bulk before the one pass over the edges; only when a check
+    fails does ``_first_fault`` rescan the edges in order, so the error
+    names the first fault in the input.  Every end is appended as the one
+    object ``ids`` holds for its ID.
     """
-    ends = itertools.chain.from_iterable
-    try:
-        adj = dict.fromkeys(ends(edges))
-        for v in adj:
-            adj[v] = [v]
-        for u, v in edges:
-            us, vs = adj[u], adj[v]
-            us.append(vs[0])
-            vs.append(us[0])
-    except (TypeError, ValueError):  # an unhashable ID, or not a pair
-        _first_fault(edges)
-        raise
-    # A self-loop or a duplicate edge repeats an entry in some list.
-    if not (set(map(type, ends(edges))) <= {int}
-            and min(adj, default=0) >= 0
-            and sum(map(len, map(set, adj.values())))
-            == len(adj) + 2 * len(edges)):
-        _first_fault(edges)
-    for v, ns in adj.items():
-        del ns[0]
-        ns.sort()
-        adj[v] = tuple(ns)
-    for w in extra_vertices:
-        _check_id(w)
-        adj.setdefault(w, ())
-    return adj
+    def pairs():
+        it = iter(ends)
+        return zip(it, it)
+
+    with _collector_paused():
+        if not (set(map(type, ends)) <= {int}
+                and 0 <= min(ends, default=0)
+                and max(ends, default=-1) < n):
+            _first_fault(pairs(), n)
+        ids = list(range(n))
+        adj = [[] for _ in ids]
+        for u, v in pairs():
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+        # A self-loop or a duplicate edge repeats an entry in some list.
+        if sum(map(len, map(set, adj))) != len(ends):
+            _first_fault(pairs(), n)
+        # Each list is freed as its tuple replaces it.
+        for v, ns in enumerate(adj):
+            ns.sort()
+            adj[v] = tuple(ns)
+        return Graph(adj, ids)
 
 
-def _check_id(w) -> None:
-    if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-        raise GraphError(f"vertex IDs must be non-negative integers, got {w!r}")
-
-
-def _first_fault(edges: List[Sequence[int]]) -> None:
+def _first_fault(edges: Iterable[Sequence[int]], n: int) -> None:
     """Raise ``GraphError`` for the first faulty edge in input order, if
-    any: a bad ID, then a self-loop, then a repeat of an earlier edge."""
+    any: an ID that is not an ``int`` in 0..n-1, then a self-loop, then a
+    repeat of an earlier edge."""
     seen = set()
     for u, v in edges:
-        _check_id(u)
-        _check_id(v)
+        for w in (u, v):
+            if type(w) is not int or not 0 <= w < n:
+                raise GraphError(f"vertex {w!r} out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
@@ -266,16 +267,18 @@ def _peel(g: Graph):
     Leaves are peeled off repeatedly.  ``removed`` maps each peeled vertex,
     in removal order, to its one neighbor still present then, or to None
     for the last vertex of a tree, so children come before parents.  What
-    remains is the 2-core, ``core``, a new ``Graph``.  ``cycles`` holds
-    the sizes of its components whose vertices all have degree 2, and
-    ``branched`` its vertices of degree >= 3, ascending.  O(n + m).
+    remains is the 2-core: ``core`` is a new ``Graph`` on the same vertices
+    whose edges are the core's, so each peeled vertex is isolated in it and
+    a BFS in it from a core vertex never leaves the core.  ``cycles`` holds
+    the sizes of the core's components whose vertices all have degree 2,
+    and ``branched`` its vertices of degree >= 3, ascending.  O(n + m).
     """
     peel = g._memo.get("peel")
     if peel is not None:
         return peel
     adj = g._adj
-    degree = {v: len(ns) for v, ns in adj.items()}
-    order = [v for v, d in degree.items() if d <= 1]
+    degree = list(map(len, adj))
+    order = [v for v, d in zip(g.vertices, degree) if d <= 1]
     removed: Dict[int, Optional[int]] = {}
     for v in order:
         for parent in adj[v]:
@@ -288,13 +291,13 @@ def _peel(g: Graph):
             degree[parent] -= 1
             if degree[parent] == 1:
                 order.append(parent)
-    core_adj = {v: ns for v, ns in adj.items() if v not in removed}
-    for p in core_adj.keys() & removed.values():  # where trees hang
+    core_adj = [() if v in removed else ns for v, ns in zip(g.vertices, adj)]
+    for p in set(removed.values()).difference(removed, (None,)):  # trees hang here
         core_adj[p] = tuple(w for w in adj[p] if w not in removed)
-    core = Graph(core_adj)
-    branched = [v for v in core.vertices if len(core_adj[v]) >= 3]
+    core = Graph(core_adj, g.vertices)
+    branched = [v for v, ns in zip(core.vertices, core_adj) if len(ns) >= 3]
     seen, cycles = set(distances(core, branched)), []
-    for s in core.vertices:
+    for s in itertools.compress(core.vertices, core_adj):  # the core's vertices
         if s not in seen:
             cycle = distances(core, (s,))
             seen.update(cycle)
@@ -304,15 +307,9 @@ def _peel(g: Graph):
 
 
 def write_graph(g: Graph, path) -> None:
-    """Write the interchange text format: ``n m`` then one ``u v`` per edge.
-
-    Requires contiguous vertex IDs 0..n-1 (all generators produce these).
-    """
-    n = g.vertex_count
-    if g.vertices != tuple(range(n)):
-        raise GraphError("text format requires contiguous vertex IDs 0..n-1")
+    """Write the interchange text format: ``n m`` then one ``u v`` per edge."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{n} {g.edge_count}\n")
+        fh.write(f"{g.vertex_count} {g.edge_count}\n")
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
 
@@ -320,19 +317,22 @@ def write_graph(g: Graph, path) -> None:
 def _token_ints(tokens, first: int = 1):
     """Yield the ``bytes`` ``tokens``, token ``first`` (1-based) on, as ``int``s:
     each must be a run of ASCII digits, the spelling ``write_graph`` writes, and
-    no longer than ``int()`` converts, or it is a ``GraphError`` naming its position."""
+    no longer than ``int()`` converts, or it is a ``GraphError`` naming its
+    position and showing at most its first 20 bytes."""
     for i, tok in enumerate(tokens, first):
         with contextlib.suppress(ValueError):  # more digits than int() takes
             if tok.isdigit():
                 yield int(tok)
                 continue
-        raise GraphError(f"token {i} is not a count or vertex ID: {repr(tok)[1:]}")
+        more = f"\u2026 ({len(tok)} bytes)" if len(tok) > 20 else ""
+        raise GraphError(
+            f"token {i} is not a count or vertex ID: {repr(tok[:20])[1:]}{more}")
 
 
 def read_graph(path) -> Graph:
     """Read the interchange text format written by :func:`write_graph`.
     Line 1, ``n m`` alone, is checked before the rest is read; the rest is
-    parsed in one pass and checked in bulk before ``build_graph``.  A body
+    parsed in one pass and checked in bulk before ``_build``.  A body
     that fails the bulk check always has a fault that the file-order scan
     names.  Every refusal is a ``GraphError`` that names the file."""
     try:
@@ -356,8 +356,7 @@ def read_graph(path) -> Graph:
             for u, v in zip(ends, ends):
                 if max(u, v) >= n:
                     raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        ends = iter(ids)
-        del tokens, ids  # build_graph's list(edges) exhausts ends, freeing the IDs
-        return build_graph(zip(ends, ends), extra_vertices=range(n))
+        del tokens
+        return _build(ids, n)
     except GraphError as exc:
         raise GraphError(f"graph file {path}: {exc}") from None

@@ -70,8 +70,9 @@ def _known_optimum(g: Graph, r: int) -> Optional[int]:
     vertex is exactly r away, and a root (parent None) when it still needs
     cover; the count does not depend on the root.
     """
-    removed, core, cycles, branched = _peel(g)
-    if branched or any(p in core for p in removed.values()):
+    removed, _, cycles, branched = _peel(g)
+    # A tree hangs off the core where a peeled vertex's parent is not peeled.
+    if branched or not removed.keys() | {None} >= set(removed.values()):
         return None
     total = sum(-(-c // (2 * r + 1)) for c in cycles)
     far = dict.fromkeys(removed, 0)

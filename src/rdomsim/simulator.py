@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -142,13 +142,12 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
     # reference cycle.  A cycle that a program builds is held until the
     # collector next runs.
     with _collector_paused():
-        verts = g.vertices
+        verts, adjacency = g.vertices, g._adj
         n = len(verts)
-        adjacency = list(map(g.neighbors, verts))
         degrees = list(map(len, adjacency))
-        # Every port of every vertex is one slot of a flat buffer: vertex i
-        # (in ascending ID order) owns slots lo[i]..lo[i+1]-1, one per port.
-        lo = [0, *accumulate(degrees)]
+        # Every port of every vertex is one slot of a flat buffer: vertex v
+        # owns slots lo[v]..lo[v+1]-1, one per port.
+        lo = array("q", accumulate(degrees, initial=0))
         # mate[s] is the slot facing slot s.  Slot s is port p of v, facing
         # flat[s], the p-th of v's sorted neighbours, so the slots run in
         # (owner, neighbour) order.  A stable sort by neighbour puts them in
@@ -156,7 +155,7 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
         # end, the k-th slot of that order is the one facing slot k.
         flat = list(chain.from_iterable(adjacency))
         mate = array("q", sorted(range(len(flat)), key=flat.__getitem__))
-        del adjacency, flat  # the rounds need neither; free them first
+        del flat  # the rounds do not need it; free it first
         # A node that halts is replaced by None at once, so its state is
         # freed before the next node steps.
         nodes = list(map(program, verts, degrees, repeat(params)))
@@ -175,8 +174,7 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
                     f"{live} node(s) not halted after {round_budget} "
                     f"communication rounds")
             out: List[Optional[Message]] = [None] * len(mate)
-            for i, v, node, a, hi in zip(count(), verts, nodes, lo,
-                                         islice(lo, 1, None)):
+            for v, node, a, hi in zip(verts, nodes, lo, islice(lo, 1, None)):
                 if node is None:
                     continue
                 # The slice is a fresh list, so the node may keep it.
@@ -188,7 +186,7 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
                 out[a:hi] = outbox
                 if halted:
                     outputs[v] = output
-                    nodes[i] = node = None
+                    nodes[v] = node = None
             # Charge every message sent this round, those to halted nodes too.
             kinds = Counter(map(type, out))
             kinds.pop(type(None), None)

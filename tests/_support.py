@@ -30,19 +30,18 @@ def graphs(draw, min_n=1, max_n=8):
                               max_size=len(all_edges)))
     else:
         edges = []
-    return build_graph(edges, extra_vertices=range(n))
+    return build_graph(edges, n)
 
 
 @st.composite
-def relabelled(draw, graph_strategy, max_id=1000):
-    """Graphs from ``graph_strategy`` with their IDs replaced by distinct,
-    shuffled and generally non-contiguous ones drawn from 0..max_id."""
+def relabelled(draw, graph_strategy):
+    """Graphs from ``graph_strategy`` with their IDs 0..n-1 shuffled: vertex
+    v becomes ``ids[v]`` for a drawn permutation ``ids``.  The ID order is
+    all that rmds reads from IDs, and a permutation varies it fully."""
     g = draw(graph_strategy)
-    ids = draw(st.lists(st.integers(0, max_id), unique=True,
-                        min_size=g.vertex_count, max_size=g.vertex_count))
-    new = dict(zip(g.vertices, ids))
-    return build_graph([(new[u], new[v]) for u, v in g.edges()],
-                       extra_vertices=ids)
+    ids = draw(st.permutations(range(g.vertex_count)))
+    return build_graph([(ids[u], ids[v]) for u, v in g.edges()],
+                       g.vertex_count)
 
 
 @st.composite
@@ -638,15 +637,15 @@ def reference_cycle_is_program(r: int):
     return functools.partial(ReferenceCycleIsProgram, r)
 
 
-def reference_adjacency(edges, extra_vertices=()) -> Dict[int, Tuple[int, ...]]:
-    """``{v: sorted neighbors}`` of a clean edge list, in ascending vertex
-    order, by a plain set per vertex that shares no code with
+def reference_adjacency(edges, n: int) -> List[Tuple[int, ...]]:
+    """The sorted neighbor tuple of each vertex 0..n-1 of a clean edge
+    list, by a plain set per vertex that shares no code with
     ``build_graph``."""
-    adj: Dict[int, Set[int]] = {v: set() for v in extra_vertices}
+    adj: List[Set[int]] = [set() for _ in range(n)]
     for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return {v: tuple(sorted(adj[v])) for v in sorted(adj)}
+        adj[u].add(v)
+        adj[v].add(u)
+    return [tuple(sorted(ns)) for ns in adj]
 
 
 def reference_random_tree_edges(n: int, seed: int) -> List[Tuple[int, int]]:

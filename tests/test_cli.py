@@ -207,19 +207,24 @@ def test_verify_set_size_counts_distinct_vertices(tmp_path, capsys):
 @pytest.mark.parametrize("content, detail", [
     ("x\n", "set file {}: token 1 is not a count or vertex ID: 'x'"),
     ("0 1.5\n3\n", "set file {}: token 2 is not a count or vertex ID: '1.5'"),
-    ("0 99\n", "unknown vertex 99"),
+    ("0 99\n", "set file {}: vertex 99 out of range for n=11"),
+    # The smallest vertex out of range is named.
+    ("0 99 12 11\n", "set file {}: vertex 11 out of range for n=11"),
     # Only runs of digits name vertices: int() would read 1, 10 and 0.
     ("0 +1 1_0\n", "set file {}: token 2 is not a count or vertex ID: '+1'"),
     ("1_0\n", "set file {}: token 1 is not a count or vertex ID: '1_0'"),
     ("3 -0\n", "set file {}: token 2 is not a count or vertex ID: '-0'"),
-    # A signed token is refused at its position, before any unknown vertex.
+    # A signed token is refused at its position, before any vertex out of
+    # range.
     ("99 -0 -5\n", "set file {}: token 2 is not a count or vertex ID: '-0'"),
     ("0 \xff\n", "set file {}: token 2 is not a count or vertex ID: '\\xff'"),
-    # More digits than int() converts, signed or not.
+    # More digits than int() converts, signed or not: the first 20 bytes
+    # are shown, then the token's length.
     pytest.param("0 -" + "7" * 5000, "set file {}: token 2 is not a count or "
-                 "vertex ID: '-" + "7" * 5000 + "'", id="signed-5000-digits"),
+                 "vertex ID: '-" + "7" * 19 + "'\u2026 (5001 bytes)",
+                 id="signed-5000-digits"),
     pytest.param("7" * 5000, "set file {}: token 1 is not a count or vertex "
-                 "ID: '" + "7" * 5000 + "'", id="5000-digits")])
+                 "ID: '" + "7" * 20 + "'\u2026 (5000 bytes)", id="5000-digits")])
 def test_verify_bad_set_file_is_bad_input(tmp_path, capsys, content, detail):
     out = tmp_path / "c11.graph"
     run_cli(capsys, "generate", "--family", "cycle", "--n", "11",
@@ -231,6 +236,26 @@ def test_verify_bad_set_file_is_bad_input(tmp_path, capsys, content, detail):
     assert code == EXIT_ERROR
     assert json.loads(stdout) == {"error": "bad_input",
                                   "detail": detail.format(s)}
+
+
+def test_verify_long_token_gives_a_short_error_line(tmp_path, capsys,
+                                                    monkeypatch):
+    # '-' and 5000 digits: the line shows the token's first 20 bytes and its
+    # length, not the whole token.
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "generate", "--family", "cycle", "--n", "11",
+            "-o", "c.graph")
+    with open("signed.set", "w", encoding="ascii") as fh:
+        fh.write("-" + "7" * 5000 + "\n")
+    code, stdout = run_cli(capsys, "verify", "--graph", "c.graph",
+                           "--set", "signed.set", "--r", "1")
+    assert code == EXIT_ERROR
+    [line] = stdout.splitlines()
+    assert len(line.encode()) < 200
+    assert json.loads(line) == {
+        "error": "bad_input",
+        "detail": "set file signed.set: token 1 is not a count or vertex ID: "
+                  "'-" + "7" * 19 + "'\u2026 (5001 bytes)"}
 
 
 def test_verify_requires_r_for_domination(tmp_path, capsys):
@@ -527,8 +552,8 @@ def test_graph_token_that_is_not_an_integer_is_bad_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("content, i, tok", [
     (b"2 1\n0 \xe9\n", 4, "'\\xe9'"),
-    (b"7" * 5000 + b" 1\n0 1\n", 1, "'" + "7" * 5000 + "'"),
-    (b"2 1\n0 " + b"7" * 5000 + b"\n", 4, "'" + "7" * 5000 + "'"),
+    (b"7" * 5000 + b" 1\n0 1\n", 1, "'" + "7" * 20 + "'\u2026 (5000 bytes)"),
+    (b"2 1\n0 " + b"7" * 5000 + b"\n", 4, "'" + "7" * 20 + "'\u2026 (5000 bytes)"),
 ], ids=["not-ascii", "5000-digit-header", "5000-digit-body"])
 def test_graph_token_refusal_names_file_and_position(tmp_path, capsys,
                                                      content, i, tok):

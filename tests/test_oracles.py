@@ -31,7 +31,7 @@ def forests(draw, max_n=40, isolated=False):
         p = draw(st.integers(-1 if isolated else 0, v - 1))
         if p >= 0:
             edges.append((p, v))
-    return build_graph(edges, extra_vertices=range(n))
+    return build_graph(edges, n)
 
 
 @st.composite
@@ -43,7 +43,7 @@ def gnp_graphs(draw, max_n=40):
     rnd = draw(st.randoms(use_true_random=False))
     p = degree / (n - 1)
     return build_graph([(u, v) for u in range(n) for v in range(u + 1, n)
-                        if rnd.random() < p], extra_vertices=range(n))
+                        if rnd.random() < p], n)
 
 
 def _paths(max_n):
@@ -55,10 +55,9 @@ def _cycles(max_n):
 
 
 def _disjoint_union(g, h):
-    shift = max(g.vertices) + 1
+    shift = g.vertex_count
     return build_graph(g.edges() + [(u + shift, v + shift) for u, v in h.edges()],
-                       extra_vertices=list(g.vertices)
-                       + [v + shift for v in h.vertices])
+                       shift + h.vertex_count)
 
 
 @st.composite
@@ -148,8 +147,8 @@ def test_greedy_c9():
 
 
 def test_greedy_single_vertex():
-    g = build_graph([], extra_vertices=[4])
-    assert greedy_rds(g, 1) == frozenset({4})
+    g = build_graph([], 1)
+    assert greedy_rds(g, 1) == frozenset({0})
 
 
 def test_exact_cycle_and_path_examples():
@@ -253,13 +252,13 @@ def test_search_visits_the_same_nodes_on_backtracking_graphs(seed):
     n = rnd.randint(30, 40)
     p = rnd.choice([2, 3, 4]) / (n - 1)
     g = build_graph([(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rnd.random() < p], extra_vertices=range(n))
+                     if rnd.random() < p], n)
     for r in (1, 2):
         _assert_same_search(g, r)
 
 
 def _random_forest(seed, n):
-    """A forest on n shuffled, non-contiguous IDs: vertex v hangs from one
+    """A forest on the n IDs 0..n-1, shuffled: vertex v hangs from one
     of the ``span`` vertices before it (a path at span 1, a recursive tree
     at span n), or with probability ``split`` starts a new tree."""
     rnd = random.Random(seed)
@@ -267,9 +266,8 @@ def _random_forest(seed, n):
     split = rnd.choice([0.0, 0.0, 0.02, 0.3])
     edges = [(rnd.randrange(max(0, v - span), v), v) for v in range(1, n)
              if rnd.random() >= split]
-    ids = rnd.sample(range(3 * n), n)
-    return build_graph([(ids[u], ids[v]) for u, v in edges],
-                       extra_vertices=ids)
+    ids = rnd.sample(range(n), n)
+    return build_graph([(ids[u], ids[v]) for u, v in edges], n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 150, 2000])
@@ -309,8 +307,8 @@ def test_known_optimum_matches_enumeration(g, r):
     (gen_path(1), 1, 1),
     (gen_path(2), 1, 1),
     (gen_path(2), 3, 1),
-    (build_graph([], extra_vertices=[3, 7, 9]), 1, 3),
-    (build_graph([(0, 1)], extra_vertices=[5]), 2, 2),
+    (build_graph([], 3), 1, 3),
+    (build_graph([(0, 1)], 3), 2, 2),
     (gen_cycle(3), 1, 1),
     (gen_cycle(5), 2, 1),
     (gen_cycle(7), 4, 1),

@@ -130,8 +130,8 @@ def test_selection_oracle_c7():
 
 
 def test_selection_oracle_single_vertex():
-    g = build_graph([], extra_vertices=[3])
-    assert selection_oracle(g, 1) == {3: RmdsOutput(True, 3)}
+    g = build_graph([], 1)
+    assert selection_oracle(g, 1) == {0: RmdsOutput(True, 0)}
 
 
 def test_selection_oracle_star_with_max_id_center():
@@ -196,7 +196,7 @@ def test_rmds_on_naturally_labelled_rings_leaves_2r_unselected(n, r):
 
 
 def test_rmds_single_vertex():
-    g = build_graph([], extra_vertices=[0])
+    g = build_graph([], 1)
     sim = run_rmds(g, 1)
     assert members_of(sim.outputs) == frozenset({0})
     assert sim.rounds_executed == 2

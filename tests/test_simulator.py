@@ -131,8 +131,8 @@ class PortProbe(NodeProgram):
 def test_port_wiring_matches_sorted_neighbor_lists(g):
     # Port p of v must face neighbors(v)[p], on the port at which v sits
     # in that neighbor's own sorted list.  The slot table rests on the
-    # vertices' ascending order, so the IDs are also drawn shuffled and
-    # far apart, isolated vertices included.
+    # vertices' ascending order, so the IDs are also drawn shuffled,
+    # isolated vertices included.
     report = run_simulation(g, PortProbe, round_budget=1)
     for v in g.vertices:
         assert report.outputs[v] == [(u, g.neighbors(u).index(v))
@@ -148,7 +148,7 @@ def test_locality_output_depends_only_on_local_ball(g, r):
     v = g.vertices[0]
     local = ball(g, v, 3 * r)
     sub_edges = [(a, b) for a, b in g.edges() if a in local and b in local]
-    sub = build_graph(sub_edges, extra_vertices=local)
+    sub = build_graph(sub_edges, g.vertex_count)
     part = run_simulation(sub, rmds_program(r),
                           round_budget=rmds_round_budget(r))
     assert part.outputs[v] == full.outputs[v]
@@ -189,8 +189,8 @@ class Staggered(NodeProgram):
 
 @st.composite
 def simulation_cases(draw):
-    """(graph, program, params, round_budget), with shuffled non-contiguous
-    IDs and, about half the time, a round budget one short."""
+    """(graph, program, params, round_budget), with shuffled IDs and, about
+    half the time, a round budget one short."""
     kind = draw(st.sampled_from(["rmds", "count", "cycle_is", "staggered"]))
     r = draw(st.integers(1, 3))
     short = draw(st.booleans())
@@ -250,7 +250,7 @@ def gnp_graphs(draw, max_n=14):
     rnd = draw(st.randoms(use_true_random=False))
     edges = [e for e in itertools.combinations(range(n), 2)
              if rnd.random() < p]
-    return build_graph(edges, extra_vertices=range(n))
+    return build_graph(edges, n)
 
 
 @st.composite
@@ -262,7 +262,7 @@ def trees_with_chords(draw, max_n=24):
     for a, b in draw(st.lists(st.tuples(ends, ends), max_size=4)):
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    return build_graph(sorted(edges), extra_vertices=range(n))
+    return build_graph(sorted(edges), n)
 
 
 def gen_star(leaves: int):
@@ -495,7 +495,7 @@ def test_run_restores_the_collector_state(enabled, program, params, budget,
 @st.composite
 def builtin_runs(draw):
     """(graph, program, params, round_budget) for a built-in program that
-    halts within its budget, on shuffled non-contiguous IDs."""
+    halts within its budget, on shuffled IDs."""
     kind = draw(st.sampled_from(["rmds", "count", "cycle_is"]))
     r = draw(st.integers(1, 3))
     if kind == "cycle_is":
@@ -601,26 +601,28 @@ def peak_bytes_per_node(g, program, params, budget):
 
 
 @pytest.mark.parametrize("graph, program, params, budget, ceiling", [
-    (functools.partial(gen_cycle, 4096), rmds_program(1), None, 2, 345),
+    (functools.partial(gen_cycle, 4096), rmds_program(1), None, 2, 304),
     (functools.partial(gen_random_tree, 4096, 0), rmds_program(2), None, 5,
-     405),
+     363),
     (functools.partial(gen_random_tree, 4096, 0), rmds_program(4), None, 11,
-     445),
+     405),
     (functools.partial(gen_random_tree, 4096, 0), rmds_program(8), None, 23,
-     585),
+     543),
     (functools.partial(gen_random_tree, 4096, 0),
-     count_neighborhood_program(3), None, 2, 200),
+     count_neighborhood_program(3), None, 2, 157),
     (functools.partial(gen_cycle, 4096), cycle_is_program(2),
-     {"d_member": set(range(0, 4096, 5))}, 5, 285),
+     {"d_member": set(range(0, 4096, 5))}, 5, 250),
 ], ids=["rmds-cycle-r1", "rmds-tree-r2", "rmds-tree-r4", "rmds-tree-r8",
         "count-tree-r3", "cycle-is-r2"])
 def test_peak_memory_per_node(graph, program, params, budget, ceiling):
-    # CPython 3.10 to 3.13 measure 300-303, 356-360, 394-398 and 517-524
-    # bytes per vertex on the rmds runs, 171-182 on the count run and
-    # 256-258 on the cycle_is run, whose nodes halt in different rounds;
+    # CPython 3.10 to 3.13 measure 273-276, 329-330, 367-368 and 490-493
+    # bytes per vertex on the rmds runs, 135-143 on the count run and
+    # 227-228 on the cycle_is run, whose nodes halt in different rounds;
     # each ceiling is about 1.1 times the most.  A ``counts`` list per
     # counting node, a ``CountMsg`` of its own per port, a per-node set for
     # ``chosen``, a ``sent`` list or a list per absorbed send beside the one
-    # log of an rmds node, a tuple per live node in the simulator or a slot
-    # table of ``int`` objects each costs more than the margin.
+    # log of an rmds node, a tuple per live node in the simulator, a slot
+    # table or slot offsets of ``int`` objects, a copy of the adjacency, or
+    # an ``int`` of its own for each node's ID or output key each costs more
+    # than the margin.
     assert peak_bytes_per_node(graph(), program, params, budget) <= ceiling

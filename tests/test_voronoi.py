@@ -87,13 +87,13 @@ def test_boundary_forest_single_center_no_boundary():
 
 
 def test_boundary_forest_walks_inside_its_cell_on_ties():
-    # Vertex 2 is two steps from both centers and joins cell 0 through 5;
-    # its smaller neighbor 1 is one step nearer too, but in cell 9.
-    g = build_graph([(0, 5), (5, 2), (2, 1), (1, 9)])
-    dec = voronoi_decompose(g, {0, 9})
+    # Vertex 2 is two steps from both centers and joins cell 0 through 3;
+    # its smaller neighbor 1 is one step nearer too, but in cell 4.
+    g = build_graph([(0, 3), (3, 2), (2, 1), (1, 4)])
+    dec = voronoi_decompose(g, {0, 4})
     forest = boundary_forest(g, dec)
-    assert forest & cells(dec)[0] == frozenset({0, 5, 2})
-    assert forest & cells(dec)[9] == frozenset({9, 1})
+    assert forest & cells(dec)[0] == frozenset({0, 3, 2})
+    assert forest & cells(dec)[4] == frozenset({4, 1})
 
 
 def test_boundary_forest_tightness_family():
@@ -138,7 +138,7 @@ def test_approx_report_c9():
 
 
 def test_approx_report_single_vertex():
-    g = build_graph([], extra_vertices=[0])
+    g = build_graph([], 1)
     report = approx_report(g, 1, 1, run_rmds(g, 1), exact_min_rds(g, 1),
                            "exact")
     assert report.alg_size == report.opt_size == 1
