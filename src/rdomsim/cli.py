@@ -11,7 +11,8 @@ from typing import Dict, List, Optional
 from .corpus import builtin_corpus
 from .experiments import (_ALGOS, _D_SOURCES, _FAMILIES, ExperimentError,
                           _as_int, build_instance, run_experiment, run_suite)
-from .graphs import GraphError, _token_ints, girth, render_girth, write_graph
+from .graphs import (_OUT_OF_RANGE, GraphError, _token_ints, girth,
+                     render_girth, write_graph)
 from .oracles import is_independent, is_r_dominating
 
 EXIT_OK = 0
@@ -121,21 +122,18 @@ def cmd_verify(args) -> int:
     with open(args.set, "rb") as fh:
         try:
             members = set(_token_ints(fh.read().split()))
+            beyond = [v for v in members if v not in g]
+            if beyond:
+                raise GraphError(_OUT_OF_RANGE.format(min(beyond), g.vertex_count))
         except GraphError as exc:
             raise ExperimentError("bad_input", f"set file {args.set}: {exc}") from None
-    n = g.vertex_count
-    beyond = [v for v in members if v >= n]
-    if beyond:
-        raise ExperimentError(
-            "bad_input", f"set file {args.set}: vertex {min(beyond)} out of "
-                         f"range for n={n}")
     verdicts = {}
     if dominating:
         verdicts["dominating"] = is_r_dominating(g, members, args.r)
     if args.check != "dominating":
         verdicts["independent"] = is_independent(g, members)
     passed = all(verdicts.values())
-    _emit({"n": n, "set_size": len(members), **verdicts, "pass": passed})
+    _emit({"n": g.vertex_count, "set_size": len(members), **verdicts, "pass": passed})
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -14,9 +14,10 @@ An experiment spec is a plain dict (JSON-friendly):
                       controls)
 
 An integer field is an int that is not a bool, or a run of ASCII digits
-with an optional leading '-', as graph files spell IDs.  Every fault the
-spec shows on its own is ``bad_spec`` before anything is built or read:
-``run_experiment`` judges the run fields, ``build_instance`` the family's.
+with an optional leading '-'; graph and set files take digit runs only.
+Every fault the spec shows on its own is ``bad_spec`` before anything is
+built or read: ``run_experiment`` judges the run fields, ``build_instance``
+the family's.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .generators import (gen_complete, gen_cycle, gen_path, gen_random_tree,
                          gen_tightness, subdivide, tightness_dominating_set,
                          tightness_size)
-from .graphs import (_MAX_FILE_VERTICES, Graph, distances, girth, read_graph,
-                     render_girth)
+from .graphs import (_MAX_FILE_VERTICES, _OUT_OF_RANGE, Graph, distances,
+                     girth, read_graph, render_girth)
 from .oracles import (OptimumUnknown, exact_min_rds, is_independent,
                       is_r_dominating)
 from .programs import (count_neighborhood_program, cycle_is_program,
@@ -170,9 +171,10 @@ def _resolve_comparison_set(spec: Dict, g: Graph, r: int
             return None, "unknown"
     if source == "family":  # build_instance allows it on tightness only
         return tightness_dominating_set(r, _as_int(spec["f"], "f")), "supplied"
-    unknown = sorted(source.difference(g.vertices))
-    if unknown:
-        raise ExperimentError("bad_spec", f"m names unknown vertices {unknown}")
+    beyond = [v for v in source if v not in g]
+    if beyond:
+        raise ExperimentError("bad_spec", "m: " + _OUT_OF_RANGE.format(
+            min(beyond), g.vertex_count))
     return source, "supplied"
 
 

@@ -17,6 +17,11 @@ INFINITE = math.inf
 
 #: Most vertices a graph file's header may declare (see ``read_graph``).
 _MAX_FILE_VERTICES = 1 << 20
+#: The one refusal of a vertex ID that is not an ``int`` in 0..n-1.
+_OUT_OF_RANGE = "vertex {!r} out of range for n={}"
+#: Most bytes of line 1 that ``read_graph`` reads, far above any header that
+#: can pass, so a file with no newline, such as /dev/zero, is refused at once.
+_MAX_HEADER_BYTES = 1 << 16
 
 
 def render_girth(value):
@@ -25,8 +30,7 @@ def render_girth(value):
 
 
 class GraphError(ValueError):
-    """Malformed graph input: an ID out of range, a self-loop, a duplicate
-    edge, or an unknown vertex."""
+    """Malformed graph input, such as an ID out of range or a self-loop."""
 
 
 class Graph:
@@ -67,12 +71,13 @@ class Graph:
         return sum(map(len, self._adj)) // 2
 
     def __contains__(self, v) -> bool:
-        return isinstance(v, int) and 0 <= v < len(self._adj)
+        """The one rule for a vertex ID: an ``int`` in 0..n-1, not a bool."""
+        return type(v) is int and 0 <= v < len(self._adj)
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         if v in self:
             return self._adj[v]
-        raise GraphError(f"unknown vertex {v}")
+        raise GraphError(_OUT_OF_RANGE.format(v, len(self._adj)))
 
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -170,7 +175,7 @@ def _first_fault(edges: Iterable[Sequence[int]], n: int) -> None:
     for u, v in edges:
         for w in (u, v):
             if type(w) is not int or not 0 <= w < n:
-                raise GraphError(f"vertex {w!r} out of range for n={n}")
+                raise GraphError(_OUT_OF_RANGE.format(w, n))
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
@@ -191,7 +196,7 @@ def distances(g: Graph, sources: Iterable[int],
     dist: Dict[int, int] = {}
     for s in sources:
         if s not in g:
-            raise GraphError(f"unknown vertex {s}")
+            raise GraphError(_OUT_OF_RANGE.format(s, g.vertex_count))
         dist[s] = 0
     frontier, adj = list(dist), g._adj
     d = 0
@@ -331,15 +336,17 @@ def _token_ints(tokens, first: int = 1):
 
 def read_graph(path) -> Graph:
     """Read the interchange text format written by :func:`write_graph`.
-    Line 1, ``n m`` alone, is checked before the rest is read; the rest is
-    parsed in one pass and checked in bulk before ``_build``.  A body
-    that fails the bulk check always has a fault that the file-order scan
-    names.  Every refusal is a ``GraphError`` that names the file."""
+    Line 1, ``n m`` alone in at most ``_MAX_HEADER_BYTES``, is checked
+    before the rest is read.  A body of digit runs goes to ``_build``'s
+    bulk check, as ``build_graph``'s edges do; any other body is scanned
+    in file order, so the first fault of any kind is named.  Every refusal
+    is a ``GraphError`` that names the file."""
     try:
         with open(path, "rb") as fh:
-            line = fh.readline()
-            header = line.partition(b"\r")[0].split()
-            if len(header) != 2:
+            line = fh.readline(_MAX_HEADER_BYTES + 1)
+            first = line.partition(b"\r")[0].removesuffix(b"\n")
+            header = first.split()
+            if len(header) != 2 or len(first) > _MAX_HEADER_BYTES:
                 raise GraphError("line 1 must be the header 'n m' alone")
             n, m = _token_ints(header)
             if n > _MAX_FILE_VERTICES:
@@ -350,12 +357,9 @@ def read_graph(path) -> Graph:
         ids = None
         with contextlib.suppress(ValueError):  # more digits than int() takes
             ids = list(map(int, tokens)) if all(map(bytes.isdigit, tokens)) else None
-        if ids is None or ids and max(ids) >= n:
-            # In file order, to name the first fault; the body starts at token 3.
+        if ids is None:  # in file order, to name the first fault; from token 3
             ends = _token_ints(tokens, 3)
-            for u, v in zip(ends, ends):
-                if max(u, v) >= n:
-                    raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            _first_fault(zip(ends, ends), n)
         del tokens
         return _build(ids, n)
     except GraphError as exc:

@@ -358,7 +358,7 @@ def reference_is_r_dominating(g: Graph, dominators, r: int) -> bool:
     covered = set()
     for m in set(dominators):
         if m not in g:
-            raise GraphError(f"unknown vertex {m}")
+            raise GraphError(f"vertex {m!r} out of range for n={g.vertex_count}")
         covered |= ball(g, m, r)
     return len(covered) == g.vertex_count
 
@@ -373,7 +373,7 @@ def reference_voronoi_decompose(g: Graph, centers) -> VoronoiDecomposition:
         raise NotDominatingError("center set is empty")
     for m in center_set:
         if m not in g:
-            raise GraphError(f"unknown center {m}")
+            raise GraphError(f"vertex {m!r} out of range for n={g.vertex_count}")
     label = {}
     for m in sorted(center_set):
         for v, d in distances(g, (m,)).items():

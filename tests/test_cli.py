@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -620,6 +621,30 @@ def test_suite_non_string_graph_is_bad_spec(tmp_path, graph):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "bad_spec"
+
+
+def _address_space_400_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_graph_file_with_no_line_end_is_bad_input(tmp_path, command):
+    # /dev/zero has no line end: read whole, it would fill memory.  In a
+    # child process with 400 MB of address space and a timeout, so that a
+    # reader that tries ends in a MemoryError instead of exhausting the
+    # test runner.
+    members = tmp_path / "s.set"
+    members.write_text("0 2\n")
+    argv = ["--set", str(members), "--r", "1"] if command == "verify" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdomsim.cli", command, "--graph", "/dev/zero",
+         *argv], capture_output=True, env=_cli_env(), timeout=60,
+        preexec_fn=_address_space_400_mb)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    [line] = proc.stdout.splitlines()
+    assert json.loads(line) == {
+        "error": "bad_input",
+        "detail": "graph file /dev/zero: line 1 must be the header 'n m' alone"}
 
 
 def test_verify_missing_files_are_bad_input(tmp_path, capsys):

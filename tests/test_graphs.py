@@ -14,7 +14,7 @@ from rdomsim import (INFINITE, GraphError, build_graph, distances,
                      gen_complete, gen_cycle, gen_path, gen_random_tree,
                      gen_tightness, girth, read_graph, subdivide, write_graph)
 
-from rdomsim.graphs import _peel, r_balls
+from rdomsim.graphs import _MAX_HEADER_BYTES, _peel, r_balls
 
 from _support import (ball, graphs, reference_adjacency, reference_girth,
                       reference_ids, relabelled, spoilt)
@@ -25,6 +25,15 @@ def test_build_path_on_three_vertices():
     assert g.vertices == (0, 1, 2)
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.neighbors(1) == (0, 2)
+
+
+def test_equal_graphs_hash_alike_and_key_a_dict():
+    g, same = gen_cycle(5), build_graph([(4, 0), (0, 1), (1, 2), (2, 3), (3, 4)])
+    assert g == same and g is not same and hash(g) == hash(same)
+    table = {g: "C5", gen_path(5): "P5"}
+    assert table[same] == "C5" and len(table) == 2
+    assert repr(g) == "Graph(n=5, m=5)"
+    assert repr(build_graph([], 3)) == "Graph(n=3, m=0)"
 
 
 def test_build_rejects_self_loop():
@@ -326,20 +335,23 @@ def test_read_graph_rejects_out_of_range(tmp_path):
         read_graph(path)
 
 
-@pytest.mark.parametrize("text, edge", [
-    ("3 2\n0 1\n1 3\n", "(1, 3)"),
-    # An edge out of range comes before a later signed token.
-    ("3 4\n0 1\n1 2\n2 7\n0 -4\n", "(2, 7)"),
-    # An edge out of range comes before a later token that is no integer.
-    ("3 2\n0 5\n1 x\n", "(0, 5)"),
+@pytest.mark.parametrize("text, detail", [
+    ("3 2\n0 1\n1 3\n", "vertex 3 out of range for n=3"),
+    # An ID out of range comes before a later signed token.
+    ("3 4\n0 1\n1 2\n2 7\n0 -4\n", "vertex 7 out of range for n=3"),
+    # An ID out of range comes before a later token that is no integer.
+    ("3 2\n0 5\n1 x\n", "vertex 5 out of range for n=3"),
+    # So do a self-loop and a repeated edge: one scan in file order names
+    # the first fault of any kind.
+    ("3 2\n1 1\n0 x\n", "self-loop at vertex 1"),
+    ("3 3\n0 1\n1 0\n2 -1\n", "duplicate edge (0, 1)"),
 ])
-def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, edge):
+def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, detail):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(GraphError) as info:
         read_graph(path)
-    assert str(info.value) == \
-        f"graph file {path}: edge {edge} out of range for n=3"
+    assert str(info.value) == f"graph file {path}: {detail}"
 
 
 @pytest.mark.parametrize("text, i, tok", [
@@ -399,6 +411,28 @@ def test_read_graph_refuses_a_header_not_alone_on_line_one(tmp_path):
     # Any of the universal line ends closes line 1.
     path.write_bytes(b"2 1\r0 1\r")
     assert read_graph(path) == build_graph([(0, 1)])
+
+
+def test_read_graph_reads_at_most_a_bounded_line_one(tmp_path):
+    # Line 1 may hold _MAX_HEADER_BYTES bytes before its line end, far more
+    # than any header that can pass; one byte more is refused as no header,
+    # so a file with no line end, such as /dev/zero, is never read whole.
+    path = tmp_path / "g.txt"
+    for end in (b"\n", b"\r\n", b"\r", b""):
+        path.write_bytes(b"2" + b" " * (_MAX_HEADER_BYTES - 2) + b"0" + end)
+        assert read_graph(path) == build_graph([], 2)
+        path.write_bytes(b"2" + b" " * (_MAX_HEADER_BYTES - 1) + b"0" + end)
+        with pytest.raises(GraphError) as info:
+            read_graph(path)
+        assert str(info.value) == \
+            f"graph file {path}: line 1 must be the header 'n m' alone"
+    # A file whose lines all end in '\r' is one long line to readline, so
+    # the bound applies to the header alone, not to the first '\n'.
+    g = gen_path(1 << 14)
+    write_graph(g, path)
+    assert path.stat().st_size > 2 * _MAX_HEADER_BYTES
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    assert read_graph(path) == g
 
 
 def test_read_graph_checks_the_header_before_reading_on(tmp_path):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -193,6 +194,20 @@ def test_rmds_on_naturally_labelled_rings_leaves_2r_unselected(n, r):
     # smallest IDs are nobody's choice.
     unselected = set(range(n)) - members_of(run_rmds(gen_cycle(n), r).outputs)
     assert unselected == set(range(2 * r))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_rmds_on_a_ring_selects_at_most_n_minus_2r(n):
+    # Every ID order of C_n at r = 1 up to rotation, ID 0 fixed at position
+    # 0: 720 orders on C_7, 5040 on C_8.  Both have girth >= 4r+3, so the
+    # selection oracle gives the simulation's outputs.  No order selects
+    # more than the n - 2r that monotone IDs reach (the first order).
+    sizes = []
+    for rest in itertools.permutations(range(1, n)):
+        ids = (0, *rest)
+        ring = build_graph([(ids[i], ids[i - 1]) for i in range(n)], n)
+        sizes.append(len(members_of(selection_oracle(ring, 1))))
+    assert sizes[0] == max(sizes) == n - 2
 
 
 def test_rmds_single_vertex():

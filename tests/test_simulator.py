@@ -45,6 +45,11 @@ class EchoDegreeSum(NodeProgram):
         return [None] * self.ports, True, total
 
 
+def test_a_bare_node_program_does_not_step():
+    with pytest.raises(NotImplementedError):
+        NodeProgram().step(1, [None])
+
+
 def test_message_bit_schema():
     n = 11
     width = id_bits(n)
