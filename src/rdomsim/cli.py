@@ -11,8 +11,8 @@ from typing import Dict, List, Optional
 from .corpus import builtin_corpus
 from .experiments import (_ALGOS, _D_SOURCES, _FAMILIES, ExperimentError,
                           _as_int, build_instance, run_experiment, run_suite)
-from .graphs import (_OUT_OF_RANGE, GraphError, _token_ints, girth,
-                     render_girth, write_graph)
+from .graphs import (_OUT_OF_RANGE, GraphError, _token_ints, _token_pieces,
+                     girth, render_girth, write_graph)
 from .oracles import is_independent, is_r_dominating
 
 EXIT_OK = 0
@@ -119,12 +119,21 @@ def cmd_verify(args) -> int:
         raise ExperimentError("bad_spec",
                               "--check independent does not read --r")
     g, _ = build_instance({"family": "file", "graph": args.graph})
+    # Read a piece at a time, keeping the IDs in g and only the smallest of
+    # the rest, so memory stays within n IDs and one piece.  Every token is
+    # judged before an ID out of range is named.
+    members, low, first = set(), None, 1
     with open(args.set, "rb") as fh:
         try:
-            members = set(_token_ints(fh.read().split()))
-            beyond = [v for v in members if v not in g]
-            if beyond:
-                raise GraphError(_OUT_OF_RANGE.format(min(beyond), g.vertex_count))
+            for tokens in _token_pieces(fh):
+                for v in _token_ints(tokens, first):
+                    if v in g:
+                        members.add(v)
+                    elif low is None or v < low:
+                        low = v
+                first += len(tokens)
+            if low is not None:
+                raise GraphError(_OUT_OF_RANGE.format(low, g.vertex_count))
         except GraphError as exc:
             raise ExperimentError("bad_input", f"set file {args.set}: {exc}") from None
     verdicts = {}

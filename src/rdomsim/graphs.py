@@ -21,7 +21,10 @@ _MAX_FILE_VERTICES = 1 << 20
 _OUT_OF_RANGE = "vertex {!r} out of range for n={}"
 #: Most bytes of line 1 that ``read_graph`` reads, far above any header that
 #: can pass, so a file with no newline, such as /dev/zero, is refused at once.
+#: No token in a graph or set file may be longer either.
 _MAX_HEADER_BYTES = 1 << 16
+#: Most bytes read at a time from a graph file's body or a set file.
+_PIECE_BYTES = 1 << 16
 
 
 def render_girth(value):
@@ -319,6 +322,24 @@ def write_graph(g: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def _token_pieces(fh, head: bytes = b""):
+    """The tokens of ``head``, then of the buffered binary file ``fh``, one
+    list per read of at most ``_PIECE_BYTES``, so a pipe's tokens come as
+    they arrive.  A token cut by a piece's end is carried into the next;
+    one that grows past ``_MAX_HEADER_BYTES`` ends the last list, cut to
+    one byte more, and nothing more is read."""
+    carry, piece = head, True
+    while piece:
+        piece = fh.read1(_PIECE_BYTES)
+        text = carry + piece
+        tokens = text.split()
+        carry = tokens.pop() if piece and not text[-1:].isspace() else b""
+        if len(carry) > _MAX_HEADER_BYTES:
+            tokens.append(carry[:_MAX_HEADER_BYTES + 1])
+            piece = b""
+        yield tokens
+
+
 def _token_ints(tokens, first: int = 1):
     """Yield the ``bytes`` ``tokens``, token ``first`` (1-based) on, as ``int``s:
     each must be a run of ASCII digits, the spelling ``write_graph`` writes, and
@@ -329,7 +350,9 @@ def _token_ints(tokens, first: int = 1):
             if tok.isdigit():
                 yield int(tok)
                 continue
-        more = f"\u2026 ({len(tok)} bytes)" if len(tok) > 20 else ""
+        size = (len(tok) if len(tok) <= _MAX_HEADER_BYTES
+                else f"more than {_MAX_HEADER_BYTES}")
+        more = f"\u2026 ({size} bytes)" if len(tok) > 20 else ""
         raise GraphError(
             f"token {i} is not a count or vertex ID: {repr(tok[:20])[1:]}{more}")
 
@@ -337,10 +360,12 @@ def _token_ints(tokens, first: int = 1):
 def read_graph(path) -> Graph:
     """Read the interchange text format written by :func:`write_graph`.
     Line 1, ``n m`` alone in at most ``_MAX_HEADER_BYTES``, is checked
-    before the rest is read.  A body of digit runs goes to ``_build``'s
-    bulk check, as ``build_graph``'s edges do; any other body is scanned
-    in file order, so the first fault of any kind is named.  Every refusal
-    is a ``GraphError`` that names the file."""
+    before the rest is read.  The body is read in pieces and holds at most
+    2m IDs: a token past them is refused as it arrives.  While every token
+    is a digit run, the IDs go to ``_build``'s bulk check, as
+    ``build_graph``'s edges do; otherwise they are scanned in file order,
+    so the first fault of any kind is named, a body that ends early last.
+    Every refusal is a ``GraphError`` that names the file."""
     try:
         with open(path, "rb") as fh:
             line = fh.readline(_MAX_HEADER_BYTES + 1)
@@ -351,16 +376,28 @@ def read_graph(path) -> Graph:
             n, m = _token_ints(header)
             if n > _MAX_FILE_VERTICES:
                 raise GraphError(f"header '{n} {m}' needs n <= {_MAX_FILE_VERTICES}")
-            tokens = (line + fh.read()).split()[2:]
-        if len(tokens) != 2 * m:
-            raise GraphError(f"expects {m} edges, 2 IDs each, found {len(tokens)} IDs")
-        ids = None
-        with contextlib.suppress(ValueError):  # more digits than int() takes
-            ids = list(map(int, tokens)) if all(map(bytes.isdigit, tokens)) else None
-        if ids is None:  # in file order, to name the first fault; from token 3
-            ends = _token_ints(tokens, 3)
+            if m > n * (n - 1) // 2:
+                raise GraphError(f"header '{n} {m}' needs m <= n(n-1)/2 = "
+                                 f"{n * (n - 1) // 2}")
+            ids: List[int] = []
+            tokens: List[bytes] = []  # the piece a fault stopped the reading in
+            for piece in _token_pieces(fh, line[len(first):]):
+                ints = None
+                with contextlib.suppress(ValueError):  # more digits than int() takes
+                    if all(map(bytes.isdigit, piece)):
+                        ints = list(map(int, piece))
+                if ints is None or len(ids) + len(ints) > 2 * m:
+                    tokens = piece
+                    break
+                ids += ints
+        if tokens or len(ids) != 2 * m:
+            # In file order, from token 3 to token 2m + 2, the last of the
+            # body; a token past it is refused whatever it holds.
+            ends = itertools.chain(ids, _token_ints(tokens[:2 * m - len(ids)],
+                                                    len(ids) + 3))
             _first_fault(zip(ends, ends), n)
-        del tokens
+            found = f"more than {2 * m}" if tokens else len(ids)
+            raise GraphError(f"expects {m} edges, 2 IDs each, found {found} IDs")
         return _build(ids, n)
     except GraphError as exc:
         raise GraphError(f"graph file {path}: {exc}") from None

@@ -191,5 +191,11 @@ def exact_min_rds(g: Graph, r: int) -> FrozenSet[int]:
                 free[u] += 1
         return False
 
-    search([], frozenset(g.vertices))
+    # ``search`` reaches itself through its closure.  Dropping the name
+    # breaks that cycle, so reference counting frees the tables when the
+    # call returns or its OptimumUnknown is released, not the collector.
+    try:
+        search([], frozenset(g.vertices))
+    finally:
+        del search
     return frozenset(best)

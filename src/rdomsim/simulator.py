@@ -11,7 +11,6 @@ of its own type.
 
 from __future__ import annotations
 
-import json
 from array import array
 from collections import Counter
 from itertools import accumulate, chain, islice, repeat
@@ -125,16 +124,16 @@ class SimulationReport(NamedTuple):
 
 def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
                    params: Any = None, round_budget: int = 0,
-                   trace=None) -> SimulationReport:
+                   trace: Optional[Callable[[Dict[str, int]], Any]] = None
+                   ) -> SimulationReport:
     """Build one ``program(v, ports, params)`` node per vertex of ``g`` and
     step them in lockstep.
 
     Runs until all nodes halt; raises BudgetExceeded if some node is still
     live after ``round_budget`` communication rounds.  ``trace`` may be a
-    writable text stream receiving one JSON line per round:
-    ``{"round", "live", "sent", "bits_max", "bits_total"}``, the number of
-    nodes stepped, the messages they sent, and the widest and summed bits
-    of those messages.
+    callable, handed one plain dict per round, ``{"round", "live", "sent",
+    "bits_max", "bits_total"}``: the number of nodes stepped, the messages
+    they sent, and the widest and summed bits of those messages.
     """
     if round_budget < 0:
         raise ValueError("round_budget must be >= 0")
@@ -201,9 +200,8 @@ def run_simulation(g: Graph, program: Callable[[int, int, Any], NodeProgram],
             messages_per_round.append(sent)
             max_bits = max(max_bits, bits_max)
             if trace is not None:
-                trace.write(json.dumps({"round": t, "live": live,
-                                        "sent": sent, "bits_max": bits_max,
-                                        "bits_total": bits_total}) + "\n")
+                trace({"round": t, "live": live, "sent": sent,
+                       "bits_max": bits_max, "bits_total": bits_total})
             if len(outputs) == n:
                 break  # no node is live, so no inbox is needed
             # Slot s receives what the facing slot sent.  Halted nodes are

@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-import json
 import math
 import re
 import sys
@@ -466,9 +465,8 @@ def reference_run_simulation(g: Graph, program, params: Any = None,
         messages_per_round.append(sent)
         max_bits = max(max_bits, bits_max)
         if trace is not None:
-            trace.write(json.dumps({"round": t, "live": len(live),
-                                    "sent": sent, "bits_max": bits_max,
-                                    "bits_total": bits_total}) + "\n")
+            trace({"round": t, "live": len(live), "sent": sent,
+                   "bits_max": bits_max, "bits_total": bits_total})
         live = [v for v in live if v not in outputs]
         inboxes = next_inboxes
     return SimulationReport(outputs=outputs,

@@ -647,6 +647,62 @@ def test_a_graph_file_with_no_line_end_is_bad_input(tmp_path, command):
         "detail": "graph file /dev/zero: line 1 must be the header 'n m' alone"}
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_an_endless_graph_body_or_set_file_is_bad_input(tmp_path, command):
+    # A graph file's body or a set file of NUL bytes, read whole, would
+    # fill memory: a header then 1 GiB of zeros, sparse on disk, and
+    # /dev/zero.  Each is one token, refused at its position once it grows
+    # past _MAX_HEADER_BYTES.  In a child process with 400 MB of address
+    # space and a timeout, as above.
+    zeros = tmp_path / "zeros.graph"
+    with open(zeros, "wb") as fh:
+        fh.write(b"2 1\n")
+        fh.truncate(1 << 30)
+    empty = tmp_path / "e.graph"
+    empty.write_text("4 0\n")
+    argv, where = {
+        "run": (["--graph", str(zeros)], f"graph file {zeros}: token 3"),
+        "verify": (["--graph", str(empty), "--set", "/dev/zero", "--r", "1"],
+                   "set file /dev/zero: token 1")}[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdomsim.cli", command, *argv],
+        capture_output=True, env=_cli_env(), timeout=60,
+        preexec_fn=_address_space_400_mb)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    [line] = proc.stdout.splitlines()
+    assert json.loads(line) == {
+        "error": "bad_input",
+        "detail": f"{where} is not a count or vertex ID: '" + "\\x00" * 20
+                  + "'\u2026 (more than 65536 bytes)"}
+
+
+def test_verify_reads_a_set_file_in_pieces(tmp_path, capsys, monkeypatch):
+    # Across pieces, a token cut by a piece's end is one token, an ID seen
+    # in two pieces is one member, tokens are counted from the file's start,
+    # and the smallest ID out of range is named wherever it lies.
+    out = tmp_path / "c11.graph"
+    run_cli(capsys, "generate", "--family", "cycle", "--n", "11",
+            "-o", str(out))
+    s = tmp_path / "s.txt"
+    for piece in (1, 3, 1 << 16):
+        monkeypatch.setattr("rdomsim.graphs._PIECE_BYTES", piece)
+        for content, check, expected in [
+            ("2 " * 32767 + " 10 2 ", "independent",
+             {"n": 11, "set_size": 2, "independent": True, "pass": True}),
+            ("2 " * 40000 + "15 " + "4 " * 40000 + "13 9\n", "both",
+             {"error": "bad_input",
+              "detail": f"set file {s}: vertex 13 out of range for n=11"}),
+            ("2 " * 40000 + "15 " + "4 " * 40000 + "13 x\n", "both",
+             {"error": "bad_input",
+              "detail": f"set file {s}: token 80003 is not a count or "
+                        "vertex ID: 'x'"})]:
+            s.write_text(content)
+            argv = ["--r", "1"] if check == "both" else []
+            code, stdout = run_cli(capsys, "verify", "--graph", str(out),
+                                   "--set", str(s), "--check", check, *argv)
+            assert json.loads(stdout) == expected, piece
+
+
 def test_verify_missing_files_are_bad_input(tmp_path, capsys):
     missing = str(tmp_path / "missing")
     code, stdout = run_cli(capsys, "verify", "--graph", missing,

@@ -1,8 +1,11 @@
+import contextlib
 import functools
 import gc
 import itertools
 import math
+import os
 import random
+import threading
 import tracemalloc
 
 import networkx as nx
@@ -305,7 +308,8 @@ def test_girth_two_cycles_takes_minimum():
     lambda: gen_path(9),
     lambda: gen_tightness(1, 2),
     lambda: build_graph([(0, 3), (3, 5)], 8),
-], ids=["tree", "cycle", "path", "tightness", "isolated"])
+    lambda: gen_complete(5),
+], ids=["tree", "cycle", "path", "tightness", "isolated", "complete"])
 def test_graph_roundtrip_through_text_format(tmp_path, make):
     g = make()
     path = tmp_path / "g.txt"
@@ -315,17 +319,112 @@ def test_graph_roundtrip_through_text_format(tmp_path, make):
 
 def test_read_graph_counts_the_edges_the_header_promises(tmp_path):
     path = tmp_path / "short.txt"
-    path.write_text("2 2\n0 1\n")
+    path.write_text("3 2\n0 1\n")
     with pytest.raises(GraphError) as info:
         read_graph(path)
     assert str(info.value) == (f"graph file {path}: expects 2 edges, "
                                "2 IDs each, found 2 IDs")
     # An odd count of IDs is named as it is, not rounded down to edges.
-    path.write_text("3 1\n0 1 2\n")
+    path.write_text("3 2\n0 1 2\n")
+    with pytest.raises(GraphError) as info:
+        read_graph(path)
+    assert str(info.value) == (f"graph file {path}: expects 2 edges, "
+                               "2 IDs each, found 3 IDs")
+
+
+@pytest.mark.parametrize("piece", [1, 2, 7, 1 << 16])
+def test_read_graph_joins_a_token_cut_by_a_piece_end(tmp_path, monkeypatch,
+                                                     piece):
+    # However small the pieces, each token is read whole, and a fault is
+    # named at the same position.
+    monkeypatch.setattr("rdomsim.graphs._PIECE_BYTES", piece)
+    g = gen_random_tree(300, 4)
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    assert read_graph(path) == g
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r") + b"12")
+    with pytest.raises(GraphError, match="found more than 598 IDs"):
+        read_graph(path)
+    path.write_text("300 3\n0 1\n100 299 1")
+    with pytest.raises(GraphError, match="found 5 IDs"):
+        read_graph(path)
+    path.write_text("300 2\n0 1\n100 2990\n")
+    with pytest.raises(GraphError, match="vertex 2990 out of range"):
+        read_graph(path)
+
+
+@pytest.mark.parametrize("body", [
+    "0 1 2\n",
+    # Nothing past the first token too many is judged, or read.
+    "0 1 2 x\n",
+    "0 1 2 " + "x" * (_MAX_HEADER_BYTES + 5),
+    "0 1\n" * 10,
+], ids=["one-more", "then-a-bad-token", "then-a-long-token", "repeats"])
+def test_read_graph_refuses_a_token_past_2m(tmp_path, body):
+    path = tmp_path / "long.txt"
+    path.write_text("3 1\n" + body)
     with pytest.raises(GraphError) as info:
         read_graph(path)
     assert str(info.value) == (f"graph file {path}: expects 1 edges, "
-                               "2 IDs each, found 3 IDs")
+                               "2 IDs each, found more than 2 IDs")
+
+
+def _read_graph_from_open_pipe(tmp_path, data):
+    """``read_graph``'s refusal of a pipe that holds ``data`` and is not
+    closed until the read ends, or for at most 10 s, plus whether the read
+    ended first: only then did it not wait for the rest of the file."""
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    done = threading.Event()
+    waited_out = []
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            waited_out.append(not done.wait(10))
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(GraphError) as info:
+            read_graph(path)
+    finally:
+        done.set()
+        writer.join(20)
+    assert not writer.is_alive()
+    return str(info.value).removeprefix(f"graph file {path}: "), waited_out != [True]
+
+
+@pytest.mark.parametrize("data, detail", [
+    (b"3 1\n0 1 2 ", "expects 1 edges, 2 IDs each, found more than 2 IDs"),
+    # A token that is no digit run comes first in file order, and a fault
+    # before it comes before that.
+    (b"3 1\n0 x 2 ", "token 4 is not a count or vertex ID: 'x'"),
+    (b"3 2\n1 1 x ", "self-loop at vertex 1"),
+    # Only the first _MAX_HEADER_BYTES + 1 bytes of a token are read.
+    (b"3 1\n0 " + b"7" * (4 * _MAX_HEADER_BYTES),
+     "token 4 is not a count or vertex ID: '77777777777777777777'\u2026 "
+     f"(more than {_MAX_HEADER_BYTES} bytes)"),
+], ids=["token-past-2m", "bad-token", "self-loop", "long-token"])
+def test_read_graph_refuses_a_fault_as_it_arrives(tmp_path, data, detail):
+    # A pipe that stays open never ends the file, so each fault must be
+    # named from what has arrived.
+    assert _read_graph_from_open_pipe(tmp_path, data) == (detail, True)
+
+
+@pytest.mark.parametrize("size", [_MAX_HEADER_BYTES, _MAX_HEADER_BYTES + 1])
+def test_read_graph_bounds_a_token_at_its_position(tmp_path, size):
+    # A token of up to _MAX_HEADER_BYTES shows its length; a longer one is
+    # cut there, whatever its length, and refused at its position.
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"3 2\n0 1\n2 " + b"x" * size + b" 9 9 9\n")
+    with pytest.raises(GraphError) as info:
+        read_graph(path)
+    shown = size if size <= _MAX_HEADER_BYTES else f"more than {_MAX_HEADER_BYTES}"
+    assert str(info.value) == (f"graph file {path}: token 6 is not a count "
+                               f"or vertex ID: 'xxxxxxxxxxxxxxxxxxxx'\u2026 "
+                               f"({shown} bytes)")
 
 
 def test_read_graph_rejects_out_of_range(tmp_path):
@@ -338,13 +437,17 @@ def test_read_graph_rejects_out_of_range(tmp_path):
 @pytest.mark.parametrize("text, detail", [
     ("3 2\n0 1\n1 3\n", "vertex 3 out of range for n=3"),
     # An ID out of range comes before a later signed token.
-    ("3 4\n0 1\n1 2\n2 7\n0 -4\n", "vertex 7 out of range for n=3"),
+    ("4 4\n0 1\n1 2\n2 7\n0 -4\n", "vertex 7 out of range for n=4"),
     # An ID out of range comes before a later token that is no integer.
     ("3 2\n0 5\n1 x\n", "vertex 5 out of range for n=3"),
     # So do a self-loop and a repeated edge: one scan in file order names
     # the first fault of any kind.
     ("3 2\n1 1\n0 x\n", "self-loop at vertex 1"),
     ("3 3\n0 1\n1 0\n2 -1\n", "duplicate edge (0, 1)"),
+    # A body that ends early is named last, a token too many where it is.
+    ("3 2\n1 1\n", "self-loop at vertex 1"),
+    ("3 1\n0 3 1\n", "vertex 3 out of range for n=3"),
+    ("3 1\n0 1 x\n", "expects 1 edges, 2 IDs each, found more than 2 IDs"),
 ])
 def test_read_graph_names_the_first_edge_out_of_range(tmp_path, text, detail):
     path = tmp_path / "bad.txt"
@@ -458,7 +561,8 @@ def test_read_graph_peak_memory_is_a_small_multiple_of_the_graph(tmp_path,
     assert peak <= 2.6 * live
 
 
-# A signed count is refused at its position, an oversized n by the header.
+# A signed count is refused at its position, an oversized n or m by the
+# header, before the body is read.
 @pytest.mark.parametrize("header, detail", [
     pytest.param(header, detail, id=header) for header, detail in [
         ("-3 0", "token 1 is not a count or vertex ID: '-3'"),
@@ -466,7 +570,12 @@ def test_read_graph_peak_memory_is_a_small_multiple_of_the_graph(tmp_path,
         ("1048577 0", "header '1048577 0' needs n <= 1048576"),
         ("1000000000 0", "header '1000000000 0' needs n <= 1048576"),
         ("-0 0", "token 1 is not a count or vertex ID: '-0'"),
-        ("3 -0", "token 2 is not a count or vertex ID: '-0'")]])
+        ("3 -0", "token 2 is not a count or vertex ID: '-0'"),
+        # No simple graph on n vertices has more than n(n-1)/2 edges.
+        ("1 1", "header '1 1' needs m <= n(n-1)/2 = 0"),
+        ("4 7", "header '4 7' needs m <= n(n-1)/2 = 6"),
+        ("1048576 549755289601",
+         "header '1048576 549755289601' needs m <= n(n-1)/2 = 549755289600")]])
 def test_read_graph_rejects_negative_or_oversized_header(tmp_path, header,
                                                          detail):
     path = tmp_path / "bad.txt"

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import random
 from unittest.mock import patch
@@ -178,6 +179,31 @@ def test_exact_reports_unknown_on_tiny_node_budget(monkeypatch):
     monkeypatch.setattr(oracles, "_NODE_BUDGET", 1)
     with pytest.raises(OptimumUnknown):
         exact_min_rds(gen_random_tree(120, 5), 2)
+
+
+@pytest.mark.parametrize("budget", [oracles._NODE_BUDGET, 1],
+                         ids=["solves", "gives-up"])
+def test_exact_leaves_no_cyclic_garbage(monkeypatch, budget):
+    # The search's tables are freed by reference counting, whether the
+    # call returns a set or gives up.  Freezing moves the test heap out of
+    # the collector's reach, so the collection scans only what the call
+    # allocated.  On this tree at r = 1 greedy is not optimal, so the
+    # search runs.
+    g = gen_random_tree(200, 1)
+    monkeypatch.setattr(oracles, "_NODE_BUDGET", budget)
+    gc.disable()
+    gc.freeze()
+    try:
+        try:
+            exact_min_rds(g, 1)
+            gave_up = False
+        except OptimumUnknown:
+            gave_up = True
+        assert gave_up == (budget == 1)
+        assert gc.collect() == 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
 
 
 def test_exact_takes_only_the_graph_and_the_radius():

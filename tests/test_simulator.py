@@ -104,17 +104,22 @@ def test_determinism_identical_reports():
 
 
 def test_trace_emits_one_json_line_per_round():
+    records = []
+    run_simulation(gen_cycle(6), count_neighborhood_program(3),
+                   round_budget=2, trace=records.append)
+    assert [entry["round"] for entry in records] == [1, 2, 3]
+    # One aggregate record per round, a plain dict: 6 nodes, 12 messages
+    # of 3 bits each.
+    assert records[0] == {"round": 1, "live": 6, "sent": 12, "bits_max": 3,
+                          "bits_total": 36}
+    assert records[2] == {"round": 3, "live": 6, "sent": 0, "bits_max": 0,
+                          "bits_total": 0}
+    # README's one-line JSON writer turns the records into JSON lines.
     buf = io.StringIO()
     run_simulation(gen_cycle(6), count_neighborhood_program(3),
-                   round_budget=2, trace=buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert [entry["round"] for entry in lines] == [1, 2, 3]
-    assert lines[0]["sent"]
-    # One aggregate record per round: 6 nodes, 12 messages of 3 bits each.
-    assert lines[0] == {"round": 1, "live": 6, "sent": 12, "bits_max": 3,
-                        "bits_total": 36}
-    assert lines[2] == {"round": 3, "live": 6, "sent": 0, "bits_max": 0,
-                        "bits_total": 0}
+                   round_budget=2,
+                   trace=lambda rec: buf.write(json.dumps(rec) + "\n"))
+    assert list(map(json.loads, buf.getvalue().splitlines())) == records
 
 
 class PortProbe(NodeProgram):
@@ -212,19 +217,19 @@ def simulation_cases(draw):
 
 
 def _outcome(simulate, g, program, params, budget):
-    """The report or the exception (type and text), plus the trace."""
-    trace = io.StringIO()
+    """The report or the exception (type and text), plus the trace records."""
+    records = []
     try:
-        result = simulate(g, program, params, budget, trace)
+        result = simulate(g, program, params, budget, records.append)
     except Exception as exc:  # compared with the reference's, not handled
         result = (type(exc), str(exc))
-    return result, trace.getvalue()
+    return result, records
 
 
 @settings(max_examples=300, deadline=None)
 @given(simulation_cases())
 def test_flat_port_buffer_matches_reference_loop(case):
-    # Report, trace lines and any exception must match the dict-of-inboxes
+    # Report, trace records and any exception must match the dict-of-inboxes
     # loop.  No case has two nodes break the contract in different ways in
     # one round, where the two may name different faults.
     assert _outcome(run_simulation, *case) == \
@@ -236,13 +241,12 @@ def test_staggered_halting():
     # round before 1 and 1 a round before 2.  A halted node is not stepped
     # again, yet what its neighbor sends it is still charged, and the
     # neighbor still hears what it sent before halting.
-    buf = io.StringIO()
+    records = []
     report = run_simulation(build_graph([(0, 1), (1, 2)]), Staggered,
-                            round_budget=2, trace=buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert [entry["live"] for entry in lines] == [3, 2, 1]
+                            round_budget=2, trace=records.append)
+    assert [entry["live"] for entry in records] == [3, 2, 1]
     assert report.messages_per_round == [4, 3, 1]
-    assert [entry["bits_total"] for entry in lines] == \
+    assert [entry["bits_total"] for entry in records] == \
         [n * id_bits(3) for n in (4, 3, 1)]
     assert report.outputs == {0: [None], 1: [1, 1], 2: [2]}
 
