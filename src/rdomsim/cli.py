@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,6 +19,10 @@ from .oracles import is_independent, is_r_dominating
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+
+#: The longest suite config file read; a longer one is refused unread
+#: past this, so ``suite /dev/zero`` cannot fill memory.
+_MAX_CONFIG_BYTES = 1 << 26
 
 
 def _emit(obj: Dict) -> None:
@@ -85,12 +90,17 @@ def cmd_suite(args) -> int:
     if args.builtin:
         specs = builtin_corpus()
     else:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # deep nesting
-                raise ExperimentError(
-                    "bad_input", f"config file {args.config}: {exc}") from None
+        with open(args.config, "rb") as fh:
+            data = fh.read(_MAX_CONFIG_BYTES + 1)
+        if len(data) > _MAX_CONFIG_BYTES:
+            raise ExperimentError("bad_input", f"config file {args.config}: "
+                                  f"more than {_MAX_CONFIG_BYTES} bytes")
+        try:  # decoded as a text-mode read would: UTF-8, universal newlines
+            loaded = json.loads(data.decode("utf-8").replace("\r\n", "\n")
+                                .replace("\r", "\n"))
+        except (ValueError, RecursionError) as exc:  # deep nesting
+            raise ExperimentError(
+                "bad_input", f"config file {args.config}: {exc}") from None
         specs = loaded.get("experiments") if isinstance(loaded, dict) else loaded
         if not (isinstance(specs, list)
                 and all(isinstance(spec, dict) for spec in specs)):
@@ -211,6 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser ``main`` uses, built on its first call and kept: argparse's
+#: parser, actions and formatters form reference cycles, so a parser per
+#: call would leave them to the cyclic collector each time.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command.  ``ExperimentError`` (its reason; ``bad_spec`` for
     malformed arguments) and ``OSError`` (``bad_input``) become one JSON
@@ -219,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     more written, its error line included."""
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
             return args.func(args)
         except ExperimentError as exc:
             _emit({"error": exc.reason, "detail": exc.detail})

@@ -3,13 +3,16 @@
 import functools
 import itertools
 import math
+import os
 import re
 import sys
 from collections import deque
+from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from hypothesis import strategies as st
 
+import rdomsim
 from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      FloodMsg, Graph, GraphError, NodeProgram,
                      NotDominatingError, OptimumUnknown, ProgramFault,
@@ -17,6 +20,14 @@ from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      build_graph, distances, message_widths)
 from rdomsim.oracles import _known_optimum
 from rdomsim.simulator import Message
+
+
+def cli_env() -> Dict[str, str]:
+    """The environment for a child ``python`` that imports this ``rdomsim``:
+    its ``src`` directory put first on ``PYTHONPATH``."""
+    src = str(Path(rdomsim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @st.composite
@@ -90,6 +101,21 @@ def ball(g: Graph, v: int, r: int) -> FrozenSet[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return frozenset(dist)
+
+
+def view(g: Graph, v: int, t: int) -> Tuple[Graph, Tuple[int, ...]]:
+    """``v``'s t-view: the graph of every edge of ``g`` with an end within
+    distance t of ``v``, on ``v`` and those edges' ends, relabelled 0..k-1
+    in ID order.  Every vertex within distance t keeps its degree, and the
+    order-preserving relabelling keeps its ports and every ID comparison.
+    Returns the view and ``ids``: view vertex i is vertex ``ids[i]`` of
+    ``g``."""
+    near = ball(g, v, t)
+    edges = [(a, b) for a, b in g.edges() if a in near or b in near]
+    ids = tuple(sorted(near.union(*edges)))
+    label = {u: i for i, u in enumerate(ids)}
+    return build_graph([(label[a], label[b]) for a, b in edges],
+                       len(ids)), ids
 
 
 def cells(dec: VoronoiDecomposition) -> Dict[int, FrozenSet[int]]:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -13,25 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rdomsim
 from rdomsim import CSV_HEADER, experiments, gen_cycle, read_graph, write_graph
 from rdomsim import cli
 from rdomsim.cli import (EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, build_parser,
                          main)
 
-from _support import reference_ids, spoilt
+from _support import cli_env, reference_ids, spoilt
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
-
-
-def _cli_env():
-    """The environment for ``python -m rdomsim.cli`` in a child process."""
-    src = str(Path(rdomsim.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # The expansion bound is the family's default f_r: 1 on a cycle, 3 on a
@@ -361,7 +354,10 @@ def test_suite_refuses_an_empty_config_path(capsys, monkeypatch):
               "invalid start byte"),
     (b"{not json", "Expecting property name enclosed in double quotes: "
                    "line 1 column 2 (char 1)"),
-], ids=["not-utf-8", "not-json"])
+    # Read as text mode reads: "\r\n" and "\r" each end one line.
+    (b"[\r\n\r{x", "Expecting property name enclosed in double quotes: "
+                   "line 3 column 2 (char 4)"),
+], ids=["not-utf-8", "not-json", "cr-line-ends"])
 def test_suite_unreadable_config_names_the_file(tmp_path, capsys, content,
                                                 detail):
     config = tmp_path / "suite.json"
@@ -615,7 +611,7 @@ def test_suite_non_string_graph_is_bad_spec(tmp_path, graph):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([{"family": "file", "graph": graph, "r": 1}]))
     proc = subprocess.run([sys.executable, "-m", "rdomsim.cli", "suite",
-                           str(config)], capture_output=True, env=_cli_env(),
+                           str(config)], capture_output=True, env=cli_env(),
                           timeout=120)
     assert proc.returncode == EXIT_ERROR
     lines = proc.stdout.splitlines()
@@ -638,7 +634,7 @@ def test_a_graph_file_with_no_line_end_is_bad_input(tmp_path, command):
     argv = ["--set", str(members), "--r", "1"] if command == "verify" else []
     proc = subprocess.run(
         [sys.executable, "-m", "rdomsim.cli", command, "--graph", "/dev/zero",
-         *argv], capture_output=True, env=_cli_env(), timeout=60,
+         *argv], capture_output=True, env=cli_env(), timeout=60,
         preexec_fn=_address_space_400_mb)
     assert proc.returncode == EXIT_ERROR, proc.stderr
     [line] = proc.stdout.splitlines()
@@ -666,7 +662,7 @@ def test_an_endless_graph_body_or_set_file_is_bad_input(tmp_path, command):
                    "set file /dev/zero: token 1")}[command]
     proc = subprocess.run(
         [sys.executable, "-m", "rdomsim.cli", command, *argv],
-        capture_output=True, env=_cli_env(), timeout=60,
+        capture_output=True, env=cli_env(), timeout=60,
         preexec_fn=_address_space_400_mb)
     assert proc.returncode == EXIT_ERROR, proc.stderr
     [line] = proc.stdout.splitlines()
@@ -674,6 +670,61 @@ def test_an_endless_graph_body_or_set_file_is_bad_input(tmp_path, command):
         "error": "bad_input",
         "detail": f"{where} is not a count or vertex ID: '" + "\\x00" * 20
                   + "'\u2026 (more than 65536 bytes)"}
+
+
+def test_an_endless_config_file_is_bad_input():
+    # Read whole, /dev/zero would fill memory; past _MAX_CONFIG_BYTES it is
+    # refused unread.  In a child process with 400 MB of address space and
+    # a timeout, as above.
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdomsim.cli", "suite", "/dev/zero"],
+        capture_output=True, env=cli_env(), timeout=60,
+        preexec_fn=_address_space_400_mb)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    [line] = proc.stdout.splitlines()
+    assert json.loads(line) == {
+        "error": "bad_input",
+        "detail": f"config file /dev/zero: more than {1 << 26} bytes"}
+
+
+def test_a_config_file_is_read_up_to_its_bound(tmp_path, capsys,
+                                               monkeypatch):
+    config = tmp_path / "suite.json"
+    config.write_text("[]" + " " * 8)
+    monkeypatch.setattr(cli, "_MAX_CONFIG_BYTES", 10)
+    code, _ = run_cli(capsys, "suite", str(config))
+    assert code == EXIT_OK
+    config.write_text("[]" + " " * 9)
+    code, stdout = run_cli(capsys, "suite", str(config))
+    assert code == EXIT_ERROR
+    assert json.loads(stdout) == {
+        "error": "bad_input",
+        "detail": f"config file {config}: more than 10 bytes"}
+
+
+def test_main_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # Once a first call has built what main keeps, a command leaves nothing
+    # for the cyclic collector, whether it passes or is refused: a parser
+    # built per call left about 260 objects each time.
+    graph, bad = tmp_path / "c.graph", tmp_path / "bad.set"
+    bad.write_text("0 -1\n")
+    run_cli(capsys, "generate", "--family", "cycle", "--n", "11",
+            "-o", str(graph))
+    calls = [["suite", "--builtin"],
+             ["run", "--family", "cycle", "--n", "11"],
+             ["run", "--family", "cycle"],
+             ["verify", "--graph", str(graph), "--set", str(bad), "--r", "1"]]
+    codes = [EXIT_OK, EXIT_OK, EXIT_ERROR, EXIT_ERROR]
+    run_cli(capsys, *calls[0])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv, expected in zip(calls, codes):
+            code, _ = run_cli(capsys, *argv)
+            assert code == expected, argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
 
 
 def test_verify_reads_a_set_file_in_pieces(tmp_path, capsys, monkeypatch):
@@ -913,7 +964,7 @@ def test_closed_stdout_exits_2_quietly(argv):
     try:
         proc = subprocess.run([sys.executable, "-m", "rdomsim.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env=_cli_env(), timeout=120)
+                              env=cli_env(), timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_ERROR

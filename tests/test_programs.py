@@ -1,16 +1,13 @@
 import functools
 import itertools
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rdomsim
 from rdomsim import (NodeProgram, ProgramFault, RmdsOutput, build_graph, count_neighborhood_program,
                      cycle_is_program, gen_cycle, gen_random_tree, girth,
                      id_bits,
@@ -18,7 +15,7 @@ from rdomsim import (NodeProgram, ProgramFault, RmdsOutput, build_graph, count_n
                      rmds_round_budget, run_simulation, selection_oracle)
 from rdomsim.programs import _COUNT_LIMIT, _COUNTS
 
-from _support import ball, graphs, relabelled
+from _support import ball, cli_env, graphs, relabelled
 
 
 def run_count(g, r):
@@ -114,11 +111,8 @@ def test_count_keeps_only_values_below_the_limit(leaves):
 def test_count_table_is_empty_after_import():
     code = ("import rdomsim, rdomsim.cli\n"
             "print(len(rdomsim.programs._COUNTS))\n")
-    src = str(Path(rdomsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
 

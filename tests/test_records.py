@@ -4,17 +4,16 @@ Importing the package defines them without generating code, so neither
 ``dataclasses`` nor ``inspect`` is loaded.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import rdomsim
 from rdomsim import (ApproxReport, ExperimentResult, SimulationReport,
                      VoronoiDecomposition, gen_cycle, rmds_program,
                      run_experiment, run_simulation, voronoi_decompose)
+
+from _support import cli_env
 
 #: Each record's fields, in order.
 FIELDS = {
@@ -55,11 +54,8 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
             "import rdomsim, rdomsim.cli\n"
             "print(sorted({'dataclasses', 'inspect'} & "
             "(set(sys.modules) - before)))\n")
-    src = str(Path(rdomsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -19,9 +19,9 @@ from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      run_simulation, selection_oracle)
 from rdomsim.programs import RmdsProgram
 
-from _support import (ball, graphs, reference_count_program,
+from _support import (graphs, reference_count_program,
                       reference_cycle_is_program, reference_rmds_program,
-                      reference_run_simulation, relabelled)
+                      reference_run_simulation, relabelled, view)
 
 
 class NeverHalts(NodeProgram):
@@ -149,19 +149,38 @@ def test_port_wiring_matches_sorted_neighbor_lists(g):
                                      for u in g.neighbors(v)]
 
 
-@settings(max_examples=25)
-@given(graphs(min_n=2), st.integers(1, 3))
-def test_locality_output_depends_only_on_local_ball(g, r):
-    # Rerunning on the subgraph induced by N^T[v], for T one larger than the
-    # communication rounds used, must reproduce v's output exactly.
-    full = run_simulation(g, rmds_program(r), round_budget=rmds_round_budget(r))
-    v = g.vertices[0]
-    local = ball(g, v, 3 * r)
-    sub_edges = [(a, b) for a, b in g.edges() if a in local and b in local]
-    sub = build_graph(sub_edges, g.vertex_count)
-    part = run_simulation(sub, rmds_program(r),
-                          round_budget=rmds_round_budget(r))
-    assert part.outputs[v] == full.outputs[v]
+@st.composite
+def sparse_graphs(draw, max_n=40):
+    """A random tree on up to ``max_n`` vertices plus up to three chords, so
+    low girth, with views that are proper subgraphs."""
+    g = gen_random_tree(draw(st.integers(1, max_n)), draw(st.integers(0, 999)))
+    edges = set(g.edges())
+    if g.vertex_count > 2:
+        pairs = st.lists(st.integers(0, g.vertex_count - 1), min_size=2,
+                         max_size=2, unique=True).map(sorted).map(tuple)
+        edges.update(draw(st.lists(pairs, max_size=3)))
+    return build_graph(sorted(edges), g.vertex_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_n=10), relabelled(graphs(max_n=10)),
+                 sparse_graphs(), relabelled(sparse_graphs())),
+       st.integers(1, 3), st.sampled_from(["rmds", "count"]))
+def test_every_output_is_a_function_of_its_view(g, r, algo):
+    # Claim 1 judged apart from the round counter: after t communication
+    # rounds a vertex can know only its t-view, the edges with an end
+    # within distance t, so rerunning on that view alone must reproduce
+    # its output.  t is 3r-1 for rmds and r-1 for count.  An rmds output
+    # names a vertex, which the view relabels.
+    program, t = {"rmds": (rmds_program(r), rmds_round_budget(r)),
+                  "count": (count_neighborhood_program(r), r - 1)}[algo]
+    full = run_simulation(g, program, round_budget=t).outputs
+    for v in g.vertices:
+        sub, ids = view(g, v, t)
+        out = run_simulation(sub, program, round_budget=t).outputs[ids.index(v)]
+        if algo == "rmds":
+            out = out._replace(selected=ids[out.selected])
+        assert out == full[v], v
 
 
 @given(graphs(), st.integers(1, 3))
