@@ -8,7 +8,7 @@ import re
 import sys
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from hypothesis import strategies as st
 
@@ -17,7 +17,8 @@ from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
                      FloodMsg, Graph, GraphError, NodeProgram,
                      NotDominatingError, OptimumUnknown, ProgramFault,
                      RmdsOutput, SimulationReport, VoronoiDecomposition,
-                     build_graph, distances, message_widths)
+                     build_graph, build_instance, distances, girth,
+                     message_widths, tightness_dominating_set)
 from rdomsim.oracles import _known_optimum
 from rdomsim.simulator import Message
 
@@ -43,15 +44,62 @@ def graphs(draw, min_n=1, max_n=8):
     return build_graph(edges, n)
 
 
+def shuffled(g: Graph, ids) -> Graph:
+    """``g`` with vertex v renamed ``ids[v]``, for a permutation ``ids``."""
+    return build_graph([(ids[u], ids[v]) for u, v in g.edges()],
+                       g.vertex_count)
+
+
 @st.composite
 def relabelled(draw, graph_strategy):
     """Graphs from ``graph_strategy`` with their IDs 0..n-1 shuffled: vertex
     v becomes ``ids[v]`` for a drawn permutation ``ids``.  The ID order is
     all that rmds reads from IDs, and a permutation varies it fully."""
     g = draw(graph_strategy)
-    ids = draw(st.permutations(range(g.vertex_count)))
-    return build_graph([(ids[u], ids[v]) for u, v in g.edges()],
-                       g.vertex_count)
+    return shuffled(g, draw(st.permutations(range(g.vertex_count))))
+
+
+class Admissible(NamedTuple):
+    """A drawn instance: ``m`` is the tightness family's own set and ``ids``
+    the shuffle applied after the build, each None where there is none."""
+
+    spec: Dict[str, int]
+    g: Graph
+    r: int
+    f_r: int
+    m: Optional[FrozenSet[int]]
+    ids: Optional[List[int]]
+
+
+#: family -> its drawn parameters; one row per ``experiments._FAMILIES`` key.
+_ADMISSIBLE = {
+    "cycle": {"n": st.integers(7, 64)},
+    "path": {"n": st.integers(1, 64)},
+    "tree": {"n": st.integers(1, 64), "seed": st.integers(0, 2 ** 16)},
+    "subdivided_k4": {"k": st.integers(2, 8)},
+    "tightness": {"r": st.integers(1, 2), "f": st.just(2)},
+}
+
+
+@st.composite
+def admissible(draw):
+    """An instance of a built-in family that meets the girth premise, small
+    enough for ``exact_min_rds``: cycles with n = 7..64, paths and seeded
+    trees with n <= 64, subdivided K_4 with k = 2..8, tightness with f = 2
+    and r <= 2.  r is drawn with girth >= 4r+3 and r <= n (tightness fixes
+    its own), and about half the draws have their IDs shuffled."""
+    family = draw(st.sampled_from(sorted(_ADMISSIBLE)))
+    spec = draw(st.fixed_dictionaries(
+        {"family": st.just(family), **_ADMISSIBLE[family]}))
+    g, f_r = build_instance(spec)
+    n = g.vertex_count
+    r = spec.get("r") or draw(st.integers(1, min(n, (girth(g) - 3) // 4)))
+    m = tightness_dominating_set(r, spec["f"]) if "f" in spec else None
+    ids = draw(st.none() | st.permutations(range(n)))
+    if ids is not None:
+        g = shuffled(g, ids)
+        m = m and frozenset(ids[v] for v in m)
+    return Admissible(spec, g, r, f_r, m, ids)
 
 
 @st.composite

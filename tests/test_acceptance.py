@@ -1,7 +1,9 @@
-"""Acceptance gate: one test per criterion, fixed desk-scale corpus.
+"""Acceptance gate: one test per criterion, over ``builtin_corpus()``.
 
-Each test prints a single pass/fail line for its criterion.  Shared
-simulations and exact optima are cached so the whole gate stays fast.
+Each criterion judges every built-in spec whose ``algo``, ``m`` and
+``allow_low_girth`` it applies to, so a spec added to the corpus is judged
+by every criterion that applies; criterion 6 adds its own cycles.  Each
+test prints one pass/fail line, and shared runs and optima are cached.
 """
 
 import itertools
@@ -9,16 +11,13 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple, Optional
 
-from rdomsim import (approx_report,
-                     count_neighborhood_program, cycle_is_program, exact_min_rds,
-                     gen_complete, gen_cycle, gen_path, gen_random_tree,
-                     gen_tightness, id_bits, is_independent, is_r_dominating,
-                     rmds_program, rmds_round_budget,
-                     run_simulation, selection_oracle, subdivide,
-                     tightness_dominating_set, voronoi_decompose,
-                     check_structural_lemmas)
+from rdomsim import (approx_report, build_instance, builtin_corpus,
+                     check_structural_lemmas, count_neighborhood_program,
+                     cycle_is_program, exact_min_rds, gen_cycle, id_bits,
+                     is_independent, is_r_dominating, rmds_program,
+                     rmds_round_budget, run_simulation, selection_oracle,
+                     tightness_dominating_set, voronoi_decompose)
 from rdomsim.cli import EXIT_OK, main
 
 from _support import ball, enumerate_min_rds
@@ -27,13 +26,7 @@ from _support import ball, enumerate_min_rds
 REFERENCE_CSV = (Path(__file__).resolve().parents[1]
                  / "bench" / "reference" / "corpus.csv")
 
-
-class Instance(NamedTuple):
-    label: str
-    graph: object
-    r: int
-    f_r: int
-    opt: Optional[frozenset]  # supplied comparison set; None = use the solver
+CORPUS = tuple(builtin_corpus())
 
 
 @contextmanager
@@ -46,54 +39,51 @@ def criterion(num: int, title: str):
     print(f"criterion {num:2d} ({title}): PASS", file=sys.stderr)
 
 
-def _subdivided_rmax(k: int) -> int:
-    # largest r with girth (k+1)*3 >= 4r+3
-    return ((k + 1) * 3 - 3) // 4
+def specs(algo="rmds", m=None, premise=True):
+    """The indices into ``CORPUS`` of the specs of ``algo`` that meet the
+    girth premise, or with ``premise`` false those that waive it; with ``m``
+    given, only those whose ``m`` (default "exact") it is."""
+    found = [i for i, spec in enumerate(CORPUS)
+             if spec.get("algo", "rmds") == algo
+             and m in (None, spec.get("m", "exact"))
+             and premise != spec.get("allow_low_girth", False)]
+    assert found, "a criterion with no spec to judge shows nothing"
+    return found
 
 
 @lru_cache(maxsize=None)
-def corpus():
-    instances = []
-    for n in (11, 23, 51):
-        for r in range(1, (n - 3) // 4 + 1):
-            instances.append(Instance(f"cycle-{n}-r{r}", gen_cycle(n), r, 1, None))
-    for n, seed, r in itertools.product((50, 200), (1, 2, 3), (1, 2, 3)):
-        instances.append(Instance(f"tree-{n}-s{seed}-r{r}",
-                                  gen_random_tree(n, seed), r, 1, None))
-    for k in (2, 4, 6):
-        base = subdivide(gen_complete(4), k)
-        for r in range(1, _subdivided_rmax(k) + 1):
-            instances.append(Instance(f"subk4-{k}-r{r}", base, r, 3, None))
-    for r, f in ((1, 2), (2, 2)):
-        instances.append(Instance(f"tight-{r}-{f}", gen_tightness(r, f), r, f,
-                                  tightness_dominating_set(r, f)))
-    return tuple(instances)
+def instance(i):
+    """Spec i's graph, radius and f_r, defaulted as ``run_experiment`` does."""
+    spec = CORPUS[i]
+    g, family_f_r = build_instance(spec)
+    return g, spec.get("r", 1), spec.get("f_r", family_f_r)
 
 
 @lru_cache(maxsize=None)
-def path_instances():
-    return tuple(Instance(f"path-50-r{r}", gen_path(50), r, 1, None)
-                 for r in (1, 2, 3))
+def rmds_sim(i):
+    g, r, _ = instance(i)
+    return run_simulation(g, rmds_program(r),
+                          round_budget=rmds_round_budget(r))
 
 
 @lru_cache(maxsize=None)
-def rmds_sim(label):
-    inst = {i.label: i for i in corpus() + path_instances()}[label]
-    return run_simulation(inst.graph, rmds_program(inst.r),
-                          round_budget=rmds_round_budget(inst.r))
+def count_sim(i):
+    g, r, _ = instance(i)
+    return run_simulation(g, count_neighborhood_program(r),
+                          round_budget=r - 1)
 
 
 @lru_cache(maxsize=None)
-def count_sim(label):
-    inst = {i.label: i for i in corpus()}[label]
-    return run_simulation(inst.graph, count_neighborhood_program(inst.r),
-                          round_budget=inst.r - 1)
-
-
-@lru_cache(maxsize=None)
-def exact_opt(label):
-    inst = {i.label: i for i in corpus() + path_instances()}[label]
-    return exact_min_rds(inst.graph, inst.r)
+def comparison_set(i):
+    """Spec i's M and its source: the exact optimum, the tightness
+    family's own set, or the IDs the spec lists."""
+    m = CORPUS[i].get("m", "exact")
+    g, r, _ = instance(i)
+    if m == "exact":
+        return exact_min_rds(g, r), "exact"
+    if m == "family":
+        return tightness_dominating_set(r, CORPUS[i]["f"]), "supplied"
+    return frozenset(m), "supplied"
 
 
 def selected_set(sim):
@@ -101,67 +91,61 @@ def selected_set(sim):
 
 
 @lru_cache(maxsize=None)
-def cycle_is_runs():
-    """(n, r, source, d_set, sim) for the lower-bound reduction corpus."""
-    runs = []
-    for n, r in itertools.product((25, 49), (1, 2)):
-        g = gen_cycle(n)
-        rmds_d = selected_set(run_simulation(
-            g, rmds_program(r), round_budget=rmds_round_budget(r)))
-        trivial_d = frozenset(range(0, n, 2 * r + 1))
-        for source, d_set in (("rmds", rmds_d), ("trivial", trivial_d)):
-            sim = run_simulation(g, cycle_is_program(r),
-                                 params={"d_member": d_set},
-                                 round_budget=2 * r + 1)
-            runs.append((n, r, source, d_set, sim))
-    return tuple(runs)
+def cycle_is_run(i):
+    """cycle_is spec i's D, from rmds or every (2r+1)-th vertex, and the
+    reduction's run on it."""
+    g, r, _ = instance(i)
+    d_set = (frozenset(range(0, g.vertex_count, 2 * r + 1))
+             if CORPUS[i].get("d_source", "rmds") == "trivial"
+             else selected_set(rmds_sim(i)))
+    sim = run_simulation(g, cycle_is_program(r), params={"d_member": d_set},
+                         round_budget=2 * r + 1)
+    return d_set, sim
 
 
 def test_criterion_01_count_equivalence():
     with criterion(1, "neighborhood-count equivalence"):
-        for inst in corpus():
-            sim = count_sim(inst.label)
-            for v in inst.graph.vertices:
-                assert sim.outputs[v] == len(
-                    ball(inst.graph, v, inst.r)) - 1, (inst.label, v)
+        for i in specs():
+            g, r, _ = instance(i)
+            sim = count_sim(i)
+            for v in g.vertices:
+                assert sim.outputs[v] == len(ball(g, v, r)) - 1, (CORPUS[i], v)
 
 
 def test_criterion_02_selection_equivalence():
     with criterion(2, "selection equivalence"):
-        for inst in corpus():
-            sim = rmds_sim(inst.label)
-            assert sim.outputs == selection_oracle(inst.graph, inst.r), \
-                inst.label
+        for i in specs():
+            g, r, _ = instance(i)
+            assert rmds_sim(i).outputs == selection_oracle(g, r), CORPUS[i]
 
 
 def test_criterion_03_domination_validity():
     with criterion(3, "domination validity"):
-        for inst in corpus():
-            assert is_r_dominating(inst.graph, selected_set(rmds_sim(inst.label)),
-                                   inst.r), inst.label
+        for i in specs():
+            g, r, _ = instance(i)
+            assert is_r_dominating(g, selected_set(rmds_sim(i)), r), CORPUS[i]
 
 
 def test_criterion_04_approximation_bound():
     with criterion(4, "approximation bound"):
-        for inst in corpus() + path_instances():
-            if inst.opt is not None:
-                continue  # tightness instances are covered by criterion 5
-            opt = exact_opt(inst.label)
-            alg = selected_set(rmds_sim(inst.label))
-            assert len(alg) <= (1 + 4 * inst.r * inst.f_r) * len(opt), \
-                (inst.label, len(alg), len(opt))
+        for i in specs(m="exact"):  # tightness is criterion 5's
+            _, r, f_r = instance(i)
+            opt, _ = comparison_set(i)
+            alg = selected_set(rmds_sim(i))
+            assert len(alg) <= (1 + 4 * r * f_r) * len(opt), \
+                (CORPUS[i], len(alg), len(opt))
 
 
 def test_criterion_05_tightness_family():
     with criterion(5, "tightness family lower bound"):
-        for inst in corpus():
-            if inst.opt is None:
-                continue
-            r, f = inst.r, inst.f_r
-            alg = selected_set(rmds_sim(inst.label))
-            assert is_r_dominating(inst.graph, inst.opt, r), inst.label
-            assert len(alg) >= 4 * r * f * f, (inst.label, len(alg))
-            assert len(alg) / (4 * f) >= r * f, (inst.label, len(alg))
+        for i in specs(m="family"):
+            g, r, _ = instance(i)
+            f = CORPUS[i]["f"]
+            opt, _ = comparison_set(i)
+            alg = selected_set(rmds_sim(i))
+            assert is_r_dominating(g, opt, r), CORPUS[i]
+            assert len(alg) >= 4 * r * f * f, (CORPUS[i], len(alg))
+            assert len(alg) / (4 * f) >= r * f, (CORPUS[i], len(alg))
 
 
 def test_criterion_06_cycle_optimum():
@@ -175,10 +159,10 @@ def test_criterion_06_cycle_optimum():
             assert is_r_dominating(g, opt, r)
             if n <= 16:
                 small.append((g, r, len(opt)))
-        for inst in corpus():
-            if inst.graph.vertex_count <= 16:
-                small.append((inst.graph, inst.r,
-                              len(exact_min_rds(inst.graph, inst.r))))
+        for i in specs(m="exact"):
+            g, r, _ = instance(i)
+            if g.vertex_count <= 16:
+                small.append((g, r, len(comparison_set(i)[0])))
         assert small  # the cross-check must actually cover something
         for g, r, size in small:
             assert size == len(enumerate_min_rds(g, r)), (g.vertex_count, r)
@@ -186,42 +170,48 @@ def test_criterion_06_cycle_optimum():
 
 def test_criterion_07_lower_bound_reduction():
     with criterion(7, "lower-bound reduction"):
-        for n, r, source, d_set, sim in cycle_is_runs():
+        for i in specs("cycle_is"):
+            g, r, _ = instance(i)
+            d_set, sim = cycle_is_run(i)
             i_set = frozenset(v for v, out in sim.outputs.items() if out)
-            g = gen_cycle(n)
-            assert is_r_dominating(g, d_set, r), (n, r, source)
-            assert is_independent(g, i_set), (n, r, source)
-            assert 2 * len(i_set) >= n - len(d_set), (n, r, source)
-            assert not (i_set & d_set), (n, r, source)
+            assert is_r_dominating(g, d_set, r), CORPUS[i]
+            assert is_independent(g, i_set), CORPUS[i]
+            assert 2 * len(i_set) >= g.vertex_count - len(d_set), CORPUS[i]
+            assert not (i_set & d_set), CORPUS[i]
 
 
 def test_criterion_08_structural_lemmas():
     with criterion(8, "structural lemmas and negative control"):
-        for inst in corpus():
-            opt, source = ((inst.opt, "supplied") if inst.opt is not None
-                           else (exact_opt(inst.label), "exact"))
-            report = approx_report(inst.graph, inst.r, inst.f_r,
-                                   rmds_sim(inst.label), opt, source)
+        for i in specs():
+            g, r, f_r = instance(i)
+            report = approx_report(g, r, f_r, rmds_sim(i), *comparison_set(i))
             for name in ("cells_tree", "single_edge", "quotient_bound",
                          "t_bound", "di_in_T", "di_bound", "do_bound"):
-                assert report.checks[name] is True, (inst.label, name)
-        dec = voronoi_decompose(gen_cycle(4), {0})
-        assert check_structural_lemmas(dec, 1)["cells_tree"] is False
+                assert report.checks[name] is True, (CORPUS[i], name)
+        # Below the premise the supplied centre's cell holds a cycle.
+        for i in specs(premise=False):
+            g, _, f_r = instance(i)
+            dec = voronoi_decompose(g, comparison_set(i)[0])
+            assert check_structural_lemmas(dec, f_r)["cells_tree"] is False
 
 
 def test_criterion_09_congest_accounting():
     with criterion(9, "message size and round counts"):
-        for inst in corpus():
-            cap = 2 * id_bits(inst.graph.vertex_count) + 1
-            sim = rmds_sim(inst.label)
-            assert sim.max_message_bits <= cap, inst.label
-            assert sim.rounds_executed == 3 * inst.r - 1, inst.label
-            csim = count_sim(inst.label)
-            assert csim.max_message_bits <= cap, inst.label
-            assert csim.rounds_executed == inst.r - 1, inst.label
-        for n, r, source, _, sim in cycle_is_runs():
-            assert sim.max_message_bits <= 2 * id_bits(n) + 1, (n, r, source)
-            assert sim.rounds_executed <= 2 * r + 1, (n, r, source)
+        for i in specs():
+            g, r, _ = instance(i)
+            cap = 2 * id_bits(g.vertex_count) + 1
+            sim = rmds_sim(i)
+            assert sim.max_message_bits <= cap, CORPUS[i]
+            assert sim.rounds_executed == 3 * r - 1, CORPUS[i]
+            csim = count_sim(i)
+            assert csim.max_message_bits <= cap, CORPUS[i]
+            assert csim.rounds_executed == r - 1, CORPUS[i]
+        for i in specs("cycle_is"):
+            g, r, _ = instance(i)
+            _, sim = cycle_is_run(i)
+            assert sim.max_message_bits <= 2 * id_bits(g.vertex_count) + 1, \
+                CORPUS[i]
+            assert sim.rounds_executed <= 2 * r + 1, CORPUS[i]
 
 
 def test_criterion_10_suite_determinism(tmp_path, capsys):

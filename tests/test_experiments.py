@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -205,6 +206,16 @@ def test_exact_m_above_the_solver_cap_is_unknown():
                  "quotient_bound", "t_bound", "di_in_T", "di_bound",
                  "do_bound", "ratio_bound"):
         assert report.checks[name] is None, name
+
+
+def test_an_exact_search_out_of_budget_gives_up_in_seconds():
+    # n = 154 is under the solver's 200-vertex cap but needs more than its
+    # node budget at r = 3; about 1 s on CPython 3.11, shared 2-vCPU VM.
+    start = time.perf_counter()
+    result = run_experiment({"family": "subdivided_k4", "k": 25, "r": 3})
+    assert time.perf_counter() - start < 30
+    assert result.passed, result.failures
+    assert result.report.opt_source in ("exact", "unknown")
 
 
 @pytest.mark.parametrize("extra, field", [

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (NodeProgram, ProgramFault, RmdsOutput, build_graph, count_neighborhood_program,
-                     cycle_is_program, gen_cycle, gen_random_tree, girth,
-                     id_bits,
-                     is_independent, is_r_dominating, rmds_program,
+from rdomsim import (NodeProgram, ProgramFault, RmdsOutput, approx_report,
+                     build_graph, count_neighborhood_program, cycle_is_program,
+                     exact_min_rds, experiments, gen_cycle, gen_random_tree,
+                     id_bits, is_independent, is_r_dominating, rmds_program,
                      rmds_round_budget, run_simulation, selection_oracle)
 from rdomsim.programs import _COUNT_LIMIT, _COUNTS
 
-from _support import ball, cli_env, graphs, relabelled
+from _support import (admissible, ball, cli_env, graphs,
+                      reference_is_r_dominating, relabelled)
 
 
 def run_count(g, r):
@@ -36,12 +37,6 @@ def members_of(outputs):
     return frozenset(v for v, out in outputs.items() if out.member)
 
 
-def test_count_on_c11():
-    sim = run_count(gen_cycle(11), 2)
-    assert all(out == 4 for out in sim.outputs.values())
-    assert sim.rounds_executed == 1
-
-
 def test_count_r1_is_plain_degree_in_zero_rounds():
     star = build_graph([(5, leaf) for leaf in range(5)])
     sim = run_count(star, 1)
@@ -49,13 +44,6 @@ def test_count_r1_is_plain_degree_in_zero_rounds():
     assert all(sim.outputs[leaf] == 1 for leaf in range(5))
     assert sim.rounds_executed == 0
     assert sim.messages_per_round == [0]
-
-
-def test_count_matches_oracle_on_tree():
-    g = gen_random_tree(50, 1)
-    sim = run_count(g, 3)
-    for v in g.vertices:
-        assert sim.outputs[v] == len(ball(g, v, 3)) - 1
 
 
 class SendLog(NodeProgram):
@@ -154,24 +142,34 @@ def test_rmds_c7_r1():
     assert members_of(run_rmds(gen_cycle(7), 1).outputs) == frozenset({2, 3, 4, 5, 6})
 
 
-@st.composite
-def admissible_instances(draw):
-    """A cycle or random tree on at most 64 vertices, with 4r+3 <= girth."""
-    if draw(st.booleans()):
-        n = draw(st.integers(7, 64))
-        return gen_cycle(n), draw(st.integers(1, (n - 3) // 4))
-    n = draw(st.integers(1, 64))
-    return (gen_random_tree(n, draw(st.integers(0, 2 ** 16))),
-            draw(st.integers(1, 64)))
-
-
-@given(admissible_instances())
-def test_rmds_claims_hold_for_every_admissible_r(instance):
-    g, r = instance
+@settings(max_examples=200, deadline=None)
+@given(admissible())
+def test_four_claims_hold_on_every_admissible_instance(inst):
+    # Rounds, bits, a dominating D and |D| <= (1+4r*f_r)*|M|, with the
+    # selection and counting oracles and every lemma check of the proof.
+    g, r = inst.g, inst.r
     sim = run_rmds(g, r)
-    assert sim.rounds_executed == rmds_round_budget(r)
+    assert sim.rounds_executed == 3 * r - 1
     assert sim.max_message_bits <= 2 * id_bits(g.vertex_count) + 1
     assert sim.outputs == selection_oracle(g, r)
+    count = run_count(g, r)
+    assert count.outputs == {v: len(ball(g, v, r)) - 1 for v in g.vertices}
+    assert reference_is_r_dominating(g, members_of(sim.outputs), r)
+    m, source = ((inst.m, "supplied") if inst.m is not None
+                 else (exact_min_rds(g, r), "exact"))
+    report = approx_report(g, r, inst.f_r, sim, m, source)
+    assert all(ok is True for ok in report.checks.values()), report.checks
+
+
+def test_admissible_draws_every_family_with_and_without_shuffled_ids():
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(admissible())
+    def draw(inst):
+        seen.add((inst.spec["family"], inst.ids is not None))
+    draw()
+    assert seen == set(itertools.product(experiments._FAMILIES, (False, True)))
 
 
 def test_rmds_c11_r2():
@@ -219,32 +217,17 @@ def test_rmds_degenerate_r_beyond_diameter():
     assert is_r_dominating(g, selected, 9)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(11, 40), st.integers(1, 2))
-def test_rmds_equals_oracle_on_high_girth_cycles(n, r):
-    g = gen_cycle(n)
-    if girth(g) < 4 * r + 3:
-        return
-    assert run_rmds(g, r).outputs == selection_oracle(g, r)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(2, 60), st.integers(0, 5), st.integers(1, 3))
-def test_rmds_equals_oracle_on_trees(n, seed, r):
-    g = gen_random_tree(n, seed)
-    oracle = selection_oracle(g, r)
-    assert run_rmds(g, r).outputs == oracle
-    assert is_r_dominating(g, members_of(oracle), r)
-
-
 @settings(max_examples=30)
 @given(graphs(), st.integers(1, 3))
 def test_rmds_always_dominates_even_without_girth_promise(g, r):
     # Selection equivalence needs high girth, but the program still halts in
-    # 3r-1 rounds; the oracle's set always dominates.
+    # 3r-1 rounds, its members are exactly the vertices some vertex
+    # selected, and they dominate.
     sim = run_rmds(g, r)
     assert sim.rounds_executed == rmds_round_budget(r)
-    assert is_r_dominating(g, members_of(selection_oracle(g, r)), r)
+    members = members_of(sim.outputs)
+    assert members == {out.selected for out in sim.outputs.values()}
+    assert is_r_dominating(g, members, r)
 
 
 def test_cycle_is_c9_r1():
