@@ -158,6 +158,15 @@ def test_exact_cycle_and_path_examples():
     assert len(exact_min_rds(gen_cycle(15), 2)) == 3
 
 
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_exact_cycle_optimum_is_every_2r_plus_1_th(r, m):
+    n = (2 * r + 1) * m
+    result = exact_min_rds(gen_cycle(n), r)
+    assert len(result) == m
+    assert is_r_dominating(gen_cycle(n), result, r)
+
+
 def test_exact_respects_vertex_cap(monkeypatch):
     with pytest.raises(OptimumUnknown):
         exact_min_rds(gen_path(201), 1)

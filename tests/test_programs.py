@@ -37,6 +37,12 @@ def members_of(outputs):
     return frozenset(v for v, out in outputs.items() if out.member)
 
 
+def test_count_on_c11():
+    sim = run_count(gen_cycle(11), 2)
+    assert all(out == 4 for out in sim.outputs.values())
+    assert sim.rounds_executed == 1
+
+
 def test_count_r1_is_plain_degree_in_zero_rounds():
     star = build_graph([(5, leaf) for leaf in range(5)])
     sim = run_count(star, 1)

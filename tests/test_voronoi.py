@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from rdomsim import (GraphError, NotDominatingError, OptimumUnknown,
                      RmdsOutput, SimulationReport, approx_report,
                      boundary_forest, build_graph, check_structural_lemmas,
-                     exact_min_rds, gen_cycle, gen_random_tree, gen_tightness,
-                     greedy_rds, rmds_program, rmds_round_budget,
-                     run_simulation, selection_oracle, split_selection,
+                     exact_min_rds, gen_cycle, gen_path, gen_random_tree,
+                     gen_tightness, greedy_rds, rmds_program,
+                     rmds_round_budget, run_simulation, selection_oracle,
+                     split_selection, tightness_dominating_set,
                      voronoi_decompose)
 
 from _support import cells, graphs, reference_voronoi_decompose
@@ -50,6 +51,12 @@ def test_decompose_rejects_non_dominating_centers():
     dec = voronoi_decompose(gen_cycle(9), {0})
     assert max(dec.dist.values()) == 4
     assert dec.dist == {v: min(v, 9 - v) for v in range(9)}
+
+
+def test_decompose_negative_control_without_domination_guard():
+    dec = voronoi_decompose(gen_cycle(4), {0})
+    # the cell is the whole 4-cycle
+    assert check_structural_lemmas(dec, 1)["cells_tree"] is False
 
 
 def test_structural_lemmas_c9():
@@ -140,6 +147,16 @@ def test_approx_report_single_vertex():
     assert report.ratio == 1.0
 
 
+def test_approx_report_tightness_lower_bound():
+    g = gen_tightness(1, 2)
+    report = approx_report(g, 1, 2, run_rmds(g, 1),
+                           tightness_dominating_set(1, 2), "supplied")
+    assert report.opt_source == "supplied"
+    assert report.alg_size >= 1 * 4 * 2 * 2  # at least r * 4 * f^2 selected
+    assert report.alg_size / (4 * 2) >= 1 * 2  # ratio against |M| <= 4f
+    assert False not in report.checks.values()
+
+
 def test_approx_report_unknown_optimum():
     g = gen_random_tree(30, 1)
     report = approx_report(g, 1, 1, run_rmds(g, 1), exact_min_rds(g, 1),
@@ -166,6 +183,17 @@ def test_approx_report_empty_comparison_set_misses_every_component():
     for name in ("cells_tree", "single_edge", "quotient_bound", "t_bound",
                  "di_in_T", "di_bound", "do_bound"):
         assert report.checks[name] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.integers(1, 40), st.integers(0, 5),
+       st.integers(1, 5))
+def test_approx_report_passes_on_small_trees_and_paths(path, n, seed, r):
+    g = gen_path(n) if path else gen_random_tree(n, seed)
+    report = approx_report(g, r, 1, run_rmds(g, r), exact_min_rds(g, r),
+                           "exact")
+    assert report.opt_source == "exact"
+    assert [k for k, v in report.checks.items() if v is False] == []
 
 
 def test_di_in_T_fails_off_the_boundary_forest_of_a_bounded_cell():
