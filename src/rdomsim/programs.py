@@ -3,7 +3,7 @@
 * neighborhood counting: r-1 rounds of subtree-size exchange, exact whenever
   the girth is at least 4r+3 (the r-1 ball then looks like a tree);
 * distance-r dominating set: counting, then r rounds of lexicographic-max
-  candidate flooding, then r rounds of one-bit back-propagation;
+  candidate flooding, then r rounds of back-propagation;
 * independent set on a cycle: given a dominating set, flood hop counters
   from its members and take odd distances to each gap's lower-ID endpoint.
 """
@@ -15,8 +15,8 @@ from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 from .graphs import Graph, r_balls
-from .simulator import (BackBitMsg, CandidateMsg, CountMsg, FloodMsg,
-                        NodeProgram, ProgramFault)
+from .simulator import (CandidateMsg, CountMsg, FloodMsg, NodeProgram,
+                        ProgramFault)
 
 
 class RmdsOutput(NamedTuple):
@@ -25,10 +25,6 @@ class RmdsOutput(NamedTuple):
     member: bool
     selected: int
 
-
-#: The two back-propagation answers, indexed by ``chosen``.  Messages are
-#: immutable, so every port can share them.
-_BACK_BITS = (BackBitMsg(False), BackBitMsg(True))
 
 #: C-level constructors, for values built once per port or per node: a
 #: ``NamedTuple``'s own ``__new__`` is a Python function.  Each takes the
@@ -120,44 +116,46 @@ class RmdsProgram(CountNeighborhoodProgram):
     Rounds 1..r count (``_count``).  Rounds r..2r-1 send the best
     (count, ID) candidate seen so far; after absorbing the r-th such send a
     node selects its best, the argmax over its r-ball.  Rounds 2r..3r-1
-    back-propagate one bit per port, so no message exceeds the two integer
-    fields of a candidate: round 2r+k-1 answers only selection send
-    r-k+1, saying whether the candidate received on that port in that send
-    is chosen.  The answer comes in time.  A node told in round 2r+k-2
-    that its send r-k+2 is chosen held that candidate after r-k+1 absorbs;
-    unless it is the candidate, a neighbor sent it the candidate in every
-    send from the first that carried it through send r-k+1, which is the
-    send it answers next.  The last round answers send 1, which carries
-    the sender's own ID, so every selected node learns it is chosen.
+    back-propagate: round 2r+k-1 answers selection send r-k+1, each node
+    sending its ``chosen`` candidate on every port, and a node that hears
+    its own send r-k+1 back adopts it as ``chosen``.  The answer comes in
+    time.  A node told in round 2r+k-2 that its send r-k+2 is chosen held
+    that candidate after r-k+1 absorbs; unless it is the candidate, a
+    neighbor sent it the candidate in every send from the first that
+    carried it through send r-k+1, which is the send it answers next.  The
+    last round answers send 1, which carries the sender's own ID, so every
+    selected node learns it is chosen.
+
+    The broadcast tells what one bit per port would, and no message is
+    wider than a candidate.  A node puts one candidate object on every port
+    of a send, so what v received from u in send j is u's send j; u finding
+    that send in its inbox is the OR of its neighbors' bits "this is my
+    ``chosen``".  Only vertex x makes a candidate with ID x, and it carries
+    x's own count, so two candidates are equal exactly when their IDs are.
 
     ``best`` is a ``CandidateMsg``, whose tuple order is the (count, ID)
-    ranking, and each selection send re-sends that one object.  ``recv``
-    is one flat list, the log [in_1, s_2, in_2, ..., s_r, in_r], where in_k
-    is the inbox of send k, whole, and s_k the candidate this node sent in
-    send k.  With w the degree plus one, send k's inbox is
-    ``recv[(k-1)*w:k*w-1]`` and s_(k+1) is ``recv[k*w-1]``.  The first
-    absorb keeps its inbox, a fresh list, as the log; each later one
-    appends the candidate of the send it absorbs, then its inbox.  Send 1
-    is not logged: it carries the node's own ID.  Each field lives only for
-    the phases that read it: counting keeps no state beyond the inbox and
-    sends the shared messages of ``_COUNTS``, ``best`` is made when
-    selection starts, ``recv`` at its first absorb, and ``chosen`` when
-    back-propagation starts.  A step reads ``best`` and ``chosen`` off the
-    node at most once, into locals.  ``__init__`` sets ``r`` and ``own``
-    itself rather than through the base class.
+    ranking, and each selection send re-sends that one object.  ``mine``
+    is the node's own candidate, its send 1, and ``sent`` the list of its
+    sends 2..r, made only when r >= 2.  Each field lives only for the
+    phases that read it: counting keeps no state beyond the inbox and sends
+    the shared messages of ``_COUNTS``, ``best``, ``mine`` and ``sent`` are
+    made when selection starts, and ``chosen`` when back-propagation
+    starts.  A step reads ``best`` and ``chosen`` off the node at most
+    once, into locals.  ``__init__`` sets ``r`` and ``own`` itself rather
+    than through the base class.
 
-    ``chosen`` is one ID, the lowest-ranked candidate known to be chosen,
+    ``chosen`` is one candidate, the lowest-ranked one known to be chosen,
     rather than the set of them.  Sends never fall in rank, and each ranks
     at or above every candidate absorbed before it.  Answers come for the
     later sends first, so each newly chosen candidate ranks at or below
     those before it, and every chosen candidate ranks at or above each
     candidate received in a send still to answer.  A received candidate is
     therefore chosen exactly when it is the lowest-ranked chosen one, and
-    the node is a member exactly when that one is its own ID, which its
-    first and lowest send carried.
+    the node is a member exactly when that one carries its own ID, as its
+    first and lowest send did.
     """
 
-    __slots__ = ("own", "best", "recv", "chosen")
+    __slots__ = ("own", "mine", "best", "sent", "chosen")
 
     def __init__(self, r: int, own_id: int, num_ports: int, params):
         self.r = r
@@ -168,34 +166,29 @@ class RmdsProgram(CountNeighborhoodProgram):
         if t < r:
             return self._count(t, inbox), False, None
         if t == r:
-            best = self.best = _new_candidate((self._count(t, inbox),
-                                               self.own))
+            best = self.best = self.mine = _new_candidate(
+                (self._count(t, inbox), self.own))
+            if r > 1:
+                self.sent = [None] * (r - 1)
         elif t <= 2 * r:  # absorb selection send t - r
             best = self.best
-            if t == r + 1:
-                self.recv = inbox
-            else:
-                log = self.recv
-                log.append(best)  # what this node sent in send t - r
-                log += inbox
             if inbox:
                 heard = max(inbox)
                 if heard > best:
                     best = self.best = heard
-        if t < 2 * r:
+        if t < 2 * r:  # selection send t - r + 1
+            if t > r:
+                self.sent[t - r - 1] = best
             return [best] * len(inbox), False, None
-        # This round answers send j; w is the log's stride (docstring).
-        j, w = 3 * r - t, len(inbox) + 1
         if t == 2 * r:
-            chosen = self.chosen = best.id
-        elif _BACK_BITS[True] in inbox:  # answers to send j + 1
-            chosen = self.chosen = self.recv[j * w - 1].id if j else self.own
-        else:
-            chosen = self.chosen
-        if j:  # answer selection send j on every port
-            return ([_BACK_BITS[msg.id == chosen]
-                     for msg in self.recv[j * w - w:j * w - 1]], False, None)
-        output = _new_output((self.own == chosen, self.best.id))
+            chosen = self.chosen = best
+        else:  # the inbox answers send j + 1
+            j = 3 * r - t
+            sent = self.sent[j - 1] if j else self.mine
+            chosen = self.chosen = sent if sent in inbox else self.chosen
+        if t < 3 * r:
+            return [chosen] * len(inbox), False, None
+        output = _new_output((chosen.id == self.own, self.best.id))
         return [None] * len(inbox), True, output
 
 

@@ -553,12 +553,14 @@ _BACK_BITS = (BackBitMsg(False), BackBitMsg(True))
 
 
 class ReferenceRmdsProgram(NodeProgram):
-    """Slow rmds oracle: the node program as it was before whole inboxes.
+    """Slow rmds oracle: the one-bit, per-port protocol that the runtime's
+    broadcast back-propagation is checked against.
 
-    It keeps one list of received candidates per port and builds a new
-    candidate for every send.  The step logic
-    and its counting are the earlier ``RmdsProgram`` and
-    ``CountNeighborhoodProgram._count``, unchanged.
+    It keeps one list of received candidates per port, builds a new
+    candidate for every send, and answers each port of a back-propagation
+    round with a ``BackBitMsg``: whether the candidate received there is
+    chosen.  The step logic and its counting are an earlier
+    ``RmdsProgram`` and ``CountNeighborhoodProgram._count``, unchanged.
     """
 
     __slots__ = ("r", "counts", "own", "best", "sent", "recv", "chosen")

@@ -16,7 +16,8 @@ from rdomsim import (NodeProgram, ProgramFault, RmdsOutput, approx_report,
 from rdomsim.programs import _COUNT_LIMIT, _COUNTS
 
 from _support import (admissible, ball, cli_env, graphs,
-                      reference_is_r_dominating, relabelled)
+                      reference_is_r_dominating, reference_rmds_program,
+                      relabelled)
 
 
 def run_count(g, r):
@@ -182,6 +183,45 @@ def test_rmds_c11_r2():
     sim = run_rmds(gen_cycle(11), 2)
     assert members_of(sim.outputs) == frozenset({4, 5, 6, 7, 8, 9, 10})
     assert sim.rounds_executed == rmds_round_budget(2) == 5
+
+
+def test_rmds_trace_on_c11_r1():
+    # Round 1 sends each vertex's own candidate and round 2 its chosen one,
+    # both on every port: 22 candidates of 2 * id_bits(11) = 8 bits.
+    records = []
+    sim = run_simulation(gen_cycle(11), rmds_program(1), round_budget=2,
+                         trace=records.append)
+    assert records == [
+        {"round": 1, "live": 11, "sent": 22, "bits_max": 8,
+         "bits_total": 176},
+        {"round": 2, "live": 11, "sent": 22, "bits_max": 8,
+         "bits_total": 176},
+        {"round": 3, "live": 11, "sent": 0, "bits_max": 0, "bits_total": 0}]
+    assert sim.max_message_bits == 8
+
+
+def test_rmds_on_every_id_order_of_every_small_tree():
+    # networkx enumerates the free trees, one per isomorphism class; their
+    # counts for n = 2..12 are OEIS A000055.  Every tree with n <= 6, under
+    # every ID order, at r = 1..3: 3r-1 rounds, the oracle's outputs, and
+    # the outputs and message counts of the one-bit reference program.
+    assert [sum(1 for _ in nx.nonisomorphic_trees(n))
+            for n in range(2, 13)] == \
+        [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    trees = [[]] + [list(t.edges) for n in range(2, 7)
+                    for t in nx.nonisomorphic_trees(n)]
+    for edges in trees:
+        n = len(edges) + 1
+        for ids in itertools.permutations(range(n)):
+            g = build_graph([(ids[u], ids[v]) for u, v in edges], n)
+            for r in (1, 2, 3):
+                sim = run_rmds(g, r)
+                assert sim.rounds_executed == 3 * r - 1
+                assert sim.outputs == selection_oracle(g, r)
+                reference = run_simulation(g, reference_rmds_program(r),
+                                           round_budget=rmds_round_budget(r))
+                assert (sim.outputs, sim.messages_per_round) == \
+                    (reference.outputs, reference.messages_per_round)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -318,12 +318,21 @@ def low_girth_rmds_cases(draw):
 @given(low_girth_rmds_cases())
 def test_rmds_matches_reference_program_off_the_girth_premise(case):
     # Off the premise only domination is judged elsewhere, so a changed
-    # selection would go unseen but for this comparison with the earlier
-    # per-port program, run by the dict-of-inboxes loop.
+    # selection would go unseen but for this comparison with the one-bit,
+    # per-port program, run by the dict-of-inboxes loop.  Reports, faults
+    # and traces must be equal, except that from round 2r on each message
+    # is a candidate of 2 * id_bits(n) bits, where the reference sends a
+    # one-bit answer.
     g, r, budget = case
+    result, records = _outcome(reference_run_simulation, g,
+                               reference_rmds_program(r), None, budget)
+    width = 2 * id_bits(g.vertex_count)
+    for record in records:
+        if record["round"] >= 2 * r:
+            record["bits_max"] = width if record["sent"] else 0
+            record["bits_total"] = width * record["sent"]
     assert _outcome(run_simulation, g, rmds_program(r), None, budget) == \
-        _outcome(reference_run_simulation, g, reference_rmds_program(r),
-                 None, budget)
+        (result, records)
 
 
 @st.composite
@@ -371,8 +380,8 @@ def test_cycle_is_matches_reference_program_for_any_set(case):
 
 
 class LogsChosen(RmdsProgram):
-    """``RmdsProgram`` that logs, in ``params[own_id]``, each new value its
-    ``chosen`` takes from round 2r on."""
+    """``RmdsProgram`` that logs, in ``params[own_id]``, the ID of each new
+    candidate its ``chosen`` takes from round 2r on."""
 
     def __init__(self, r, own_id, num_ports, params):
         super().__init__(r, own_id, num_ports, params)
@@ -380,16 +389,16 @@ class LogsChosen(RmdsProgram):
 
     def step(self, round_index, inbox):
         result = super().step(round_index, inbox)
-        if round_index >= 2 * self.r and self.log[-1:] != [self.chosen]:
-            self.log.append(self.chosen)
+        if round_index >= 2 * self.r and self.log[-1:] != [self.chosen.id]:
+            self.log.append(self.chosen.id)
         return result
 
 
 def test_a_node_chosen_for_several_candidates_keeps_the_lowest():
     # On the path 0-..-6 at r = 2, vertex 2 selects 4, is told that its
     # send carrying 3 is chosen, and then that its own send is: its
-    # ``chosen`` takes three distinct IDs, each lower than the last.  The
-    # outputs still match the set-keeping reference program.
+    # ``chosen`` takes three distinct candidates, each lower than the
+    # last.  The outputs still match the set-keeping reference program.
     g, r = gen_path(7), 2
     logs = {}
     report = run_simulation(g, functools.partial(LogsChosen, r), logs,
@@ -629,13 +638,13 @@ def peak_bytes_per_node(g, program, params, budget):
 
 
 @pytest.mark.parametrize("graph, program, params, budget, ceiling", [
-    (functools.partial(gen_cycle, 4096), rmds_program(1), None, 2, 304),
+    (functools.partial(gen_cycle, 4096), rmds_program(1), None, 2, 280),
     (functools.partial(gen_random_tree, 4096, 0), rmds_program(2), None, 5,
-     363),
+     301),
     (functools.partial(gen_random_tree, 4096, 0), rmds_program(4), None, 11,
-     405),
+     321),
     (functools.partial(gen_random_tree, 4096, 0), rmds_program(8), None, 23,
-     543),
+     395),
     (functools.partial(gen_random_tree, 4096, 0),
      count_neighborhood_program(3), None, 2, 157),
     (functools.partial(gen_cycle, 4096), cycle_is_program(2),
@@ -643,14 +652,13 @@ def peak_bytes_per_node(g, program, params, budget):
 ], ids=["rmds-cycle-r1", "rmds-tree-r2", "rmds-tree-r4", "rmds-tree-r8",
         "count-tree-r3", "cycle-is-r2"])
 def test_peak_memory_per_node(graph, program, params, budget, ceiling):
-    # CPython 3.10 to 3.13 measure 273-276, 329-330, 367-368 and 490-493
+    # CPython 3.10 to 3.13 measure 253-255, 274, 292 and 356-359
     # bytes per vertex on the rmds runs, 135-143 on the count run and
     # 227-228 on the cycle_is run, whose nodes halt in different rounds;
     # each ceiling is about 1.1 times the most.  A ``counts`` list per
     # counting node, a ``CountMsg`` of its own per port, a per-node set for
-    # ``chosen``, a ``sent`` list or a list per absorbed send beside the one
-    # log of an rmds node, a tuple per live node in the simulator, a slot
-    # table or slot offsets of ``int`` objects, a copy of the adjacency, or
-    # an ``int`` of its own for each node's ID or output key each costs more
-    # than the margin.
+    # ``chosen``, a kept inbox per absorbed send in an rmds node, a tuple
+    # per live node in the simulator, a slot table or slot offsets of
+    # ``int`` objects, a copy of the adjacency, or an ``int`` of its own
+    # for each node's ID or output key each costs more than the margin.
     assert peak_bytes_per_node(graph(), program, params, budget) <= ceiling
