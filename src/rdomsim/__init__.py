@@ -20,9 +20,9 @@ from .oracles import (OptimumUnknown, exact_min_rds, greedy_rds,
 from .programs import (RmdsOutput, count_neighborhood_program,
                        cycle_is_program, rmds_program, rmds_round_budget,
                        selection_oracle)
-from .simulator import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
-                        FloodMsg, NodeProgram, ProgramFault, SimulationReport,
-                        id_bits, message_widths, run_simulation)
+from .simulator import (BudgetExceeded, CandidateMsg, CountMsg, FloodMsg,
+                        NodeProgram, ProgramFault, SimulationReport, id_bits,
+                        message_widths, run_simulation)
 from .voronoi import (ApproxReport, NotDominatingError, VoronoiDecomposition,
                       approx_report, boundary_forest, check_structural_lemmas,
                       split_selection, voronoi_decompose)

@@ -45,12 +45,6 @@ class CandidateMsg(NamedTuple):
     id: int
 
 
-class BackBitMsg(NamedTuple):
-    """Back-propagation answer: whether the candidate on this port is chosen."""
-
-    chosen: bool
-
-
 class FloodMsg(NamedTuple):
     """Hop-counted flood: distance from the originator, its ID, and a flag."""
 
@@ -59,7 +53,7 @@ class FloodMsg(NamedTuple):
     flag: bool
 
 
-Message = Union[CountMsg, CandidateMsg, BackBitMsg, FloodMsg]
+Message = Union[CountMsg, CandidateMsg, FloodMsg]
 
 
 def id_bits(n: int) -> int:
@@ -74,8 +68,7 @@ def message_widths(n: int) -> Dict[type, int]:
     every type has a fixed width.
     """
     width = id_bits(n)
-    return {CountMsg: width, CandidateMsg: 2 * width, BackBitMsg: 1,
-            FloodMsg: 2 * width + 1}
+    return {CountMsg: width, CandidateMsg: 2 * width, FloodMsg: 2 * width + 1}
 
 
 class NodeProgram:

@@ -8,16 +8,17 @@ import re
 import sys
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional, Set,
+                    Tuple, get_type_hints)
 
 from hypothesis import strategies as st
 
 import rdomsim
-from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
-                     FloodMsg, Graph, GraphError, NodeProgram,
-                     NotDominatingError, OptimumUnknown, ProgramFault,
-                     RmdsOutput, SimulationReport, VoronoiDecomposition,
-                     build_graph, build_instance, distances, girth,
+from rdomsim import (BudgetExceeded, CandidateMsg, CountMsg, FloodMsg, Graph,
+                     GraphError, NodeProgram, NotDominatingError,
+                     OptimumUnknown, ProgramFault, RmdsOutput,
+                     SimulationReport, VoronoiDecomposition, build_graph,
+                     build_instance, distances, girth, id_bits,
                      message_widths, tightness_dominating_set)
 from rdomsim.oracles import _known_optimum
 from rdomsim.simulator import Message
@@ -485,6 +486,8 @@ def reference_run_simulation(g: Graph, program, params: Any = None,
     It checks each node's outbox as soon as that node steps, so in a round
     where two nodes break the contract in different ways it may report a
     different fault than ``run_simulation``; any other difference is a bug.
+    It also charges a ``BackBitMsg``, 1 bit, which only the reference rmds
+    program sends and ``run_simulation`` refuses.
     """
     if round_budget < 0:
         raise ValueError("round_budget must be >= 0")
@@ -500,7 +503,7 @@ def reference_run_simulation(g: Graph, program, params: Any = None,
             next_port[u] += 1
     del next_port  # not needed in the rounds; free it before they start
     nodes = {v: program(v, len(peers[v]), params) for v in g.vertices}
-    widths = message_widths(n)
+    widths = message_widths(n) | {BackBitMsg: 1}
     inboxes = {v: [None] * len(peers[v]) for v in g.vertices}
     live = list(g.vertices)
     outputs: Dict[int, Any] = {}
@@ -547,6 +550,47 @@ def reference_run_simulation(g: Graph, program, params: Any = None,
                             rounds_executed=max(t - 1, 0),
                             max_message_bits=max_bits,
                             messages_per_round=messages_per_round)
+
+
+class OutboxLog(NodeProgram):
+    """Steps the node that ``program`` builds, with the run's params, and
+    appends every outbox it returns to ``log``, a list."""
+
+    def __init__(self, program, log: list, own_id: int, num_ports: int,
+                 params):
+        self.node = program(own_id, num_ports, params)
+        self.log = log
+
+    def step(self, round_index, inbox):
+        result = self.node.step(round_index, inbox)
+        self.log.append(result[0])
+        return result
+
+
+def logged(program, log: list):
+    """``program`` with every outbox of every node appended to ``log``."""
+    return functools.partial(OutboxLog, program, log)
+
+
+def misfits(outboxes, n: int) -> List[Message]:
+    """The messages in ``outboxes`` that do not encode in ``message_widths``
+    on an n-vertex instance: a field declared ``int`` that is not an int in
+    0..2^id_bits(n)-1, or one declared ``bool`` that is not a bool."""
+    limit = 2 ** id_bits(n)
+
+    def fits(kind, x):
+        return type(x) is kind and (kind is bool or 0 <= x < limit)
+
+    sent = set(itertools.chain.from_iterable(outboxes)) - {None}
+    return [msg for msg in sent if not all(
+        map(fits, get_type_hints(type(msg)).values(), msg))]
+
+
+class BackBitMsg(NamedTuple):
+    """Back-propagation answer of the reference rmds program: whether the
+    candidate received on this port is chosen."""
+
+    chosen: bool
 
 
 _BACK_BITS = (BackBitMsg(False), BackBitMsg(True))

@@ -1,23 +1,24 @@
-import functools
 import itertools
 import subprocess
 import sys
+from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (NodeProgram, ProgramFault, RmdsOutput, approx_report,
-                     build_graph, count_neighborhood_program, cycle_is_program,
+from rdomsim import (ProgramFault, RmdsOutput, approx_report, build_graph,
+                     count_neighborhood_program, cycle_is_program,
                      exact_min_rds, experiments, gen_cycle, gen_random_tree,
-                     id_bits, is_independent, is_r_dominating, rmds_program,
-                     rmds_round_budget, run_simulation, selection_oracle)
+                     id_bits, is_independent, is_r_dominating, message_widths,
+                     rmds_program, rmds_round_budget, run_simulation,
+                     selection_oracle)
 from rdomsim.programs import _COUNT_LIMIT, _COUNTS
 
-from _support import (admissible, ball, cli_env, graphs,
+from _support import (admissible, ball, cli_env, graphs, logged, misfits,
                       reference_is_r_dominating, reference_rmds_program,
-                      relabelled)
+                      reference_run_simulation, relabelled)
 
 
 def run_count(g, r):
@@ -53,31 +54,17 @@ def test_count_r1_is_plain_degree_in_zero_rounds():
     assert sim.messages_per_round == [0]
 
 
-class SendLog(NodeProgram):
-    """Steps the node that ``program`` builds and appends each message it
-    sends to ``params``, a list."""
-
-    def __init__(self, program, own_id, num_ports, params):
-        self.node = program(own_id, num_ports, None)
-        self.log = params
-
-    def step(self, round_index, inbox):
-        outbox, halted, output = self.node.step(round_index, inbox)
-        self.log.extend(msg for msg in outbox if msg is not None)
-        return outbox, halted, output
-
-
 def sent_by_value(g, r):
     """The outputs of counting at radius ``r`` on ``g``, and the messages
     sent, grouped by value."""
-    sent = []
-    sim = run_simulation(
-        g, functools.partial(SendLog, count_neighborhood_program(r)), sent,
-        round_budget=r - 1)
+    outboxes = []
+    sim = run_simulation(g, logged(count_neighborhood_program(r), outboxes),
+                         round_budget=r - 1)
     assert sim.outputs == run_count(g, r).outputs
     by_value = {}
-    for msg in sent:
-        by_value.setdefault(msg.value, []).append(msg)
+    for msg in itertools.chain.from_iterable(outboxes):
+        if msg is not None:
+            by_value.setdefault(msg.value, []).append(msg)
     return sim.outputs, by_value
 
 
@@ -149,23 +136,45 @@ def test_rmds_c7_r1():
     assert members_of(run_rmds(gen_cycle(7), 1).outputs) == frozenset({2, 3, 4, 5, 6})
 
 
-@settings(max_examples=200, deadline=None)
-@given(admissible())
-def test_four_claims_hold_on_every_admissible_instance(inst):
+def test_four_claims_hold_on_every_admissible_instance():
     # Rounds, bits, a dominating D and |D| <= (1+4r*f_r)*|M|, with the
     # selection and counting oracles and every lemma check of the proof.
-    g, r = inst.g, inst.r
-    sim = run_rmds(g, r)
-    assert sim.rounds_executed == 3 * r - 1
-    assert sim.max_message_bits <= 2 * id_bits(g.vertex_count) + 1
-    assert sim.outputs == selection_oracle(g, r)
-    count = run_count(g, r)
-    assert count.outputs == {v: len(ball(g, v, r)) - 1 for v in g.vertices}
-    assert reference_is_r_dominating(g, members_of(sim.outputs), r)
-    m, source = ((inst.m, "supplied") if inst.m is not None
-                 else (exact_min_rds(g, r), "exact"))
-    report = approx_report(g, r, inst.f_r, sim, m, source)
-    assert all(ok is True for ok in report.checks.values()), report.checks
+    # The bits are judged by the values sent as well: every message of
+    # rmds, of counting and, on cycles, of cycle_is on rmds's set fits the
+    # width it is charged, and together the three send every message type.
+    kinds = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(admissible())
+    def check(inst):
+        g, r, n = inst.g, inst.r, inst.g.vertex_count
+        outboxes = []
+        sim = run_simulation(g, logged(rmds_program(r), outboxes),
+                             round_budget=rmds_round_budget(r))
+        assert sim.rounds_executed == 3 * r - 1
+        assert sim.max_message_bits <= 2 * id_bits(n) + 1
+        assert sim.outputs == selection_oracle(g, r)
+        count = run_simulation(g, logged(count_neighborhood_program(r),
+                                         outboxes),
+                               round_budget=max(r - 1, 0))
+        assert count.outputs == {v: len(ball(g, v, r)) - 1
+                                 for v in g.vertices}
+        members = members_of(sim.outputs)
+        assert reference_is_r_dominating(g, members, r)
+        if inst.spec["family"] == "cycle":
+            run_simulation(g, logged(cycle_is_program(r), outboxes),
+                           params={"d_member": members},
+                           round_budget=2 * r + 1)
+        assert misfits(outboxes, n) == []
+        kinds.update(type(msg) for outbox in outboxes for msg in outbox)
+        m, source = ((inst.m, "supplied") if inst.m is not None
+                     else (exact_min_rds(g, r), "exact"))
+        report = approx_report(g, r, inst.f_r, sim, m, source)
+        assert all(ok is True for ok in report.checks.values()), \
+            report.checks
+
+    check()
+    assert kinds - {type(None)} == set(message_widths(1))
 
 
 def test_admissible_draws_every_family_with_and_without_shuffled_ids():
@@ -203,8 +212,11 @@ def test_rmds_trace_on_c11_r1():
 def test_rmds_on_every_id_order_of_every_small_tree():
     # networkx enumerates the free trees, one per isomorphism class; their
     # counts for n = 2..12 are OEIS A000055.  Every tree with n <= 6, under
-    # every ID order, at r = 1..3: 3r-1 rounds, the oracle's outputs, and
-    # the outputs and message counts of the one-bit reference program.
+    # every ID order, at r = 1..3: 3r-1 rounds, the oracle's outputs, the
+    # outputs and message counts of the one-bit reference program, a
+    # dominating D, |D| <= (1+4r)*|OPT| and every lemma check with M = OPT
+    # at f_r = 1.  OPT is found once per tree and r; its image under the
+    # relabelling is a minimum of the relabelled tree.
     assert [sum(1 for _ in nx.nonisomorphic_trees(n))
             for n in range(2, 13)] == \
         [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -212,16 +224,25 @@ def test_rmds_on_every_id_order_of_every_small_tree():
                     for t in nx.nonisomorphic_trees(n)]
     for edges in trees:
         n = len(edges) + 1
+        opts = {r: exact_min_rds(build_graph(edges, n), r) for r in (1, 2, 3)}
         for ids in itertools.permutations(range(n)):
             g = build_graph([(ids[u], ids[v]) for u, v in edges], n)
-            for r in (1, 2, 3):
+            for r, opt in opts.items():
                 sim = run_rmds(g, r)
                 assert sim.rounds_executed == 3 * r - 1
                 assert sim.outputs == selection_oracle(g, r)
-                reference = run_simulation(g, reference_rmds_program(r),
-                                           round_budget=rmds_round_budget(r))
+                reference = reference_run_simulation(
+                    g, reference_rmds_program(r),
+                    round_budget=rmds_round_budget(r))
                 assert (sim.outputs, sim.messages_per_round) == \
                     (reference.outputs, reference.messages_per_round)
+                members = members_of(sim.outputs)
+                assert reference_is_r_dominating(g, members, r)
+                assert len(members) <= (1 + 4 * r) * len(opt)
+                m = frozenset(ids[v] for v in opt)
+                report = approx_report(g, r, 1, sim, m, "exact")
+                assert all(ok is True for ok in report.checks.values()), \
+                    (edges, ids, r, report.checks)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -246,6 +267,10 @@ def test_rmds_on_a_ring_selects_at_most_n_minus_2r(n):
         ring = build_graph([(ids[i], ids[i - 1]) for i in range(n)], n)
         sizes.append(len(members_of(selection_oracle(ring, 1))))
     assert sizes[0] == max(sizes) == n - 2
+    # A vertex is selected exactly when it holds the largest ID of some
+    # three consecutive vertices, which a uniformly random ID order gives
+    # it with probability 1/2: the mean is n/2.
+    assert Fraction(sum(sizes), len(sizes)) == Fraction(n, 2)
 
 
 def test_rmds_single_vertex():

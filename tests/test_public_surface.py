@@ -4,10 +4,10 @@ deliberate edit of this list."""
 import rdomsim
 
 PUBLIC = [
-    "ApproxReport", "BackBitMsg", "BudgetExceeded", "CSV_HEADER",
-    "CandidateMsg", "CountMsg", "ExperimentError", "ExperimentResult",
-    "FloodMsg", "Graph", "GraphError", "INFINITE", "NodeProgram",
-    "NotDominatingError", "OptimumUnknown", "ProgramFault", "RmdsOutput",
+    "ApproxReport", "BudgetExceeded", "CSV_HEADER", "CandidateMsg",
+    "CountMsg", "ExperimentError", "ExperimentResult", "FloodMsg", "Graph",
+    "GraphError", "INFINITE", "NodeProgram", "NotDominatingError",
+    "OptimumUnknown", "ProgramFault", "RmdsOutput",
     "SimulationReport", "VoronoiDecomposition", "approx_report",
     "boundary_forest", "build_graph", "build_instance", "builtin_corpus",
     "check_structural_lemmas", "count_neighborhood_program",

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomsim import (BackBitMsg, BudgetExceeded, CandidateMsg, CountMsg,
-                     FloodMsg, NodeProgram, ProgramFault, build_graph,
+from rdomsim import (BudgetExceeded, CandidateMsg, CountMsg, FloodMsg,
+                     NodeProgram, ProgramFault, build_graph,
                      count_neighborhood_program, cycle_is_program,
                      gen_cycle, gen_path, gen_random_tree, id_bits,
                      message_widths, rmds_program, rmds_round_budget,
                      run_simulation, selection_oracle)
 from rdomsim.programs import RmdsProgram
 
-from _support import (graphs, reference_count_program,
+from _support import (BackBitMsg, graphs, reference_count_program,
                       reference_cycle_is_program, reference_rmds_program,
                       reference_run_simulation, relabelled, view)
 
@@ -55,7 +55,7 @@ def test_message_bit_schema():
     width = id_bits(n)
     assert width == 4
     assert message_widths(n) == {CountMsg: width, CandidateMsg: 2 * width,
-                                 BackBitMsg: 1, FloodMsg: 2 * width + 1}
+                                 FloodMsg: 2 * width + 1}
 
 
 def test_one_round_delivery_and_conservation():
@@ -436,6 +436,23 @@ def test_tuples_are_not_messages(simulate, msg, name):
         simulate(gen_cycle(3), Sends, round_budget=0)
 
 
+def test_the_one_bit_answer_is_not_a_runtime_message():
+    # Only the reference rmds program sends it, and only the reference
+    # simulator charges it.
+    class Answers(NodeProgram):
+        def __init__(self, own_id, num_ports, params):
+            pass
+
+        def step(self, round_index, inbox):
+            return [BackBitMsg(True)] * len(inbox), True, None
+
+    with pytest.raises(ProgramFault,
+                       match="^unknown message type BackBitMsg$"):
+        run_simulation(gen_cycle(3), Answers, round_budget=0)
+    assert reference_run_simulation(gen_cycle(3), Answers).max_message_bits \
+        == 1
+
+
 @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99))))
 def test_candidates_order_by_prio_then_id(pairs):
     candidates = [CandidateMsg(prio, vid) for prio, vid in pairs]
@@ -457,7 +474,7 @@ def test_messages_are_immutable_values(msg, name):
                                       (32768, 16)])
 def test_message_widths_per_type(n, width):
     assert message_widths(n) == {CountMsg: width, CandidateMsg: 2 * width,
-                                 BackBitMsg: 1, FloodMsg: 2 * width + 1}
+                                 FloodMsg: 2 * width + 1}
 
 
 class Hoarder(NodeProgram):
